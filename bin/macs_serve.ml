@@ -1,9 +1,10 @@
 (* The macs_serve daemon: a crash-safe, deadline-bounded modeling service
-   speaking newline-delimited JSON frames over stdio or a supervised
-   loopback TCP socket.  The serving logic lives in Convex_serve.Server,
-   the connection supervision (many clients, timeouts, rate limits,
-   graceful drain) in Convex_serve.Supervisor; this file is flag
-   plumbing and signal wiring. *)
+   speaking newline-delimited JSON frames over stdio or a loopback TCP
+   socket.  The serving logic lives in Convex_serve.Server, the
+   connection supervision (timeouts, rate limits, graceful drain; many
+   clients on TCP, one pre-accepted connection on stdio) in
+   Convex_serve.Supervisor; this file is flag plumbing and signal
+   wiring. *)
 
 open Cmdliner
 module Server = Convex_serve.Server
@@ -66,12 +67,6 @@ let max_batch_arg =
   Arg.(
     value & opt int Server.default_config.Server.max_batch
     & info [ "max-batch" ] ~docv:"N" ~doc:"Items per frame before rejection.")
-
-let queue_arg =
-  Arg.(
-    value & opt int Server.default_config.Server.queue_capacity
-    & info [ "queue" ] ~docv:"N"
-        ~doc:"Pending frames before explicit load-shed replies.")
 
 let max_frame_arg =
   Arg.(
@@ -177,11 +172,10 @@ let pipeline_arg =
           "Frames of one connection computing concurrently; replies are \
            re-sequenced into arrival order.  0 means follow $(b,--jobs).")
 
-let config_of jobs session cache deadline budget max_batch queue max_frame =
+let config_of jobs session cache deadline budget max_batch max_frame =
   {
     Server.jobs;
     max_batch;
-    queue_capacity = queue;
     max_frame_bytes = max_frame;
     default_deadline_ms = deadline;
     default_budget_cycles = budget;
@@ -209,8 +203,7 @@ let net_of ~jobs backlog max_conns drain_ms idle read_ write_ frames_rate
     log_diagnostics = true;
   }
 
-let serve_tcp server ~net ~port ~port_file =
-  let sup = Supervisor.create ~net server in
+let serve_tcp sup ~net ~port ~port_file =
   let sock =
     Supervisor.listen ~port ~backlog:net.Supervisor.backlog ()
   in
@@ -222,49 +215,49 @@ let serve_tcp server ~net ~port ~port_file =
       Printf.fprintf oc "%d\n" bound;
       close_out oc);
   Printf.eprintf "macs_serve: listening on 127.0.0.1:%d\n%!" bound;
-  (* graceful drain on SIGTERM/SIGINT: flip an atomic (signal-safe);
-     the accept loop notices within its 100 ms tick *)
-  let on_signal _ = Supervisor.request_drain sup in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
   Supervisor.serve sup sock;
   Printf.eprintf "macs_serve: drained\n%!"
 
 let serve_cmd =
-  let run jobs session cache deadline budget max_batch queue max_frame port
+  let run jobs session cache deadline budget max_batch max_frame port
       port_file backlog max_conns drain_ms idle read_ write_ frames_rate
       bytes_rate max_strikes pipeline =
     ignore_sigpipe ();
     let config =
-      config_of jobs session cache deadline budget max_batch queue max_frame
+      config_of jobs session cache deadline budget max_batch max_frame
     in
     match Server.create config with
     | Error why ->
         Printf.eprintf "macs_serve: %s\n%!" why;
         exit 2
     | Ok server -> (
+        let net =
+          net_of ~jobs backlog max_conns drain_ms idle read_ write_
+            frames_rate bytes_rate max_strikes pipeline
+        in
+        let sup = Supervisor.create ~net server in
+        (* graceful drain on SIGTERM/SIGINT, on either transport *)
+        let on_signal _ = Supervisor.request_drain sup in
+        Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+        Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
         match port with
-        | Some port ->
-            let net =
-              net_of ~jobs backlog max_conns drain_ms idle read_ write_
-                frames_rate bytes_rate max_strikes pipeline
-            in
-            serve_tcp server ~net ~port ~port_file
+        | Some port -> serve_tcp sup ~net ~port ~port_file
         | None ->
-            let on_signal _ = Server.request_shutdown server in
-            Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-            Server.serve server stdin stdout;
-            Server.finish server)
+            (* stdio: one pre-accepted connection, the same drain path *)
+            ignore
+              (Supervisor.handle_connection sup ~output:Unix.stdout Unix.stdin
+                : Supervisor.report);
+            Supervisor.drain_and_join sup)
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Serve simulate/hierarchy/validate/advise batches over \
-          newline-delimited JSON frames (stdio by default; with $(b,--port), \
-          many concurrent supervised TCP clients)")
+          newline-delimited JSON frames (stdio by default, as one supervised \
+          connection; with $(b,--port), many concurrent TCP clients)")
     Term.(
       const run $ jobs_arg $ session_arg $ cache_arg $ deadline_arg
-      $ budget_cycles_arg $ max_batch_arg $ queue_arg $ max_frame_arg
+      $ budget_cycles_arg $ max_batch_arg $ max_frame_arg
       $ port_arg $ port_file_arg $ backlog_arg $ max_conns_arg $ drain_ms_arg
       $ idle_timeout_arg $ read_timeout_arg $ write_timeout_arg
       $ max_frames_rate_arg $ max_bytes_rate_arg $ max_strikes_arg

@@ -1,7 +1,7 @@
 (* Deadline-aware line I/O over a raw file descriptor.
 
-   The stdio loop reads through [in_channel], which blocks forever on a
-   silent peer; a supervised TCP connection cannot afford that.  This
+   An [in_channel] blocks forever on a silent peer; a supervised
+   connection (a TCP socket, or stdin/stdout) cannot afford that.  This
    module reads newline-delimited frames with [Unix.select]-bounded
    waits — an idle gap between frames and a completion deadline per
    started frame are separate caps, so a slow-loris client (one byte
@@ -39,27 +39,29 @@ type read_event =
   | Torn of int  (* peer vanished mid-frame, [n] bytes in *)
   | Idle_timeout  (* no frame started within the idle cap *)
   | Frame_timeout of int  (* a started frame missed its deadline *)
+  | Stopped  (* the stop predicate turned true while waiting *)
   | Read_error of string
 
-(* [select] timeouts must fit in a [timeval] — an unbounded deadline
-   (Float.max_float) passed straight through is EINVAL on Linux — so
-   waits run in bounded slices and re-check the deadline between them.
-   EINTR also just restarts the slice. *)
-let max_slice_s = 60.0
+(* Waits run in bounded slices and re-check the deadline and the stop
+   predicate between them; EINTR just ends a slice early.  The slice
+   does two jobs: [select] timeouts must fit in a [timeval] (an
+   unbounded deadline, Float.max_float, passed straight through is
+   EINVAL on Linux), and a drain must wake a reader blocked on any
+   descriptor — [shutdown(2)] cannot cut a pipe, and a signal may land
+   on another thread, so the predicate is polled, not signalled. *)
+let slice_s = 0.1
 
-(* Wait until [fd] is readable or [deadline] (a [now]-clock value)
-   passes. *)
-let rec wait_readable ~now fd ~deadline =
+(* Wait until [fd] is readable, [deadline] (a [now]-clock value)
+   passes, or [stop ()] holds. *)
+let rec wait_readable ~now ~stop fd ~deadline =
   let remaining = deadline -. now () in
-  if remaining <= 0.0 then `Timeout
+  if stop () then `Stopped
+  else if remaining <= 0.0 then `Timeout
   else
-    match Unix.select [ fd ] [] [] (Float.min remaining max_slice_s) with
-    | [], _, _ ->
-        if now () >= deadline then `Timeout
-        else wait_readable ~now fd ~deadline
+    match Unix.select [ fd ] [] [] (Float.min remaining slice_s) with
+    | [], _, _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) ->
+        wait_readable ~now ~stop fd ~deadline
     | _ :: _, _, _ -> `Ready
-    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-        wait_readable ~now fd ~deadline
 
 let far_future = Float.max_float
 
@@ -68,7 +70,8 @@ let far_future = Float.max_float
    caps retained bytes (the excess is discarded as it streams in).
    Partial-frame state persists across calls, so a frame delivered in
    many small reads accumulates — but never outlives its deadline. *)
-let read_line ?idle_timeout_s ?frame_timeout_s ~now ~limit r =
+let read_line ?idle_timeout_s ?frame_timeout_s ?(stop = fun () -> false) ~now
+    ~limit r =
   let deadline_of = function
     | None -> far_future
     | Some s -> now () +. s
@@ -109,7 +112,8 @@ let read_line ?idle_timeout_s ?frame_timeout_s ~now ~limit r =
     if r.at_eof then at_eof ()
     else
       let deadline = Float.min !idle_deadline !frame_deadline in
-      match wait_readable ~now r.fd ~deadline with
+      match wait_readable ~now ~stop r.fd ~deadline with
+      | `Stopped -> Stopped
       | `Timeout ->
           if Buffer.length r.line > 0 || r.over > 0 then
             Frame_timeout (Buffer.length r.line + r.over)
@@ -152,13 +156,10 @@ let rec wait_writable ~now fd ~deadline =
   let remaining = deadline -. now () in
   if remaining <= 0.0 then `Timeout
   else
-    match Unix.select [] [ fd ] [] (Float.min remaining max_slice_s) with
-    | _, [], _ ->
-        if now () >= deadline then `Timeout
-        else wait_writable ~now fd ~deadline
-    | _, _ :: _, _ -> `Ready
-    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+    match Unix.select [] [ fd ] [] (Float.min remaining slice_s) with
+    | _, [], _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) ->
         wait_writable ~now fd ~deadline
+    | _, _ :: _, _ -> `Ready
 
 (* Write [line] plus a newline, bounded by [write_timeout_s] per call
    (not per chunk: a reply must land whole within one deadline). *)

@@ -1,7 +1,8 @@
 (** Deadline-aware newline-delimited I/O over a raw file descriptor.
 
-    The supervised TCP path cannot block forever on a silent or stalled
-    peer the way [in_channel]/[out_channel] do.  Reads and writes here
+    A supervised connection — a TCP socket, or stdin/stdout — cannot
+    block forever on a silent or stalled peer the way
+    [in_channel]/[out_channel] do.  Reads and writes here
     are bounded by [Unix.select] deadlines against an injectable clock,
     and every peer-inflicted failure — hangup, trickle, stall — comes
     back as a typed value, never an exception. *)
@@ -19,11 +20,13 @@ type read_event =
   | Torn of int  (** the peer vanished mid-frame, [n] bytes in *)
   | Idle_timeout  (** no frame started within the idle cap *)
   | Frame_timeout of int  (** a started frame missed its completion deadline *)
+  | Stopped  (** [stop] turned true while waiting for bytes *)
   | Read_error of string
 
 val read_line :
   ?idle_timeout_s:float ->
   ?frame_timeout_s:float ->
+  ?stop:(unit -> bool) ->
   now:(unit -> float) ->
   limit:int ->
   reader ->
@@ -33,7 +36,11 @@ val read_line :
     (the slow-loris defense: a client trickling one byte per tick is
     never idle but still misses this); [limit] caps retained bytes —
     the rest of an oversized line streams through a counter and is
-    answered as {!Oversized} with its true length. *)
+    answered as {!Oversized} with its true length.  [stop] is polled
+    at least every 100 ms while blocked (default: never true); once it
+    holds, the wait ends with {!Stopped}, partial-frame state kept.
+    This is how a drain wakes a reader blocked on a pipe, which
+    [shutdown(2)] cannot cut. *)
 
 type write_error =
   | Peer_closed  (** EPIPE / ECONNRESET: the client hung up mid-reply *)

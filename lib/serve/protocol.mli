@@ -37,8 +37,9 @@ open Convex_machine
     rejected whole.  Frame-level error kinds beyond the
     {!Macs_util.Macs_error.kind} tags: ["bad-frame"] (not a JSON
     object), ["bad-request"] (envelope violation), ["frame-too-large"],
-    ["batch-too-large"], ["overloaded"] (bounded queue full — resend
-    later), ["internal"]. *)
+    ["batch-too-large"], ["overloaded"] (every connection slot busy —
+    retry later), ["internal"]; the connection layer adds ["timeout"],
+    ["throttled"] and ["draining"]. *)
 
 type perror = { kind : string; site : string; message : string }
 

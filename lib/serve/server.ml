@@ -1,7 +1,6 @@
 type config = {
   jobs : int;
   max_batch : int;
-  queue_capacity : int;
   max_frame_bytes : int;
   default_deadline_ms : float option;
   default_budget_cycles : float option;
@@ -13,7 +12,6 @@ let default_config =
   {
     jobs = 1;
     max_batch = 64;
-    queue_capacity = 64;
     max_frame_bytes = 1 lsl 20;
     default_deadline_ms = None;
     default_budget_cycles = None;
@@ -25,7 +23,6 @@ type stats = {
   frames : int;
   control : int;
   rejected : int;
-  shed : int;
   replayed_frames : int;
   coalesced : int;
   items : int;
@@ -76,7 +73,6 @@ let create (config : config) =
               frames = 0;
               control = 0;
               rejected = 0;
-              shed = 0;
               replayed_frames = 0;
               coalesced = 0;
               items = 0;
@@ -102,13 +98,14 @@ let stats t =
   s
 
 let shutdown_requested t = t.stop
-let request_shutdown t = t.stop <- true
 let max_frame_bytes_of t = t.config.max_frame_bytes
 
 let drain t ~within_ms =
   let within_ms = Float.max 0.0 within_ms in
-  Atomic.set t.drain_deadline
-    (Some (Unix.gettimeofday () +. (within_ms /. 1000.0), within_ms));
+  ignore
+    (Atomic.compare_and_set t.drain_deadline None
+       (Some (Unix.gettimeofday () +. (within_ms /. 1000.0), within_ms))
+      : bool);
   t.stop <- true
 
 let draining t = Atomic.get t.drain_deadline <> None
@@ -127,7 +124,6 @@ let stats_json t =
         ("frames", int s.frames);
         ("control", int s.control);
         ("rejected", int s.rejected);
-        ("shed", int s.shed);
         ("replayed_frames", int s.replayed_frames);
         ("coalesced", int s.coalesced);
         ("items", int s.items);
@@ -156,13 +152,12 @@ let stats_json t =
 
 (* ------------------------------------------------------------------ *)
 
-let overloaded_error =
-  Protocol.perror ~kind:"overloaded"
-    "request queue is full; the frame was shed, resend it later"
-
-let too_large_error bytes limit =
-  Protocol.perror ~kind:"frame-too-large"
-    (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" bytes limit)
+let oversized_reply t bytes =
+  bump t (fun c -> { c with rejected = c.rejected + 1 });
+  Protocol.error_reply
+    (Protocol.perror ~kind:"frame-too-large"
+       (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" bytes
+          t.config.max_frame_bytes))
 
 let cache_key frame_key =
   Convex_cache.Cache.key ~kind:"serve-reply" [ ("frame", frame_key) ]
@@ -249,11 +244,6 @@ let compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~items =
           (fun line -> Convex_exec.Executor.Done line)
           (Session.lookup_item s ~key ~index:i)
   in
-  let replayed_before =
-    match t.session with
-    | Some s -> Session.items_done s ~key
-    | None -> 0
-  in
   let eval i =
     let line = Json.to_string (Engine.eval_item ?watchdog items.(i)) in
     (match t.session with
@@ -261,15 +251,17 @@ let compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~items =
     | None -> ());
     line
   in
-  let outcomes, _stats =
-    if n = 0 then ([||], None)
+  (* [replayed] counts the [already] hits over this batch's own indexes:
+     the items a restarted server took from the journal *)
+  let outcomes, replayed =
+    if n = 0 then ([||], 0)
     else
       let o, st =
         Convex_exec.Executor.run
           ~jobs:(min t.config.jobs (max 1 n))
           ~already ~cells:n eval
       in
-      (o, Some st)
+      (o, st.Convex_exec.Executor.replayed)
   in
   let item_lines =
     Array.to_list
@@ -312,7 +304,7 @@ let compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~items =
         c with
         frames = c.frames + 1;
         items = c.items + n;
-        replayed_items = c.replayed_items + replayed_before;
+        replayed_items = c.replayed_items + replayed;
         degraded = c.degraded + degraded;
       });
   reply
@@ -408,10 +400,8 @@ let control_reply t ~id control =
            (id_field @ [ ("ok", Json.Bool true); ("shutdown", Json.Bool true) ]))
 
 let handle_line t line =
-  if String.length line > t.config.max_frame_bytes then (
-    bump t (fun c -> { c with rejected = c.rejected + 1 });
-    Protocol.error_reply
-      (too_large_error (String.length line) t.config.max_frame_bytes))
+  if String.length line > t.config.max_frame_bytes then
+    oversized_reply t (String.length line)
   else
     match Protocol.decode_frame ~max_batch:t.config.max_batch line with
     | Error e ->
@@ -428,107 +418,3 @@ let handle_line t line =
             Protocol.error_reply ~id
               (Protocol.perror ~site:"Server.handle_line" ~kind:"internal"
                  (Printexc.to_string exn)))
-
-(* ------------------------------------------------------------------ *)
-(* The channel loop: a reader domain feeding a bounded queue.          *)
-
-type read_event = Line of string | Oversized of int | Eof
-
-(* Read one line without ever holding more than [limit] bytes: past the
-   limit the rest of the line is discarded as it streams in. *)
-let read_line_capped ic ~limit =
-  let buf = Buffer.create 256 in
-  let over = ref 0 in
-  let rec go () =
-    match input_char ic with
-    | '\n' ->
-        if !over > 0 then Oversized (Buffer.length buf + !over)
-        else Line (Buffer.contents buf)
-    | c ->
-        if Buffer.length buf >= limit then incr over else Buffer.add_char buf c;
-        go ()
-    | exception End_of_file ->
-        if Buffer.length buf = 0 && !over = 0 then Eof
-        else if !over > 0 then Oversized (Buffer.length buf + !over)
-        else Line (Buffer.contents buf)
-  in
-  go ()
-
-let serve t ic oc =
-  let q = Queue.create () in
-  let m = Mutex.create () in
-  let nonempty = Condition.create () in
-  let eof = ref false in
-  let out_mutex = Mutex.create () in
-  (* EPIPE posture: a peer that closes its read end mid-reply (SIGPIPE
-     is ignored process-wide, so the write raises Sys_error) gets a
-     stderr diagnostic, the output latches dead, and the loop winds
-     down — it never terminates the process. *)
-  let out_dead = ref false in
-  let write_reply line =
-    Mutex.lock out_mutex;
-    (if not !out_dead then
-       try
-         output_string oc line;
-         output_char oc '\n';
-         flush oc
-       with Sys_error why ->
-         out_dead := true;
-         Printf.eprintf
-           "macs_serve: peer closed mid-reply (%s); dropping remaining \
-            replies\n%!"
-           why);
-    Mutex.unlock out_mutex
-  in
-  let reader =
-    Domain.spawn (fun () ->
-        let rec loop () =
-          if t.stop then ()
-          else
-            match read_line_capped ic ~limit:t.config.max_frame_bytes with
-            | Eof | (exception Sys_error _) ->
-                Mutex.lock m;
-                eof := true;
-                Condition.broadcast nonempty;
-                Mutex.unlock m
-            | Oversized bytes ->
-                bump t (fun c -> { c with rejected = c.rejected + 1 });
-                write_reply
-                  (Protocol.error_reply
-                     (too_large_error bytes t.config.max_frame_bytes));
-                loop ()
-            | Line line ->
-                Mutex.lock m;
-                let shed = Queue.length q >= t.config.queue_capacity in
-                if not shed then (
-                  Queue.add line q;
-                  Condition.signal nonempty);
-                Mutex.unlock m;
-                if shed then (
-                  (* explicit load-shed: answer now, buffer nothing *)
-                  bump t (fun c -> { c with shed = c.shed + 1 });
-                  write_reply (Protocol.error_reply overloaded_error));
-                loop ()
-        in
-        loop ())
-  in
-  let rec drain_loop () =
-    Mutex.lock m;
-    while Queue.is_empty q && not !eof do
-      Condition.wait nonempty m
-    done;
-    let next = if Queue.is_empty q then None else Some (Queue.pop q) in
-    Mutex.unlock m;
-    match next with
-    | None -> ()
-    | Some line ->
-        write_reply (handle_line t line);
-        if not t.stop && not !out_dead then drain_loop ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (* unblock a reader stuck in input_char, then join it *)
-      t.stop <- true;
-      (try close_in ic with Sys_error _ -> ());
-      (try Domain.join reader with _ -> ()))
-    drain_loop

@@ -1,5 +1,7 @@
-(** The [macs_serve] request loop: newline-delimited JSON frames over a
-    channel pair, hardened end to end.
+(** The [macs_serve] request handler: one newline-delimited JSON frame
+    in, one reply line out, hardened end to end.  Connections — stdio
+    or TCP — are read and written by {!Supervisor}; this module never
+    touches a descriptor.
 
     - {b One reply per frame, always.}  {!handle_line} is total: any
       line — malformed JSON, envelope violations, oversized frames,
@@ -12,12 +14,12 @@
       {!Convex_harness.Budget} watchdog shared by the whole batch; items
       whose measurement is cancelled come back as [Estimate]-tier
       answers on the same connection.
-    - {b Backpressure, not OOM.}  {!serve} reads frames on a separate
-      domain into a bounded queue; when the queue is full the frame is
-      answered immediately with an ["overloaded"] error (explicit
-      load-shed) instead of buffering without bound, and a line longer
-      than [max_frame_bytes] is discarded incrementally (never held in
-      memory) and answered with ["frame-too-large"].
+    - {b Bounded frames.}  A line longer than [max_frame_bytes] is
+      answered with ["frame-too-large"] ({!oversized_reply}); the
+      connection reader discards it incrementally, so it is never held
+      in memory.  Load-shedding is the supervisor's: one frame per
+      connection computes at a time (or [--pipeline] frames), and
+      excess connections are refused at accept.
     - {b Idempotent retries.}  A frame's replies are keyed by
       {!Session.frame_key} (id + payload bytes) in the session journal
       and fronted by {!Convex_cache.Cache}; resending a frame replays
@@ -30,7 +32,6 @@
 type config = {
   jobs : int;  (** worker domains per batch (via {!Convex_exec.Executor}) *)
   max_batch : int;  (** items per frame before [batch-too-large] *)
-  queue_capacity : int;  (** pending frames before load-shed *)
   max_frame_bytes : int;  (** request line length before [frame-too-large] *)
   default_deadline_ms : float option;
   default_budget_cycles : float option;
@@ -39,7 +40,7 @@ type config = {
 }
 
 val default_config : config
-(** jobs 1, max_batch 64, queue 64, 1 MiB frames, no deadline, no
+(** jobs 1, max_batch 64, 1 MiB frames, no deadline, no
     session, no cache. *)
 
 type t
@@ -52,7 +53,6 @@ type stats = {
   frames : int;  (** work frames answered *)
   control : int;  (** control frames answered *)
   rejected : int;  (** frames rejected whole with a typed error *)
-  shed : int;  (** frames load-shed by the bounded queue *)
   replayed_frames : int;  (** served byte-identically from journal/cache *)
   coalesced : int;  (** of those, concurrent duplicates that parked on an
                         in-flight twin (single-flight dedup) *)
@@ -76,6 +76,12 @@ val max_frame_bytes_of : t -> int
 (** The configured request-line cap (the supervisor reads it to bound
     raw socket reads before the line ever reaches {!handle_line}). *)
 
+val oversized_reply : t -> int -> string
+(** The [frame-too-large] reply for a request line of the given length,
+    which the connection reader discarded unread; counted as
+    [rejected].  {!handle_line} answers an over-cap line with the same
+    bytes. *)
+
 val handle_line : t -> string -> string
 (** Serve one request line to one reply line (no trailing newline).
     Thread-safe: concurrent callers carrying the same frame key
@@ -83,26 +89,19 @@ val handle_line : t -> string -> string
     journal append, one cache store, byte-identical replies. *)
 
 val shutdown_requested : t -> bool
-(** Whether a [shutdown] control frame has been served (or {!drain} /
-    {!request_shutdown} called). *)
-
-val request_shutdown : t -> unit
-(** Ask the serve loops to stop, as if a [shutdown] frame arrived. *)
+(** Whether a [shutdown] control frame has been served (or {!drain}
+    called). *)
 
 val drain : t -> within_ms:float -> unit
 (** Begin graceful drain: marks the server stopping and arms a global
     wall-clock deadline [within_ms] from now that every in-flight (and
     subsequent) batch watchdog polls — batches still running when the
     window closes degrade to analytic estimate-tier answers, exactly
-    like budget expiry.  The accept loop is the supervisor's to stop. *)
+    like budget expiry.  The first call arms the deadline; later calls
+    keep it.  The connections are the supervisor's to stop. *)
 
 val draining : t -> bool
 
 val finish : t -> unit
 (** Flush the session to its canonical durable form
     ({!Session.compact}); call after the last connection closes. *)
-
-val serve : t -> in_channel -> out_channel -> unit
-(** Run the loop until EOF or a [shutdown] frame: reader domain feeding
-    the bounded queue, load-shed and oversize replies written directly,
-    one reply line per frame in arrival order. *)

@@ -1,6 +1,7 @@
 (* The connection supervisor: many concurrent TCP clients multiplexed
    over one [Server.t], each connection on its own (lightweight) thread
-   with every resource axis bounded.
+   with every resource axis bounded.  Stdio is the same path: one
+   pre-accepted connection whose input and output are stdin and stdout.
 
    Lifecycle of a connection:
 
@@ -24,11 +25,13 @@
      per-connection diagnostic instead of taking the process down;
    - [max_strikes] consecutive whole-frame rejections (garbage floods)
      close the connection;
-   - drain: {!request_drain} (the SIGTERM/SIGINT path) stops the accept
-     loop, shuts down every connection's read side, arms the server's
-     drain deadline so in-flight batches finish or degrade to
-     estimate-tier answers, flushes replies, joins every thread, and
-     compacts the session journal through [Server.finish].
+   - drain: {!request_drain} (the SIGTERM/SIGINT path) arms the
+     server's drain deadline so in-flight batches finish or degrade to
+     estimate-tier answers, and stops the accept loop and every
+     connection's reads (each blocked read polls the drain flag, which
+     wakes sockets and pipes alike); {!drain_and_join} then flushes
+     replies, joins every thread, and compacts the session journal
+     through [Server.finish].
 
    A {!Macs_util.Sink.Crashed} from any connection (the crash sweep's
    simulated process death) is stashed and re-raised from the
@@ -120,7 +123,8 @@ type t = {
   mutex : Mutex.t;  (* guards counters, reports, conns, threads *)
   counters : counters;
   mutable reports : report list;  (* most recent first, bounded *)
-  conns : (int, Unix.file_descr) Hashtbl.t;  (* live fds, for drain *)
+  conns : (int, Unix.file_descr) Hashtbl.t;
+      (* live output fds, force-closed when a drain overruns *)
   mutable threads : Thread.t list;
 }
 
@@ -237,10 +241,6 @@ let draining_error =
   Protocol.perror ~kind:"draining"
     "the server is draining; no new frames are accepted on this connection"
 
-let too_large_error bytes limit =
-  Protocol.perror ~kind:"frame-too-large"
-    (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" bytes limit)
-
 (* A whole-frame rejection (for the strikes counter): the reply is a
    top-level error envelope, not a batch answer with item errors. *)
 let is_whole_frame_rejection reply =
@@ -281,17 +281,20 @@ let finish_report t report =
       report.frames report.replies report.throttled;
   report
 
-let handle_connection t fd =
+let handle_connection t ?output fd =
+  let output = Option.value output ~default:fd in
   let conn = Atomic.fetch_and_add t.conn_seq 1 in
   Atomic.incr t.live;
-  locked t (fun () -> Hashtbl.replace t.conns conn fd);
+  locked t (fun () ->
+      t.counters.accepted <- t.counters.accepted + 1;
+      Hashtbl.replace t.conns conn output);
   let net = t.net in
   let reader = Conn_io.reader fd in
   let limiter = Limiter.make ~config:net.limits ~now:t.now () in
   let write line =
     Conn_io.write_line
       ?write_timeout_s:(ms_to_s net.write_timeout_ms)
-      ~now:t.now fd line
+      ~now:t.now output line
   in
   let seqr = Sequencer.create ~write in
   let seq = ref 0 in
@@ -363,13 +366,14 @@ let handle_connection t fd =
         Conn_io.read_line
           ?idle_timeout_s:(ms_to_s net.idle_timeout_ms)
           ?frame_timeout_s:(ms_to_s net.read_timeout_ms)
+          ~stop:(fun () -> Atomic.get t.drain_requested)
           ~now:t.now
           ~limit:(Server.max_frame_bytes_of t.server)
           reader
       with
-      | Conn_io.Eof -> if Atomic.get t.drain_requested then Drained else Closed
-      | Conn_io.Torn n ->
-          if Atomic.get t.drain_requested then Drained else Hung_up n
+      | Conn_io.Eof -> Closed
+      | Conn_io.Torn n -> Hung_up n
+      | Conn_io.Stopped -> Drained
       | Conn_io.Idle_timeout ->
           reject (next_seq ()) (timeout_error "idle timeout: no frame arrived");
           Idle_timed_out
@@ -383,8 +387,7 @@ let handle_connection t fd =
       | Conn_io.Oversized bytes ->
           incr frames;
           bump t (fun c -> c.frames_read <- c.frames_read + 1);
-          reject (next_seq ())
-            (too_large_error bytes (Server.max_frame_bytes_of t.server));
+          submit_reply (next_seq ()) (Server.oversized_reply t.server bytes);
           after_frame ()
       | Conn_io.Line line -> (
           incr frames;
@@ -427,11 +430,6 @@ let handle_connection t fd =
      is gone or the outcome was hostile; their replies drain through
      the sequencer, which drops them if the output latched dead *)
   wait_inflight ();
-  let outcome =
-    match outcome with
-    | (Closed | Hung_up _) when Atomic.get t.drain_requested -> Drained
-    | outcome -> outcome
-  in
   (match outcome with
   | Drained -> (
       (* best-effort goodbye so a lock-step client is not left hanging *)
@@ -440,7 +438,9 @@ let handle_connection t fd =
       | None -> ignore (write (Protocol.error_reply draining_error)))
   | _ -> ());
   locked t (fun () -> Hashtbl.remove t.conns conn);
-  (try Unix.close fd with Unix.Unix_error _ -> ());
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (if output == fd then [ fd ] else [ fd; output ]);
   Atomic.decr t.live;
   let report =
     finish_report t
@@ -496,7 +496,6 @@ let reject_overloaded t fd =
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 let spawn_connection t fd =
-  bump t (fun c -> c.accepted <- c.accepted + 1);
   let thread =
     Thread.create
       (fun () ->
@@ -507,23 +506,15 @@ let spawn_connection t fd =
   in
   locked t (fun () -> t.threads <- thread :: t.threads)
 
+(* Safe in an OCaml signal handler: it sets atomics and takes no lock.
+   Arming the server's drain deadline here (not when the run loop
+   notices) bounds a batch already computing on the signalled thread.
+   Blocked reads see the flag within one [Conn_io] slice. *)
 let request_drain t =
-  (* async-signal-safe: flip an atomic only; the run loop does the work *)
+  Server.drain t.server ~within_ms:t.net.drain_ms;
   Atomic.set t.drain_requested true
 
 let draining t = Atomic.get t.drain_requested
-
-(* Cut every live connection's read side so loops blocked in select
-   wake with EOF; in-flight computation keeps going until the drain
-   deadline degrades it. *)
-let shutdown_reads t =
-  let fds =
-    locked t (fun () -> Hashtbl.fold (fun _ fd l -> fd :: l) t.conns [])
-  in
-  List.iter
-    (fun fd ->
-      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    fds
 
 let force_close t =
   let fds =
@@ -536,13 +527,11 @@ let join_threads t =
   List.iter (fun th -> try Thread.join th with _ -> ()) threads;
   locked t (fun () -> t.threads <- [])
 
-(* Drain to completion: stop the clock on new work, cut reads, wait for
-   every connection thread within the drain window (plus slack for the
-   estimate-tier fallback to land), then force-close stragglers. *)
+(* Drain to completion: stop new work, wait for every connection thread
+   within the drain window (plus slack for the estimate-tier fallback to
+   land), then force-close stragglers. *)
 let drain_and_join t =
-  Server.drain t.server ~within_ms:t.net.drain_ms;
-  Atomic.set t.drain_requested true;
-  shutdown_reads t;
+  request_drain t;
   let deadline = t.now () +. (t.net.drain_ms /. 1000.0) +. 2.0 in
   let rec wait () =
     if Atomic.get t.live = 0 then ()

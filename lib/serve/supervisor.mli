@@ -1,6 +1,8 @@
 (** Connection supervisor for [macs_serve]: many concurrent TCP clients
     over one {!Server.t}, every resource axis bounded, hostile peers
-    contained per connection, graceful drain on signal.
+    contained per connection, graceful drain on signal.  It is the only
+    connection path: stdio is served as one pre-accepted connection
+    ({!handle_connection} with stdin as input and stdout as output).
 
     - {b Admission control}: at most [max_conns] live connections;
       excess clients get a typed [overloaded] envelope at accept and
@@ -22,10 +24,12 @@
       diagnostic ({!outcome}); the process and the other connections
       are untouched.  In-flight batches still finish and journal.
     - {b Graceful drain}: {!request_drain} (wired to SIGTERM/SIGINT)
-      stops the accept loop, cuts every connection's read side, arms
-      the server drain deadline (batches still running when it closes
-      degrade to estimate-tier answers), flushes replies, joins all
-      threads, and compacts the session journal ({!Server.finish}).
+      arms the server drain deadline (batches still running when it
+      closes degrade to estimate-tier answers) and stops the accept
+      loop and every connection's reads — a blocked read polls the
+      drain flag, so sockets and pipes wake alike; {!drain_and_join}
+      flushes replies, joins all threads, and compacts the session
+      journal ({!Server.finish}).
       kill -9 instead of drain loses nothing: the journal resumes.
 
     A {!Macs_util.Sink.Crashed} raised by any connection (the crash
@@ -93,11 +97,14 @@ val create : ?net:net_config -> Server.t -> t
 (** Also registers the supervisor's counters as a ["supervisor"]
     section of the server's [stats] control reply. *)
 
-val handle_connection : t -> Unix.file_descr -> report
+val handle_connection : t -> ?output:Unix.file_descr -> Unix.file_descr -> report
 (** Serve one already-accepted connection to completion on the calling
     thread (the accept loop spawns a thread per connection around
-    this).  Owns [fd]: always closes it.  Raises the latched
-    {!Macs_util.Sink.Crashed} if any connection crashed. *)
+    this): frames are read from the descriptor, replies written to
+    [output] (default: the same descriptor, as for a socket; stdio
+    passes stdin and [~output:stdout]).  Owns both descriptors: always
+    closes them.  Raises the latched {!Macs_util.Sink.Crashed} if any
+    connection crashed. *)
 
 val listen :
   ?interface:Unix.inet_addr -> port:int -> backlog:int -> unit ->
@@ -115,18 +122,20 @@ val serve : t -> Unix.file_descr -> unit
     listen socket itself ends accepting.  Closes the socket. *)
 
 val request_drain : t -> unit
-(** Ask for graceful drain.  Async-signal-safe (flips an atomic; the
-    accept loop notices within its 100 ms tick), so it is what SIGTERM
-    and SIGINT handlers call. *)
+(** Ask for graceful drain: arm the server's drain deadline
+    ([drain_ms]) and flip the drain flag that the accept loop and every
+    blocked connection read poll within 100 ms.  It sets atomics and
+    takes no lock, so it is what the SIGTERM and SIGINT handlers call,
+    on either transport. *)
 
 val draining : t -> bool
 
 val drain_and_join : t -> unit
-(** The drain itself: arm the server's drain deadline ([drain_ms]),
-    cut every connection's read side, wait for connection threads
-    (force-closing stragglers after the window plus slack), join them,
-    and compact the session journal.  {!serve} calls this on exit;
-    call it directly only when driving {!handle_connection} yourself. *)
+(** The drain itself: {!request_drain}, wait for connection threads
+    (force-closing stragglers' output after the window plus slack),
+    join them, and compact the session journal.  {!serve} calls this on
+    exit; call it directly after driving {!handle_connection} yourself
+    (the stdio server does). *)
 
 val live : t -> int
 val counters_snapshot : t -> counters

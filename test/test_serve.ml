@@ -8,6 +8,7 @@ module Protocol = Convex_serve.Protocol
 module Session = Convex_serve.Session
 module Server = Convex_serve.Server
 module Serve_fuzz = Convex_serve.Serve_fuzz
+module Supervisor = Convex_serve.Supervisor
 
 let tmp_dir =
   let counter = ref 0 in
@@ -349,51 +350,192 @@ let test_server_refuses_foreign_journal () =
   Alcotest.(check string) "file untouched"
     "important data, definitely not a session journal" line
 
+(* Read a channel's remaining lines to EOF, then close it. *)
+let read_lines ic =
+  let rec go acc =
+    match input_line ic with
+    | l -> go (l :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  let lines = go [] in
+  close_in ic;
+  lines
+
 let test_serve_loop_oversize () =
-  (* drive the full loop over pipes: a line longer than max_frame_bytes
-     is discarded incrementally and answered with a typed error, and the
-     frames around it still get their replies.  The oversize reply is
-     written out-of-band by the reader domain the moment the junk is
-     drained ("answer now, buffer nothing"), so it may interleave
-     anywhere; only the queued replies are ordered relative to each
-     other. *)
+  (* the stdio shape through the supervisor: frames in on one pipe,
+     replies out on another.  A line longer than max_frame_bytes is
+     discarded incrementally and answered with a typed error in its
+     arrival slot (the sequencer writes it in order), and the frames
+     around it still get their replies. *)
   let r1, w1 = Unix.pipe () and r2, w2 = Unix.pipe () in
-  let server_ic = Unix.in_channel_of_descr r1
-  and server_oc = Unix.out_channel_of_descr w2
-  and client_oc = Unix.out_channel_of_descr w1
-  and client_ic = Unix.in_channel_of_descr r2 in
   let server =
     create_ok { Server.default_config with Server.max_frame_bytes = 256 }
   in
-  let worker = Domain.spawn (fun () -> Server.serve server server_ic server_oc) in
-  output_string client_oc "{\"op\":\"ping\"}\n";
-  output_string client_oc
+  let sup = Supervisor.create server in
+  let client = Unix.out_channel_of_descr w1 in
+  output_string client "{\"op\":\"ping\"}\n";
+  output_string client
     ("{\"id\":\"big\",\"pad\":\"" ^ String.make 400 'a' ^ "\"}\n");
-  output_string client_oc "{\"op\":\"shutdown\"}\n";
-  (* EOF unblocks the reader domain once it has drained the frames *)
-  close_out client_oc;
-  let lines = [ input_line client_ic; input_line client_ic; input_line client_ic ] in
-  Domain.join worker;
-  close_in client_ic;
-  let is_oversize l =
-    get_str [ "error"; "kind" ] (parse_ok l) = Some "frame-too-large"
+  output_string client "{\"op\":\"shutdown\"}\n";
+  close_out client;
+  (* everything fits the pipe buffers, so one thread can serve it all *)
+  let report = Supervisor.handle_connection sup ~output:w2 r1 in
+  let lines = read_lines (Unix.in_channel_of_descr r2) in
+  let kind l = get_str [ "error"; "kind" ] (parse_ok l) in
+  let ok l = Option.bind (Json.mem (parse_ok l) "ok") Json.bool in
+  Alcotest.(check int) "one oversize reply" 1
+    (List.length (List.filter (fun l -> kind l = Some "frame-too-large") lines));
+  match lines with
+  | [ ping; oversize; shutdown; goodbye ] ->
+      Alcotest.(check (option bool)) "ping ok" (Some true) (ok ping);
+      Alcotest.(check (option string)) "oversize in its arrival slot"
+        (Some "frame-too-large") (kind oversize);
+      Alcotest.(check (option bool)) "shutdown ok" (Some true) (ok shutdown);
+      Alcotest.(check (option string)) "then the drain notice"
+        (Some "draining") (kind goodbye);
+      Alcotest.(check bool) "connection drained" true
+        (report.Supervisor.outcome = Supervisor.Drained);
+      Alcotest.(check int) "oversize counted as rejected" 1
+        (Server.stats server).Server.rejected
+  | _ ->
+      Alcotest.failf
+        "expected ping, oversize, shutdown, drain notice; got %d lines"
+        (List.length lines)
+
+(* The frame keys of a session journal's frame records, in file order
+   (a frame record starts "frame\tkey=..."). *)
+let frame_keys_in path =
+  let ic = open_in_bin path in
+  let rec go acc =
+    match String.split_on_char '\t' (input_line ic) with
+    | "frame" :: key :: _ when String.starts_with ~prefix:"key=" key ->
+        go (String.sub key 4 (String.length key - 4) :: acc)
+    | _ -> go acc
+    | exception End_of_file -> List.rev acc
   in
-  let oversize, in_band = List.partition is_oversize lines in
-  Alcotest.(check int) "one oversize reply" 1 (List.length oversize);
-  match in_band with
-  | [ ping; shutdown ] ->
-      Alcotest.(check (option bool)) "ping ok" (Some true)
-        (Option.bind (Json.mem (parse_ok ping) "ok") Json.bool);
-      Alcotest.(check (option bool)) "shutdown ok" (Some true)
-        (Option.bind (Json.mem (parse_ok shutdown) "ok") Json.bool)
-  | _ -> Alcotest.fail "expected exactly two in-band replies"
+  let keys = go [] in
+  close_in ic;
+  keys
+
+let test_stdio_drain_wakes_idle_reader () =
+  (* an idle stdio-shaped connection (two pipes, input held open) is
+     blocked in a read that shutdown(2) cannot cut; request_drain must
+     still wake it, and the drain must leave a compacted journal *)
+  let dir = tmp_dir "stdio_drain" in
+  let session = Filename.concat dir "s.journal" in
+  let server =
+    create_ok { Server.default_config with Server.session = Some session }
+  in
+  let sup = Supervisor.create server in
+  let frame id = Printf.sprintf {|{"id":"%s","op":"validate"}|} id in
+  (* send the larger frame key first, so append order is not canonical *)
+  let frames =
+    List.sort
+      (fun a b ->
+        compare (Session.frame_key ~id:b ~payload:(frame b))
+          (Session.frame_key ~id:a ~payload:(frame a)))
+      [ "x"; "y" ]
+    |> List.map frame
+  in
+  let r1, w1 = Unix.pipe () and r2, w2 = Unix.pipe () in
+  let report = ref None in
+  let th =
+    Thread.create
+      (fun () ->
+        report := Some (Supervisor.handle_connection sup ~output:w2 r1))
+      ()
+  in
+  let client = Unix.out_channel_of_descr w1 in
+  List.iter (fun f -> output_string client (f ^ "\n")) frames;
+  flush client;
+  let replies = Unix.in_channel_of_descr r2 in
+  let first = [ input_line replies; input_line replies ] in
+  let appended = frame_keys_in session in
+  Alcotest.(check int) "two frame records" 2 (List.length appended);
+  Alcotest.(check bool) "journal appended in arrival order" true
+    (appended = List.rev (List.sort compare appended));
+  Supervisor.request_drain sup;
+  let t0 = Unix.gettimeofday () in
+  while !report = None && Unix.gettimeofday () -. t0 < 5.0 do
+    Thread.delay 0.01
+  done;
+  if !report = None then begin
+    close_out client;
+    Thread.join th;
+    Alcotest.fail "request_drain did not wake the idle pipe reader"
+  end;
+  Thread.join th;
+  close_out client;
+  Alcotest.(check bool) "woken within a poll slice or two" true
+    (Unix.gettimeofday () -. t0 < 1.0);
+  Alcotest.(check bool) "outcome Drained" true
+    (Option.map (fun r -> r.Supervisor.outcome) !report
+    = Some Supervisor.Drained);
+  let kind l = get_str [ "error"; "kind" ] (parse_ok l) in
+  Alcotest.(check (list (option string))) "both frames answered"
+    [ None; None ] (List.map kind first);
+  Alcotest.(check (list (option string))) "then the drain notice, then EOF"
+    [ Some "draining" ]
+    (List.map kind (read_lines replies));
+  Supervisor.drain_and_join sup;
+  Alcotest.(check (list string)) "journal compacted: keys ascending"
+    (List.sort compare appended) (frame_keys_in session)
+
+let test_replayed_items_count_own_indexes () =
+  (* a server died after journaling k of a frame's n items but before
+     its frame record: the restarted server takes exactly those k from
+     the journal and computes only the other n - k *)
+  let dir = tmp_dir "partial" in
+  let path = Filename.concat dir "s.journal" in
+  let frame =
+    {|{"id":"p","batch":[{"op":"simulate","kernel":1},{"op":"simulate","kernel":3},{"op":"simulate","kernel":7},{"op":"hierarchy","kernel":3}]}|}
+  in
+  let n = 4 and k = 2 in
+  let key = Session.frame_key ~id:"p" ~payload:frame in
+  (match Session.open_ path with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+      for i = 0 to k - 1 do
+        Session.record_item s ~key ~index:i
+          (Printf.sprintf {|{"ok":true,"marker":%d}|} i)
+      done);
+  let server =
+    create_ok { Server.default_config with Server.session = Some path }
+  in
+  let reply = reply_json server frame in
+  let results =
+    match Option.bind (Json.mem reply "results") Json.arr with
+    | Some rs -> rs
+    | None -> Alcotest.fail "reply has no results"
+  in
+  Alcotest.(check int) "n results" n (List.length results);
+  List.iteri
+    (fun i r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "item %d %s" i
+           (if i < k then "replayed" else "computed"))
+        (i < k)
+        (Json.mem r "marker" <> None))
+    results;
+  Alcotest.(check int) "replayed_items = k" k
+    (Server.stats server).Server.replayed_items;
+  let ic = open_in_bin path in
+  let items = ref 0 in
+  (try
+     while true do
+       match String.split_on_char '\t' (input_line ic) with
+       | "item" :: _ -> incr items
+       | _ -> ()
+     done
+   with End_of_file -> ());
+  close_in ic;
+  Alcotest.(check int) "only n - k items journaled anew" n !items
 
 (* ---- Supervisor layer: limiter, sequencer, conn_io, connections ---- *)
 
 module Limiter = Convex_serve.Limiter
 module Sequencer = Convex_serve.Sequencer
 module Conn_io = Convex_serve.Conn_io
-module Supervisor = Convex_serve.Supervisor
 
 let fake_clock start =
   let t = ref start in
@@ -767,6 +909,8 @@ let () =
             test_server_refuses_foreign_journal;
           Alcotest.test_case "serve loop oversize" `Quick
             test_serve_loop_oversize;
+          Alcotest.test_case "replayed items count own indexes" `Quick
+            test_replayed_items_count_own_indexes;
         ] );
       ( "supervisor",
         [
@@ -789,6 +933,8 @@ let () =
             test_supervised_concurrent_dup_single_flight;
           Alcotest.test_case "drain degrades in-flight" `Quick
             test_drain_degrades_in_flight;
+          Alcotest.test_case "drain wakes idle stdio reader" `Quick
+            test_stdio_drain_wakes_idle_reader;
           Alcotest.test_case "accept failure policy" `Quick
             test_accept_failure_policy;
         ] );
