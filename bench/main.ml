@@ -330,43 +330,23 @@ let perf_floor_path = "bench/perf_floor.json"
 (* the committed floor: the CI perf gate fails when the tiered geomean
    speedup over the Livermore suite drops below it *)
 let read_perf_floor () =
+  let open Convex_serve.Json in
   if not (Sys.file_exists perf_floor_path) then None
   else
-    let ic = open_in perf_floor_path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    let key = "\"tiered_geomean_floor\"" in
-    let rec find i =
-      if i + String.length key > String.length s then None
-      else if String.sub s i (String.length key) = key then Some i
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> None
-    | Some i -> (
-        match String.index_from_opt s i ':' with
-        | None -> None
-        | Some j -> (
-            try
-              Some
-                (Scanf.sscanf
-                   (String.sub s (j + 1) (String.length s - j - 1))
-                   " %f" Fun.id)
-            with Scanf.Scan_failure _ | Failure _ | End_of_file -> None))
+    let text = In_channel.with_open_bin perf_floor_path In_channel.input_all in
+    match parse text with
+    | Ok j -> Option.bind (mem j "tiered_geomean_floor") num
+    | Error _ -> None
 
 let run_vpsim_bench () =
-  let time_fidelity ~layout ~fidelity job =
+  let time_sim ?fidelity ~layout job =
     time_per_run (fun () ->
-        ignore (Convex_vpsim.Sim.run_exn ?layout ~fidelity job))
+        ignore (Convex_vpsim.Sim.run_exn ?layout ?fidelity job))
   in
   let row name ~layout job =
-    let cycle_s =
-      time_fidelity ~layout ~fidelity:Convex_vpsim.Fastpath.Cycle job
-    in
-    let tiered_s =
-      time_fidelity ~layout ~fidelity:Convex_vpsim.Fastpath.Tiered job
-    in
+    (* the reference stepper against the default (tiered) one *)
+    let cycle_s = time_sim ~fidelity:Convex_vpsim.Fastpath.Cycle ~layout job in
+    let tiered_s = time_sim ~layout job in
     let speedup = cycle_s /. tiered_s in
     Printf.printf "  %-14s cycle %8.3f ms   tiered %8.3f ms   speedup %6.2fx\n%!"
       name (cycle_s *. 1e3) (tiered_s *. 1e3) speedup;

@@ -63,23 +63,6 @@ let faults_arg =
     & opt fault_conv Convex_fault.Fault.none
     & info [ "faults" ] ~docv:"SPEC" ~doc:fault_doc)
 
-let fidelity_conv =
-  let parse s =
-    Result.map_error (fun e -> `Msg e) (Convex_vpsim.Fastpath.of_string s)
-  in
-  Arg.conv (parse, Convex_vpsim.Fastpath.pp)
-
-let fidelity_arg =
-  Arg.(
-    value
-    & opt fidelity_conv Convex_vpsim.Fastpath.Tiered
-    & info [ "fidelity" ] ~docv:"TIER"
-        ~doc:
-          "Simulator tier: 'tiered' (default) advances provably-analytic \
-           regions in closed-form leaps, 'cycle' steps every element.  \
-           Results are bit-identical either way; tiered is several times \
-           faster on healthy streams.")
-
 let kernel_arg =
   Arg.(
     value
@@ -286,7 +269,7 @@ let simulate_cmd =
   let trace =
     Arg.(value & flag & info [ "trace" ] ~doc:"Print the event trace.")
   in
-  let run machine kernel faults trace fidelity cycles wall =
+  let run machine kernel faults trace cycles wall =
     let budget =
       Convex_harness.Budget.make ?max_cycles:cycles ?max_wall_s:wall ()
     in
@@ -304,8 +287,7 @@ let simulate_cmd =
           Convex_harness.Budget.watchdog ~site:("simulate:" ^ k.name) budget
         in
         match
-          Convex_vpsim.Sim.run ~machine ~faults ~guard ?watchdog ~trace
-            ~fidelity c.job
+          Convex_vpsim.Sim.run ~machine ~faults ~guard ?watchdog ~trace c.job
         with
         | Error (Macs_util.Macs_error.Budget_exceeded _ as e) ->
             let est = Macs.Estimate.of_compiled ~machine c in
@@ -339,7 +321,7 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Run a kernel on the cycle-level simulator")
     Term.(
       const run $ machine_arg $ kernel_arg $ faults_arg $ trace
-      $ fidelity_arg $ budget_cycles_arg $ budget_wall_arg)
+      $ budget_cycles_arg $ budget_wall_arg)
 
 let calibrate_cmd =
   let run () = print_endline (Macs_report.Tables.table1 ()) in
@@ -573,7 +555,7 @@ let suite_cmd =
             "Watchdog cap on host wall-clock seconds per kernel run.")
   in
   let run machine opt faults journal resume retry_failed cycles wall jobs
-      cache no_cache fidelity stats_json =
+      cache no_cache stats_json =
     let budget =
       Convex_harness.Budget.make ?max_cycles:cycles ?max_wall_s:wall ()
     in
@@ -582,7 +564,7 @@ let suite_cmd =
       exit 2);
     match
       Convex_harness.Supervisor.run ~machine ~opt ~faults ~budget ?journal
-        ~resume ~retry_failed ~jobs ~fidelity
+        ~resume ~retry_failed ~jobs
         ?cache:(cache_of cache no_cache) ()
     with
     | Ok { suite; stats; quarantined; cache_counters } ->
@@ -617,7 +599,7 @@ let suite_cmd =
     Term.(
       const run $ machine_arg $ opt_arg $ faults_arg $ journal $ resume
       $ retry_failed $ budget_cycles $ budget_wall $ jobs_arg $ cache_arg
-      $ no_cache_arg $ fidelity_arg $ stats_json_arg)
+      $ no_cache_arg $ stats_json_arg)
 
 let resilience_cmd =
   let plans =
@@ -655,7 +637,7 @@ let validate_cmd =
       & info [ "tol" ] ~docv:"FRAC"
           ~doc:"Relative tolerance for every bound comparison (default 0.02).")
   in
-  let run machine opt faults tol fidelity cycles wall =
+  let run machine opt faults tol cycles wall =
     let faults =
       if Convex_fault.Fault.is_none faults then None else Some faults
     in
@@ -670,7 +652,7 @@ let validate_cmd =
       else Some (fun ~site -> Convex_harness.Budget.watchdog ~site budget)
     in
     let r =
-      Macs.Oracle.validate ~tol ~opt ~machine ?faults ?watchdog ~fidelity ()
+      Macs.Oracle.validate ~tol ~opt ~machine ?faults ?watchdog ()
     in
     print_string (Macs.Oracle.render r);
     if r.Macs.Oracle.violations <> [] then exit 1
@@ -683,7 +665,7 @@ let validate_cmd =
           eq. 18 on every vectorized kernel; exits non-zero on any \
           violation")
     Term.(
-      const run $ machine_arg $ opt_arg $ faults_arg $ tol $ fidelity_arg
+      const run $ machine_arg $ opt_arg $ faults_arg $ tol
       $ budget_cycles_arg $ budget_wall_arg)
 
 let report_cmd =
@@ -770,7 +752,7 @@ let fuzz_cmd =
               case samples one plan, rotating."))
   in
   let run seed count machine_name budget sim_budget corpus no_sim plans jobs
-      cache no_cache fidelity stats_json =
+      cache no_cache stats_json =
     let machine = Result.get_ok (machine_of_name machine_name) in
     let cfg =
       {
@@ -784,7 +766,6 @@ let fuzz_cmd =
         sim = not no_sim;
         jobs;
         cache = cache_of cache no_cache;
-        fidelity;
         fault_plans =
           (match plans with
           | [] -> Convex_fuzz.Driver.default_config.fault_plans
@@ -813,8 +794,7 @@ let fuzz_cmd =
           corpus; exits non-zero on any violation")
     Term.(
       const run $ seed $ count $ machine_name $ budget $ sim_budget $ corpus
-      $ no_sim $ plans $ jobs_arg $ cache_arg $ no_cache_arg $ fidelity_arg
-      $ stats_json_arg)
+      $ no_sim $ plans $ jobs_arg $ cache_arg $ no_cache_arg $ stats_json_arg)
 
 let chaos_cmd =
   let seed =
@@ -876,7 +856,7 @@ let chaos_cmd =
              degrades to fewer workers instead of aborting.")
   in
   let run seed cells machine_name journal resume budget jobs kill_cells cache
-      no_cache fidelity stats_json =
+      no_cache stats_json =
     let machine = Result.get_ok (machine_of_name machine_name) in
     if resume && journal = None then (
       prerr_endline "macs_cli chaos: --resume needs --journal";
@@ -893,7 +873,6 @@ let chaos_cmd =
         jobs;
         kill_cells;
         cache = cache_of cache no_cache;
-        fidelity;
         budget =
           (match budget with
           | Some c -> Convex_harness.Budget.make ~max_cycles:c ()
@@ -927,8 +906,7 @@ let chaos_cmd =
           violation")
     Term.(
       const run $ seed $ cells $ machine_name $ journal $ resume $ budget
-      $ jobs_arg $ kill_cells $ cache_arg $ no_cache_arg $ fidelity_arg
-      $ stats_json_arg)
+      $ jobs_arg $ kill_cells $ cache_arg $ no_cache_arg $ stats_json_arg)
 
 let cache_cmd =
   let module Cache = Convex_cache.Cache in

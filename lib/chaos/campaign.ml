@@ -32,10 +32,6 @@ type config = {
           (kernel, plan, machine, opt, guard, budget, shrink cap) — not
           on seed or index, so any campaign sharing the cache reuses
           matching cells *)
-  fidelity : Convex_vpsim.Fastpath.fidelity;
-      (** stepper tier for every cell simulation; verdicts are
-          bit-identical across tiers, so this is not part of the
-          journaled config or the cache key *)
 }
 
 let default_config =
@@ -53,7 +49,6 @@ let default_config =
     jobs = 1;
     kill_cells = [];
     cache = None;
-    fidelity = Convex_vpsim.Fastpath.Tiered;
   }
 
 (* ---- cells ---- *)
@@ -123,8 +118,8 @@ let run_cell cfg (cell : cell) =
   let site = Printf.sprintf "Chaos[%d:%s]" cell.index cell.kernel.Lfk.Kernel.name in
   let check plan =
     let watchdog = Budget.watchdog ~site cfg.budget in
-    Slo.check_cell ?watchdog ~fidelity:cfg.fidelity ~machine:cfg.machine
-      ~opt:cfg.opt ~guard:cfg.guard plan cell.kernel
+    Slo.check_cell ?watchdog ~machine:cfg.machine ~opt:cfg.opt
+      ~guard:cfg.guard plan cell.kernel
   in
   let outcome = check cell.plan in
   match outcome.Slo.verdict with

@@ -48,17 +48,12 @@ type config = {
           seed or index, so any campaign sharing the cache directory
           reuses matching cells.  Journals stay byte-identical between
           cold and warm runs. *)
-  fidelity : Convex_vpsim.Fastpath.fidelity;
-      (** stepper tier ({!Convex_vpsim.Sim.run}) for every cell
-          simulation.  Verdicts, journals and cache payloads are
-          bit-identical across tiers, so the flag is a pure speed knob —
-          excluded from the journaled config and the cache key. *)
 }
 
 val default_config : config
 (** seed 42, 24 cells, healthy c240 at v61, no budget,
     {!Macs_report.Suite.faulted_guard}, no journal, one worker, no
-    injected kills, no cache, tiered fidelity. *)
+    injected kills, no cache. *)
 
 type cell = { index : int; kernel : Lfk.Kernel.t; plan : Fault.t }
 

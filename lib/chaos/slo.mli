@@ -33,7 +33,6 @@ type outcome = { verdict : verdict; cpl : float option }
 val probe_tol : float
 
 val recovery_check :
-  ?fidelity:Convex_vpsim.Fastpath.fidelity ->
   machine:Machine.t ->
   guard:int ->
   Fault.t ->
@@ -44,7 +43,6 @@ val recovery_check :
 
 val check_cell :
   ?watchdog:(cycle:float -> Macs_util.Macs_error.t option) ->
-  ?fidelity:Convex_vpsim.Fastpath.fidelity ->
   machine:Machine.t ->
   opt:Fcc.Opt_level.t ->
   guard:int ->
@@ -54,5 +52,4 @@ val check_cell :
 (** Run one cell (kernel under plan) through {!Macs_report.Suite.run_kernel}
     and every applicable SLO, first failure wins.  Deterministic: the
     same cell always produces the same outcome, which is what makes
-    delta-debugging over plans sound.  [fidelity] selects the stepper
-    tier (default cycle); outcomes are bit-identical across tiers. *)
+    delta-debugging over plans sound. *)

@@ -79,9 +79,8 @@ let of_compiled ?(machine = Machine.c240) ?contention ?watchdog ?fidelity
     t_x;
   }
 
-let analyze ?machine ?contention ?watchdog ?fidelity ?opt kernel =
-  of_compiled ?machine ?contention ?watchdog ?fidelity
-    (Fcc.Compiler.compile ?opt kernel)
+let analyze ?machine ?contention ?watchdog ?opt kernel =
+  of_compiled ?machine ?contention ?watchdog (Fcc.Compiler.compile ?opt kernel)
 
 let cpf_of_cpl t cpl = Units.cpf_of_cpl ~cpl ~flops:t.flops
 let t_ma_cpf t = cpf_of_cpl t t.t_ma

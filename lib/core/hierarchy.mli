@@ -41,14 +41,11 @@ val analyze :
   ?machine:Machine.t ->
   ?contention:Contention.t ->
   ?watchdog:(cycle:float -> Macs_util.Macs_error.t option) ->
-  ?fidelity:Convex_vpsim.Fastpath.fidelity ->
   ?opt:Fcc.Opt_level.t ->
   Lfk.Kernel.t ->
   t
 (** Compile the kernel, compute every bound, and run the three
-    measurements.  [fidelity] selects the simulator tier for the
-    measurements (default cycle); both tiers measure identically.
-    [watchdog] is threaded into every measurement exactly as in
+    measurements.  [watchdog] is threaded into every measurement exactly as in
     {!Convex_vpsim.Sim.run}; a firing watchdog raises
     {!Macs_util.Macs_error.Error} (conventionally [Budget_exceeded]),
     which deadline-bounded callers catch and degrade to an
@@ -61,7 +58,9 @@ val of_compiled :
   ?fidelity:Convex_vpsim.Fastpath.fidelity ->
   Fcc.Compiler.t ->
   t
-(** Same, for an already-compiled kernel. *)
+(** Same, for an already-compiled kernel.  [fidelity] is passed to
+    {!Convex_vpsim.Measure.run} unchanged (default [Tiered]); both
+    steppers measure identically. *)
 
 val cpf_of_cpl : t -> float -> float
 

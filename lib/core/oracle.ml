@@ -172,7 +172,7 @@ let check_opt_monotonicity ?(tol = default_tol) ~machine (k : Lfk.Kernel.t) =
    kernels are not monotone: delaying one stream can let another through
    earlier.) *)
 let check_faulted_never_faster ?(tol = default_tol)
-    ?(machine = Machine.c240) ?fidelity faults =
+    ?(machine = Machine.c240) faults =
   let body =
     [
       Instr.Vld { dst = Reg.v 0; src = { array = "A"; offset = 0; stride = 1 } };
@@ -181,10 +181,7 @@ let check_faulted_never_faster ?(tol = default_tol)
   let job =
     Job.make ~name:"oracle-probe" ~body ~segments:[ Job.segment 512 ] ()
   in
-  match
-    ( Sim.run ~machine ?fidelity job,
-      Sim.run ~machine ~faults ~guard:50_000 ?fidelity job )
-  with
+  match (Sim.run ~machine job, Sim.run ~machine ~faults ~guard:50_000 job) with
   | Ok h, Ok f
     when f.Sim.stats.Sim.cycles < h.Sim.stats.Sim.cycles *. (1.0 -. tol) ->
       [
@@ -213,7 +210,7 @@ type report = {
 }
 
 let validate ?(tol = default_tol) ?(opt = Fcc.Opt_level.v61)
-    ?(machine = Machine.c240) ?faults ?watchdog ?fidelity () =
+    ?(machine = Machine.c240) ?faults ?watchdog () =
   let kernels =
     List.sort (fun (a : Lfk.Kernel.t) b -> compare a.id b.id) Lfk.Kernels.all
   in
@@ -231,7 +228,7 @@ let validate ?(tol = default_tol) ?(opt = Fcc.Opt_level.v61)
         in
         match
           check_hierarchy ~tol
-            (Hierarchy.analyze ~machine ?watchdog:wd ?fidelity ~opt k)
+            (Hierarchy.analyze ~machine ?watchdog:wd ~opt k)
           @ check_opt_monotonicity ~tol ~machine k
         with
         | vs -> vs
@@ -242,7 +239,7 @@ let validate ?(tol = default_tol) ?(opt = Fcc.Opt_level.v61)
   in
   let faulted =
     match faults with
-    | Some plan -> check_faulted_never_faster ~tol ~machine ?fidelity plan
+    | Some plan -> check_faulted_never_faster ~tol ~machine plan
     | None -> []
   in
   {

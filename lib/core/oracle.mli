@@ -62,7 +62,6 @@ val check_opt_monotonicity :
 val check_faulted_never_faster :
   ?tol:float ->
   ?machine:Machine.t ->
-  ?fidelity:Convex_vpsim.Fastpath.fidelity ->
   Convex_fault.Fault.t ->
   violation list
 (** Runs the provably-monotone unit-stride load probe healthy and under
@@ -91,7 +90,6 @@ val validate :
   ?faults:Convex_fault.Fault.t ->
   ?watchdog:
     (site:string -> (cycle:float -> Macs_util.Macs_error.t option) option) ->
-  ?fidelity:Convex_vpsim.Fastpath.fidelity ->
   unit ->
   report
 (** Check every vectorizable kernel's hierarchy and schedule monotonicity

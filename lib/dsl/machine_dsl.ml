@@ -22,7 +22,7 @@ let vclass_names =
 
 (* Shortest decimal that parses back to exactly the same float — the
    Fault.to_spec idiom, so canonical specs stay human-readable without
-   losing round-trip fidelity. *)
+   losing round-trip exactness. *)
 let float_token f =
   let short = Printf.sprintf "%.12g" f in
   if float_of_string short = f then short else Printf.sprintf "%.17g" f

@@ -201,7 +201,7 @@ let with_clauses t cs =
 
 (* Shortest decimal that parses back to exactly the same float: specs stay
    human-readable ("1.5", not "0x1.8p+0") without losing round-trip
-   fidelity on awkward factors. *)
+   exactness on awkward factors. *)
 let float_token f =
   let short = Printf.sprintf "%.12g" f in
   if float_of_string short = f then short else Printf.sprintf "%.17g" f

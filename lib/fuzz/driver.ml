@@ -19,7 +19,6 @@ type config = {
   sim : bool;
   jobs : int;
   cache : string option;
-  fidelity : Convex_vpsim.Fastpath.fidelity;
 }
 
 let default_config =
@@ -35,7 +34,6 @@ let default_config =
     sim = true;
     jobs = 1;
     cache = None;
-    fidelity = Convex_vpsim.Fastpath.Tiered;
   }
 
 type violation = {
@@ -88,7 +86,7 @@ let first_failure (report : Oracle_stack.report) =
 let kernel_case cfg ~index ~label ~plans tally k =
   let report =
     Oracle_stack.run ~machine:cfg.machine ~sim:cfg.sim ~fault_plans:plans
-      ~budget:cfg.budget ~fidelity:cfg.fidelity k
+      ~budget:cfg.budget k
   in
   tally_checks tally report;
   match first_failure report with
@@ -101,7 +99,7 @@ let kernel_case cfg ~index ~label ~plans tally k =
         let r =
           Oracle_stack.run ~machine:cfg.machine ~sim:(cfg.sim && needs_sim)
             ~fault_plans:(if needs_sim then plans else [])
-            ~budget:cfg.budget ~fidelity:cfg.fidelity k'
+            ~budget:cfg.budget k'
         in
         Oracle_stack.fails r ~id:check
       in
@@ -174,10 +172,7 @@ type case_out = {
    A case is fully determined by (seed, index) — the generator draws
    from [Random.State.make [| seed; index |]] — plus the machine, the
    fault-plan list (selection rotates by index over the whole list), the
-   watchdog budget and the sim switch.  All of that goes into the key
-   ([fidelity] deliberately does not: the two tiers are bit-identical by
-   contract — the fidelity-diff rung enforces it on every case — so a
-   warm cache stays valid across the flag);
+   watchdog budget and the sim switch.  All of that goes into the key;
    the payload is the journal-encoded [case_out], so a hit replays
    exactly what a recompute would have produced, corpus bytes
    included. *)

@@ -39,17 +39,12 @@ type config = {
           key of (seed, index, machine, plans, budget, sim), and a warm
           re-run replays them without touching the oracle stack — with
           byte-identical corpus and summary, hit counters excepted *)
-  fidelity : Convex_vpsim.Fastpath.fidelity;
-      (** stepper tier for the sim/fault-sim rungs; outcomes are
-          bit-identical across tiers (the per-case fidelity-diff rung
-          proves it), so this is a speed knob, excluded from the cache
-          key *)
 }
 
 val default_config : config
 (** Seed 42, 500 cases, healthy C-240, the stock fault presets, a
     10-second-per-simulation watchdog, no campaign cap, no corpus,
-    simulation on, one worker, tiered fidelity. *)
+    simulation on, one worker. *)
 
 type violation = {
   case_index : int;

@@ -115,7 +115,7 @@ let diff_check opt (c : Fcc.Compiler.t) =
   | exception e ->
       { id; outcome = Fail ("exception: " ^ Printexc.to_string e) }
 
-let sim_check ~machine ~budget ~faults ?fidelity (c : Fcc.Compiler.t) =
+let sim_check ~machine ~budget ~faults (c : Fcc.Compiler.t) =
   let plan_name = Fault.(if is_none faults then None else Some faults.name) in
   let id =
     match plan_name with
@@ -124,7 +124,7 @@ let sim_check ~machine ~budget ~faults ?fidelity (c : Fcc.Compiler.t) =
   in
   let watchdog = Budget.watchdog ~site:("fuzz." ^ id) budget in
   match
-    Measure.run ~machine ~faults ?watchdog ?fidelity
+    Measure.run ~machine ~faults ?watchdog
       ~flops_per_iteration:(max 1 c.flops_per_iteration)
       c.job
   with
@@ -248,7 +248,7 @@ let oracle_checks ~machine (c : Fcc.Compiler.t) ~cpl =
   row @ mono
 
 let run ?(machine = Machine.c240) ?(sim = true) ?(fault_plans = [])
-    ?(budget = Budget.none) ?fidelity (k : Lfk.Kernel.t) =
+    ?(budget = Budget.none) (k : Lfk.Kernel.t) =
   let checks = ref [] in
   let emit c = checks := c :: !checks in
   (* compile at every level, remembering the functional compilations *)
@@ -289,7 +289,7 @@ let run ?(machine = Machine.c240) ?(sim = true) ?(fault_plans = [])
      match functional with
      | [] -> ()
      | (_, c) :: _ ->
-         let m, check = sim_check ~machine ~budget ~faults:Fault.none ?fidelity c in
+         let m, check = sim_check ~machine ~budget ~faults:Fault.none c in
          emit check;
          (match m with
          | Some m ->
@@ -299,7 +299,7 @@ let run ?(machine = Machine.c240) ?(sim = true) ?(fault_plans = [])
          emit (fidelity_diff_check ~machine ~faults:Fault.none c);
          List.iter
            (fun plan ->
-             let _, check = sim_check ~machine ~budget ~faults:plan ?fidelity c in
+             let _, check = sim_check ~machine ~budget ~faults:plan c in
              emit check;
              emit (fidelity_diff_check ~machine ~faults:plan c))
            fault_plans);

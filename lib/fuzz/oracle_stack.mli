@@ -57,16 +57,12 @@ val run :
   ?sim:bool ->
   ?fault_plans:Convex_fault.Fault.t list ->
   ?budget:Convex_harness.Budget.t ->
-  ?fidelity:Convex_vpsim.Fastpath.fidelity ->
   Lfk.Kernel.t ->
   report
 (** Run the whole stack.  [machine] defaults to the healthy C-240;
     [sim:false] stops after the functional stages (compile, diff,
     round-trip) — the cheap mode test properties use.  [budget] caps
-    each simulation through a fresh {!Convex_harness.Budget.watchdog}.
-    [fidelity] selects the tier for the ["sim"]/["fault-sim:*"] rungs
-    (default cycle); the ["fidelity-diff"] rungs always run both tiers
-    regardless. *)
+    each simulation through a fresh {!Convex_harness.Budget.watchdog}. *)
 
 val fidelity_diff_check :
   machine:Convex_machine.Machine.t ->

@@ -144,7 +144,7 @@ let payload_of_cell c =
 let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
     ?(faults = Fault.none) ?guard ?(budget = Budget.none)
     ?(oracle_tol = Macs.Oracle.default_tol) ?(jobs = 1) ?journal
-    ?(resume = false) ?(retry_failed = false) ?cache ?fidelity () =
+    ?(resume = false) ?(retry_failed = false) ?cache () =
   let guard =
     match guard with
     | Some g -> g
@@ -181,9 +181,6 @@ let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
   let replayed = Hashtbl.create 16 in
   List.iter (fun (i, o) -> Hashtbl.replace replayed i o) prior;
   let cache = Option.map Cache.open_dir cache in
-  (* [fidelity] is deliberately absent from the key: the tiers are
-     bit-identical by contract, so cached cells stay valid across the
-     flag *)
   let cell_key k =
     Cache.key ~kind:"suite-cell"
       [
@@ -201,8 +198,7 @@ let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
         budget
     in
     let row, attempts =
-      Suite.run_kernel_attempts ?watchdog ?fidelity ~machine ~opt ~faults
-        ~guard k
+      Suite.run_kernel_attempts ?watchdog ~machine ~opt ~faults ~guard k
     in
     match row.Suite.outcome with
     | Ok p ->

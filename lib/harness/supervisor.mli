@@ -63,7 +63,6 @@ val run :
   ?resume:bool ->
   ?retry_failed:bool ->
   ?cache:string ->
-  ?fidelity:Convex_vpsim.Fastpath.fidelity ->
   unit ->
   (outcome, string) result
 (** Errors only on journal problems the caller must decide about: an
@@ -78,10 +77,4 @@ val run :
     oracle tolerance, kernel), so a warm re-run journals byte-identical
     records without simulating.  A resume aimed at a [Fresh] journal
     (missing, empty, or an interrupted create — see
-    {!Macs_util.Journal.inspect}) starts over instead of failing.
-
-    [fidelity] selects the simulator tier exactly as in
-    {!Convex_vpsim.Sim.run} (default cycle).  Rows, journals and cache
-    payloads are bit-identical across tiers, so the flag is a pure speed
-    knob and is excluded from both the journal config and the cache
-    key. *)
+    {!Macs_util.Journal.inspect}) starts over instead of failing. *)

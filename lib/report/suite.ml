@@ -48,14 +48,14 @@ let kernels () =
     (fun (a : Lfk.Kernel.t) b -> compare a.id b.id)
     (Lfk.Kernels.all @ Lfk.Kernels.scalar_kernels)
 
-let run_kernel_attempts ?watchdog ?fidelity ~machine ~opt ~faults ~guard
+let run_kernel_attempts ?watchdog ~machine ~opt ~faults ~guard
     (k : Lfk.Kernel.t) =
   let c = Fcc.Compiler.compile ~opt k in
   let layout = Macs.Hierarchy.layout_of c in
   let outcome, attempts =
     Retry.with_relaxed_guard_attempts (fun ~guard_scale ->
         match
-          Measure.run ?watchdog ?fidelity ~machine ~layout ~faults
+          Measure.run ?watchdog ~machine ~layout ~faults
             ~guard:(guard * guard_scale)
             ~flops_per_iteration:c.flops_per_iteration c.job
         with
@@ -81,8 +81,8 @@ let run_kernel_attempts ?watchdog ?fidelity ~machine ~opt ~faults ~guard
   in
   ({ kernel = k; mode = c.mode; outcome; source = Measured }, attempts)
 
-let run_kernel ?watchdog ?fidelity ~machine ~opt ~faults ~guard k =
-  fst (run_kernel_attempts ?watchdog ?fidelity ~machine ~opt ~faults ~guard k)
+let run_kernel ?watchdog ~machine ~opt ~faults ~guard k =
+  fst (run_kernel_attempts ?watchdog ~machine ~opt ~faults ~guard k)
 
 let of_rows ?(violations = []) ~machine ~faults rows =
   let hmean sel =
@@ -109,15 +109,13 @@ let of_rows ?(violations = []) ~machine ~faults rows =
   }
 
 let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
-    ?(faults = Fault.none) ?guard ?fidelity () =
+    ?(faults = Fault.none) ?guard () =
   let guard =
     match guard with
     | Some g -> g
     | None -> if Fault.is_none faults then Sim.default_guard else faulted_guard
   in
-  let rows =
-    List.map (run_kernel ?fidelity ~machine ~opt ~faults ~guard) (kernels ())
-  in
+  let rows = List.map (run_kernel ~machine ~opt ~faults ~guard) (kernels ()) in
   of_rows ~machine ~faults rows
 
 let failed_rows t =

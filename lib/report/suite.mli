@@ -58,7 +58,6 @@ val kernels : unit -> Lfk.Kernel.t list
 
 val run_kernel :
   ?watchdog:(cycle:float -> Macs_util.Macs_error.t option) ->
-  ?fidelity:Convex_vpsim.Fastpath.fidelity ->
   machine:Machine.t ->
   opt:Fcc.Opt_level.t ->
   faults:Convex_fault.Fault.t ->
@@ -72,7 +71,6 @@ val run_kernel :
 
 val run_kernel_attempts :
   ?watchdog:(cycle:float -> Macs_util.Macs_error.t option) ->
-  ?fidelity:Convex_vpsim.Fastpath.fidelity ->
   machine:Machine.t ->
   opt:Fcc.Opt_level.t ->
   faults:Convex_fault.Fault.t ->
@@ -99,14 +97,11 @@ val run :
   ?opt:Fcc.Opt_level.t ->
   ?faults:Convex_fault.Fault.t ->
   ?guard:int ->
-  ?fidelity:Convex_vpsim.Fastpath.fidelity ->
   unit ->
   t
 (** [guard] defaults to {!Convex_vpsim.Sim.default_guard} on a healthy
     machine and to a much smaller value under an active fault plan, so
-    permanently stalled kernels are diagnosed quickly.  [fidelity]
-    selects the simulator tier exactly as in {!Convex_vpsim.Sim.run};
-    both tiers produce bit-identical rows. *)
+    permanently stalled kernels are diagnosed quickly. *)
 
 val faulted_guard : int
 (** The reduced progress guard used under an active fault plan. *)

@@ -35,8 +35,7 @@ let simulate ?watchdog (it : Protocol.item) k =
   let layout = Macs.Hierarchy.layout_of c in
   match
     Convex_vpsim.Measure.run ~machine:it.machine ~layout ~faults:it.faults
-      ?watchdog ~fidelity:it.fidelity
-      ~flops_per_iteration:c.Fcc.Compiler.flops_per_iteration
+      ?watchdog ~flops_per_iteration:c.Fcc.Compiler.flops_per_iteration
       c.Fcc.Compiler.job
   with
   | Ok m ->
@@ -75,10 +74,7 @@ let hierarchy ?watchdog (it : Protocol.item) k =
           simulate")
   else
     let c = Fcc.Compiler.compile ~opt:it.opt k in
-    match
-      Macs.Hierarchy.of_compiled ~machine:it.machine ?watchdog
-        ~fidelity:it.fidelity c
-    with
+    match Macs.Hierarchy.of_compiled ~machine:it.machine ?watchdog c with
     | h ->
         let issues = Macs.Diagnose.diagnose h in
         ok
@@ -120,7 +116,7 @@ let validate ?watchdog (it : Protocol.item) =
   let wd = Option.map (fun w ~site:_ -> Some w) watchdog in
   let r =
     Macs.Oracle.validate ?tol:it.tol ~opt:it.opt ~machine:it.machine ?faults
-      ?watchdog:wd ~fidelity:it.fidelity ()
+      ?watchdog:wd ()
   in
   ok
     (base it

@@ -26,7 +26,9 @@ open Convex_machine
     "machine": <machine spec>, "faults": <fault spec>,
     "fidelity": "cycle" | "tiered", "opt": <opt level>,
     "tol": <number>}] — everything but ["op"] optional ([validate]
-    needs no kernel; the machine defaults to [c240]).
+    needs no kernel; the machine defaults to [c240]).  ["fidelity"] is
+    accepted and validated for compatibility but selects nothing: every
+    op runs the production (tiered) stepper.
 
     {2 Reply frames}
 
@@ -61,6 +63,7 @@ type item = {
   machine : Machine.t;
   faults : Convex_fault.Fault.t;
   fidelity : Convex_vpsim.Fastpath.fidelity;
+      (** decoded from the wire for compatibility; {!Engine} ignores it *)
   opt : Fcc.Opt_level.t;
   tol : float option;
 }

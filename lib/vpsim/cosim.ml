@@ -13,9 +13,9 @@ type stream = {
 type cpu_outcome = { stream : stream; delay : int; slowdown : float }
 type t = { cpus : cpu_outcome list; average_slowdown : float }
 
-let stream_of_job ?(machine = Machine.c240) ?faults ?fidelity ~name job =
+let stream_of_job ?(machine = Machine.c240) ?faults ~name job =
   let log = ref [] in
-  let r = Sim.run_exn ~machine ?faults ~access_log:log ?fidelity job in
+  let r = Sim.run_exn ~machine ?faults ~access_log:log job in
   let accesses =
     !log
     |> List.rev_map (fun (cycle, word) -> { cycle; word })

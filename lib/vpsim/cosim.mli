@@ -35,7 +35,6 @@ type t = { cpus : cpu_outcome list; average_slowdown : float }
 val stream_of_job :
   ?machine:Machine.t ->
   ?faults:Convex_fault.Fault.t ->
-  ?fidelity:Fastpath.fidelity ->
   name:string ->
   Job.t ->
   stream

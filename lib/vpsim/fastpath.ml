@@ -30,20 +30,6 @@ open Convex_fault
 
 type fidelity = Cycle | Tiered
 
-let all = [ Cycle; Tiered ]
-let to_string = function Cycle -> "cycle" | Tiered -> "tiered"
-
-let of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "cycle" -> Ok Cycle
-  | "tiered" -> Ok Tiered
-  | other ->
-      Error
-        (Printf.sprintf "unknown fidelity %S (expected: cycle or tiered)"
-           other)
-
-let pp fmt f = Format.pp_print_string fmt (to_string f)
-
 (* the cycle stepper polls its watchdog every [spin_check_interval]
    failed access attempts ([Sim.watchdog_spin_mask] is this minus one);
    a leap must never absorb a wait long enough to have crossed that

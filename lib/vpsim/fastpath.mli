@@ -3,10 +3,11 @@ open Convex_memsys
 
 (** The tiered stepper's analytical fast path.
 
-    The cycle stepper ({!Sim.run}) advances a vector instruction one
-    element at a time, spinning the bank model for every memory access.
-    Most of that work is predictable — the MACS observation — so the
-    tiered stepper partitions each strip into {e analytic regions}:
+    The reference cycle stepper ({!Sim.run} with [~fidelity:Cycle])
+    advances a vector instruction one element at a time, spinning the
+    bank model for every memory access.  Most of that work is
+    predictable — the MACS observation — so the tiered stepper, the
+    default and only production path, partitions each strip into {e analytic regions}:
     element streams whose schedule is provably the closed form
     [t0 + e * z] (plus exactly-computable refresh slips), advanced in one
     leap, with the cycle stepper retained for everything unprovable
@@ -24,16 +25,14 @@ open Convex_memsys
     every fault family.  DESIGN §14 derives the obligations. *)
 
 type fidelity =
-  | Cycle  (** step every element through the bank model (the baseline) *)
+  | Cycle
+      (** the reference stepper: step every element through the bank
+          model.  Only the equivalence tests, the fuzz [fidelity-diff]
+          rung and the benches select it. *)
   | Tiered
-      (** leap analytic regions in closed form, cycle-step the seams —
-          bit-identical to [Cycle], several times faster on healthy
-          streams *)
-
-val all : fidelity list
-val to_string : fidelity -> string
-val of_string : string -> (fidelity, string) result
-val pp : Format.formatter -> fidelity -> unit
+      (** the default and only production stepper: leap analytic regions
+          in closed form, cycle-step the seams — bit-identical to
+          [Cycle], several times faster on healthy streams *)
 
 val spin_check_interval : int
 (** The cycle stepper polls its watchdog every this-many failed access

@@ -24,8 +24,8 @@ val run :
   Job.t ->
   (t, Macs_util.Macs_error.t) Stdlib.result
 (** Simulate and convert to the paper's units.  [fidelity] selects the
-    stepper tier exactly as in {!Sim.run} (default [Cycle]); both tiers
-    produce bit-identical measurements.  Simulation failures
+    stepper exactly as in {!Sim.run} (default [Tiered]; [Cycle] is the
+    reference); both produce bit-identical measurements.  Simulation failures
     (livelock, fault-induced stall-out, watchdog cancellation) come back
     as [Error].  [watchdog] is threaded to {!Sim.run} unchanged.  Raises
     [Invalid_argument] if [flops_per_iteration <= 0] — a caller bug, not

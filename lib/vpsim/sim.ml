@@ -78,7 +78,7 @@ let watchdog_spin_mask = Fastpath.spin_check_interval - 1
 
 let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
     ?(faults = Fault.none) ?(guard = default_guard) ?watchdog ?access_log
-    ?(trace = false) ?(fidelity = Fastpath.Cycle) (job : Job.t) =
+    ?(trace = false) ?(fidelity = Fastpath.Tiered) (job : Job.t) =
   let layout =
     match layout with
     | Some l -> l

@@ -75,11 +75,13 @@ val run :
 (** Simulate a job to completion.  [machine] defaults to {!Machine.c240};
     [layout] defaults to [Layout.build] over the job's arrays;
     [contention] to none; [faults] to {!Convex_fault.Fault.none}; [trace]
-    to [false]; [fidelity] to {!Fastpath.Cycle}.  [Fastpath.Tiered]
-    advances provably-analytic regions in closed-form leaps
-    ({!Fastpath.try_leap}) and is bit-identical to cycle stepping —
-    results, stall counters, traces and access logs — at a multiple of
-    the speed on healthy streams.  Returns [Error (Livelock _)] when an access makes no
+    to [false]; [fidelity] to {!Fastpath.Tiered}, which advances
+    provably-analytic regions in closed-form leaps ({!Fastpath.try_leap})
+    and is bit-identical to cycle stepping — results, stall counters,
+    traces and access logs — at a multiple of the speed on healthy
+    streams.  [~fidelity:Fastpath.Cycle] selects the reference stepper,
+    which only the equivalence tests, the fuzz [fidelity-diff] rung and
+    the benches ask for.  Returns [Error (Livelock _)] when an access makes no
     progress for [guard] consecutive cycles on a healthy machine, and
     [Error (Stall_out _)] when the same guard trips under an active fault
     plan (e.g. a stuck bank); it never raises on any fault plan.

@@ -453,25 +453,6 @@ let test_oracle_broken_hierarchy_caught () =
          v.Macs.Oracle.invariant = "MAC<=MACS")
        r.Macs.Oracle.violations)
 
-(* The bound oracle must reach the same verdicts whichever stepper tier
-   measured the rows — on the machine built to violate the hierarchy,
-   down to the rendered detail strings. *)
-let test_oracle_verdicts_fidelity_independent () =
-  let render (r : Macs.Oracle.report) =
-    List.map
-      (fun (v : Macs.Oracle.violation) ->
-        String.concat "|"
-          [ v.Macs.Oracle.invariant; v.Macs.Oracle.subject; v.Macs.Oracle.detail ])
-      r.Macs.Oracle.violations
-  in
-  let machine = Machine.broken_hierarchy Machine.c240 in
-  let cycle = Macs.Oracle.validate ~machine ~fidelity:Fastpath.Cycle () in
-  let tiered = Macs.Oracle.validate ~machine ~fidelity:Fastpath.Tiered () in
-  Alcotest.(check bool) "violations found" true
-    (cycle.Macs.Oracle.violations <> []);
-  Alcotest.(check (list string))
-    "identical verdicts across fidelities" (render cycle) (render tiered)
-
 let test_oracle_faulted_probe () =
   let plan spec =
     match Convex_fault.Fault.parse spec with
@@ -551,8 +532,6 @@ let () =
             test_oracle_c240_clean;
           Alcotest.test_case "broken hierarchy caught" `Quick
             test_oracle_broken_hierarchy_caught;
-          Alcotest.test_case "verdicts fidelity-independent" `Quick
-            test_oracle_verdicts_fidelity_independent;
           Alcotest.test_case "faulted probe" `Quick test_oracle_faulted_probe;
           Alcotest.test_case "impossible speed flagged" `Quick
             test_oracle_check_row_flags_impossible_speed;

@@ -448,6 +448,19 @@ let fidelity_plans =
     ("transient-jitter", "jitter=12;port-spike=16/400;window=100-500");
   ]
 
+(* every machine the production path can be asked for: the named
+   presets, including the bound oracle's broken-hierarchy fixture, and
+   the DSL machine the serve benchmark sends *)
+let fidelity_machines =
+  Machine.presets
+  @ [
+      ( "c240;banks=64",
+        Result.get_ok (Convex_dsl.Machine_dsl.parse "c240;banks=64") );
+    ]
+
+let fidelity_opts =
+  Fcc.Opt_level.[ v61; ideal; loads_first; packed ]
+
 let test_fidelity_lfk () =
   List.iter
     (fun (k : Lfk.Kernel.t) ->
@@ -459,7 +472,25 @@ let test_fidelity_lfk () =
             ~guard:Macs_report.Suite.faulted_guard
             (Printf.sprintf "%s/%s" k.name pname)
             c.Fcc.Compiler.job)
-        fidelity_plans)
+        fidelity_plans;
+      (* the healthy plan on every machine x opt level: the P job that
+         [Hierarchy] measures everywhere, its A/X processes on c240 *)
+      List.iter
+        (fun opt ->
+          let c = Fcc.Compiler.compile ~opt k in
+          let layout = Macs.Hierarchy.layout_of c in
+          let job = c.Fcc.Compiler.job in
+          let name m p =
+            Printf.sprintf "%s/%s/%s/%s" k.name (Fcc.Opt_level.name opt) m p
+          in
+          List.iter
+            (fun (mname, machine) ->
+              check_equiv ~machine ~layout (name mname "P") job)
+            fidelity_machines;
+          if c.Fcc.Compiler.mode = Job.Vector then (
+            check_equiv ~layout (name "c240" "A") (Macs.Ax.a_process job);
+            check_equiv ~layout (name "c240" "X") (Macs.Ax.x_process job)))
+        fidelity_opts)
     (Macs_report.Suite.kernels ())
 
 let test_fidelity_remainder_strips () =
@@ -540,17 +571,6 @@ let test_fidelity_stall_out_agrees () =
      same typed error *)
   check_equiv ~faults:(plan "dead-bank") ~guard:2_000 "dead-bank"
     (Job.make ~name:"t" ~body:fig2_chained ~segments:[ Job.segment 128 ] ())
-
-let test_fastpath_of_string () =
-  List.iter
-    (fun f ->
-      Alcotest.(check bool)
-        (Fastpath.to_string f) true
-        (Fastpath.of_string (Fastpath.to_string f) = Ok f))
-    Fastpath.all;
-  Alcotest.(check bool) "TIERED" true (Fastpath.of_string " TIERED " = Ok Fastpath.Tiered);
-  Alcotest.(check bool) "junk rejected" true
-    (Result.is_error (Fastpath.of_string "warp"))
 
 (* ---- qcheck: simulator sanity on random bodies ---- *)
 
@@ -661,8 +681,6 @@ let () =
             test_fidelity_strided_and_indexed;
           Alcotest.test_case "stall-out errors agree" `Quick
             test_fidelity_stall_out_agrees;
-          Alcotest.test_case "fidelity of_string" `Quick
-            test_fastpath_of_string;
         ] );
       ( "calibrate",
         [
