@@ -124,6 +124,8 @@ let artifact_tests () =
 let stage_tests () =
   let k1 = Lfk.Kernels.find 1 and k8 = Lfk.Kernels.find 8 in
   let c1 = Fcc.Compiler.compile k1 and c8 = Fcc.Compiler.compile k8 in
+  (* LFK2 declares an alias (XS), so its layout exercises Layout.alias *)
+  let c2 = Fcc.Compiler.compile (Lfk.Kernels.find 2) in
   let machine = Convex_machine.Machine.c240 in
   let body1 = Convex_isa.Program.body c1.program in
   let body8 = Convex_isa.Program.body c8.program in
@@ -142,6 +144,10 @@ let stage_tests () =
       (Staged.stage (fun () -> Convex_vpsim.Sim.run_exn ~machine c8.job));
     Test.make ~name:"hierarchy_lfk1"
       (Staged.stage (fun () -> Macs.Hierarchy.of_compiled c1));
+    Test.make ~name:"advise_lfk1"
+      (Staged.stage (fun () -> Macs.Advisor.advise ~machine k1));
+    Test.make ~name:"layout_lfk2"
+      (Staged.stage (fun () -> Macs.Hierarchy.layout_of c2));
   ]
 
 let run_benchmarks () =

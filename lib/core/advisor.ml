@@ -31,12 +31,22 @@ let suggestion ~action ~target ~basis ~baseline ~projected =
     gain = (baseline -. projected) /. baseline;
   }
 
+(* t_p exactly as Hierarchy.of_compiled measures it *)
+let p_cpf ?watchdog ~machine (c : Fcc.Compiler.t) layout =
+  (Convex_vpsim.Measure.run_exn ~machine ~layout ?watchdog
+     ~flops_per_iteration:c.flops_per_iteration c.job)
+    .Convex_vpsim.Measure.cpf
+
 let vector_advice ?watchdog ~machine (k : Lfk.Kernel.t) =
-  let baseline = Hierarchy.analyze ?watchdog ~machine k in
-  let base_cpf = Hierarchy.t_p_cpf baseline in
-  let measured ~action ~target h =
-    suggestion ~action ~target ~basis:Measured ~baseline:base_cpf
-      ~projected:(Hierarchy.t_p_cpf h)
+  let c = Fcc.Compiler.compile k in
+  let layout = Hierarchy.layout_of c in
+  let base_cpf = p_cpf ?watchdog ~machine c layout in
+  let measured ~action ~target projected =
+    suggestion ~action ~target ~basis:Measured ~baseline:base_cpf ~projected
+  in
+  let recompiled opt =
+    let c = Fcc.Compiler.compile ~opt k in
+    p_cpf ?watchdog ~machine c (Hierarchy.layout_of c)
   in
   let candidates =
     [
@@ -45,34 +55,29 @@ let vector_advice ?watchdog ~machine (k : Lfk.Kernel.t) =
           "keep shifted reuse streams in registers instead of reloading \
            (ideal compiler reuse)"
         ~target:Compiler
-        (Hierarchy.analyze ?watchdog ~machine ~opt:Fcc.Opt_level.ideal k);
+        (recompiled Fcc.Opt_level.ideal);
       measured
         ~action:
           "re-schedule the loop body with a chime-aware list scheduler \
            (packed)"
         ~target:Compiler
-        (Hierarchy.analyze ?watchdog ~machine ~opt:Fcc.Opt_level.packed k);
+        (recompiled Fcc.Opt_level.packed);
       measured
         ~action:"eliminate tailgate bubbles (perfect pipe hand-off)"
         ~target:Machine_hw
-        (Hierarchy.analyze ?watchdog ~machine:(Machine.no_bubbles machine) k);
+        (p_cpf ?watchdog ~machine:(Machine.no_bubbles machine) c layout);
       measured
         ~action:"hide the memory refresh (static RAM or refresh-free banks)"
         ~target:Machine_hw
-        (Hierarchy.analyze ?watchdog ~machine:(Machine.no_refresh machine) k);
-      measured
-        ~action:"add a second load/store pipe"
-        ~target:Machine_hw
-        (Hierarchy.analyze ?watchdog
-           ~machine:(Machine.dual_load_store machine)
-           k);
+        (p_cpf ?watchdog ~machine:(Machine.no_refresh machine) c layout);
+      measured ~action:"add a second load/store pipe" ~target:Machine_hw
+        (p_cpf ?watchdog ~machine:(Machine.dual_load_store machine) c layout);
     ]
   in
   (* spill elimination: cannot be applied with eight s-registers, so
      project it at the bound level by deleting the per-iteration scalar
      reloads from the schedule *)
   let spill_projection =
-    let c = Fcc.Compiler.compile k in
     if c.spilled_scalars = [] then []
     else
       let body = Convex_isa.Program.body c.program in

@@ -9,7 +9,9 @@ open Convex_machine
     — compiler transformations it can actually apply (re-compile and
     re-measure on the simulator) and hardware or code changes it can only
     project at the bound level — and ranks them by the time they would
-    save.  Each suggestion states how its projection was obtained. *)
+    save.  Each suggestion states how its projection was obtained.  A
+    measured candidate is one P-process run; only [ideal] and [packed]
+    recompile, the rest reuse the baseline's compile and layout. *)
 
 type basis =
   | Measured  (** the change was applied and re-simulated *)
@@ -35,8 +37,8 @@ val advise :
 (** Suggestions with gain above [threshold] (default 0.01), sorted by
     gain, largest first.  The list is empty when the kernel already runs
     within [threshold] of every evaluated alternative.  [watchdog] is
-    threaded into every candidate re-measurement (the advisor simulates
-    each applicable change); a firing watchdog raises
+    threaded into each P-process run (the baseline and every measured
+    candidate), and into nothing else; a firing watchdog raises
     {!Macs_util.Macs_error.Error}, which deadline-bounded callers catch
     and degrade. *)
 

@@ -19,29 +19,17 @@ type t = {
   t_x : Measure.t;
 }
 
-(* Place arrays for the simulator; names bound to the same storage (LFK2's
-   XS, LFK6's WS) get the same base so bank behaviour and memory RAW
+(* Place the declared arrays for the simulator; aliases (LFK2's XS, LFK6's
+   WS) get their target's base so bank behaviour and memory RAW
    dependences see through the alias. *)
 let layout_of (c : Fcc.Compiler.t) =
-  let store = Fcc.Compiler.initial_store c in
-  let entries, aliases =
-    List.fold_left
-      (fun (entries, aliases) name ->
-        let arr = Store.get store name in
-        match
-          List.find_opt (fun (_, arr') -> arr' == arr) entries
-        with
-        | Some (target, _) -> (entries, (name, target) :: aliases)
-        | None -> ((name, arr) :: entries, aliases))
-      ([], []) (Store.arrays store)
-  in
+  let k = c.kernel in
   let layout =
-    Layout.build
-      (List.rev_map (fun (name, arr) -> (name, Array.length arr)) entries)
+    Layout.build (k.arrays @ Option.to_list (Fcc.Compiler.scalar_pool c))
   in
   List.iter
-    (fun (name, target) -> Layout.alias layout ~existing:target name)
-    aliases;
+    (fun (alias, target) -> Layout.alias layout ~existing:target alias)
+    (List.rev k.aliases);
   layout
 
 let of_compiled ?(machine = Machine.c240) ?contention ?watchdog ?fidelity

@@ -33,9 +33,9 @@ type t = {
 }
 
 val layout_of : Fcc.Compiler.t -> Layout.t
-(** Memory layout for simulating a compilation result: every array placed,
-    aliased names (LFK2's XS, LFK6's WS) sharing their target's base so
-    bank behaviour and memory dependences see through the alias. *)
+(** Memory layout for simulating a compilation result, built from the
+    kernel's declarations with no array data materialized: every array and
+    the spill pool placed, aliases (LFK2's XS) sharing their target's base. *)
 
 val analyze :
   ?machine:Machine.t ->

@@ -891,6 +891,10 @@ let compile ?(opt = Opt_level.v61) ?(force_scalar = false) (k : Kernel.t) =
     spilled_scalars = List.map fst scal.spilled;
   }
 
+let scalar_pool (c : t) =
+  if c.spilled_scalars = [] then None
+  else Some (scalar_pool_array, List.length c.spilled_scalars)
+
 let initial_store (c : t) =
   let base = Lfk.Data.store_of c.kernel in
   let existing =

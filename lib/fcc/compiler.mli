@@ -40,6 +40,10 @@ val compile : ?opt:Opt_level.t -> ?force_scalar:bool -> Lfk.Kernel.t -> t
     code anyway (the vectorization-speedup ablation).  Raises
     [Invalid_argument] if the kernel fails {!Lfk.Kernel.validate}. *)
 
+val scalar_pool : t -> (string * int) option
+(** Name and size of the [spilled_scalars] constant pool, one word per
+    scalar; [None] when nothing spilled. *)
+
 val initial_store : t -> Store.t
 (** The kernel's initial data plus the compiler's constant pool. *)
 

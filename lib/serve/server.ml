@@ -219,18 +219,15 @@ let reply_of_results ~id item_lines =
               ])
       item_lines
   in
-  Json.to_string
-    (Json.Obj
-       [
-         ("id", Json.Str id);
-         ("ok", Json.Bool true);
-         ("results", Json.Arr results);
-       ])
-
-let is_degraded line =
-  match Json.parse line with
-  | Ok j -> Option.bind (Json.mem j "tier") Json.str = Some "estimate"
-  | Error _ -> false
+  let estimate j = Option.bind (Json.mem j "tier") Json.str = Some "estimate" in
+  ( Json.to_string
+      (Json.Obj
+         [
+           ("id", Json.Str id);
+           ("ok", Json.Bool true);
+           ("results", Json.Arr results);
+         ]),
+    List.length (List.filter estimate results) )
 
 let compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~items =
   let items = Array.of_list items in
@@ -291,14 +288,13 @@ let compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~items =
                     ]))
          outcomes)
   in
-  let reply = reply_of_results ~id item_lines in
+  let reply, degraded = reply_of_results ~id item_lines in
   (match t.session with
   | Some s -> Session.record_frame s ~key ~id reply
   | None -> ());
   (match t.cache with
   | Some c -> Convex_cache.Cache.store c ~key:(cache_key key) reply
   | None -> ());
-  let degraded = List.length (List.filter is_degraded item_lines) in
   bump t (fun c ->
       {
         c with

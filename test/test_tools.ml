@@ -164,6 +164,160 @@ let test_advisor_report_renders () =
   Alcotest.(check bool) "mentions reuse" true
     (String.length r > 40 && String.sub r 0 5 = "lfk12")
 
+(* Reference advice: each candidate is t_p of a full [Hierarchy.analyze]
+   at its machine variant and opt, and the spill row scales the baseline
+   by the bound ratio without the scalar reloads. *)
+let reference_advice ~machine (k : Lfk.Kernel.t) =
+  let t_p ?(machine = machine) ?opt () =
+    Macs.Hierarchy.t_p_cpf (Macs.Hierarchy.analyze ~machine ?opt k)
+  in
+  let base = t_p () in
+  let spill () =
+    let c = Fcc.Compiler.compile k in
+    let body = Program.body c.program in
+    let cpl b = (Macs.Macs_bound.compute ~machine b).Macs.Macs_bound.cpl in
+    let without = List.filter (fun i -> not (Instr.is_scalar_memory i)) body in
+    base *. (cpl without /. Float.max 1e-9 (cpl body))
+  in
+  ( base,
+    [
+      ("ideal compiler reuse", fun () -> t_p ~opt:Fcc.Opt_level.ideal ());
+      ("(packed)", fun () -> t_p ~opt:Fcc.Opt_level.packed ());
+      ("tailgate", fun () -> t_p ~machine:(Machine.no_bubbles machine) ());
+      ("refresh", fun () -> t_p ~machine:(Machine.no_refresh machine) ());
+      ("load/store pipe", fun () ->
+          t_p ~machine:(Machine.dual_load_store machine) ());
+      ("spilled coefficients", spill);
+    ] )
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_advisor_matches_hierarchy () =
+  let machines =
+    Machine.presets
+    @ [
+        ( "c240;banks=64",
+          Result.get_ok (Convex_dsl.Machine_dsl.parse "c240;banks=64") );
+      ]
+  in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (mname, machine) ->
+      List.iter
+        (fun (k : Lfk.Kernel.t) ->
+          let got = Macs.Advisor.advise ~machine ~threshold:neg_infinity k in
+          let base, candidates = reference_advice ~machine k in
+          List.iter
+            (fun (s : Macs.Advisor.suggestion) ->
+              let where = Printf.sprintf "%s/%s: %s" k.name mname s.action in
+              Alcotest.(check int64) (where ^ " baseline") (bits base)
+                (bits s.baseline_cpf);
+              if s.target <> Macs.Advisor.Application then
+                match
+                  List.find_opt (fun (key, _) -> contains s.action key)
+                    candidates
+                with
+                | Some (_, want) ->
+                    Alcotest.(check int64) (where ^ " projected")
+                      (bits (want ())) (bits s.projected_cpf)
+                | None -> Alcotest.failf "%s: unknown candidate" where)
+            got;
+          let expected =
+            if not (Fcc.Vectorizer.vectorizable k) then 1
+            else if (Fcc.Compiler.compile k).spilled_scalars = [] then 5
+            else 6
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s/%s candidates" k.name mname)
+            expected (List.length got))
+        (Lfk.Kernels.all @ Lfk.Kernels.scalar_kernels))
+    machines
+
+(* ---- Layout ---- *)
+
+(* Reference layout from materialized data: every array's storage built,
+   aliases found by physical equality and applied in the reverse of store
+   order. *)
+let store_layout (c : Fcc.Compiler.t) =
+  let store = Fcc.Compiler.initial_store c in
+  let entries, aliases =
+    List.fold_left
+      (fun (entries, aliases) name ->
+        let arr = Convex_vpsim.Store.get store name in
+        match List.find_opt (fun (_, arr') -> arr' == arr) entries with
+        | Some (target, _) -> (entries, (name, target) :: aliases)
+        | None -> ((name, arr) :: entries, aliases))
+      ([], []) (Convex_vpsim.Store.arrays store)
+  in
+  let layout =
+    Convex_memsys.Layout.build
+      (List.rev_map (fun (name, arr) -> (name, Array.length arr)) entries)
+  in
+  List.iter
+    (fun (name, target) ->
+      Convex_memsys.Layout.alias layout ~existing:target name)
+    aliases;
+  (layout, Convex_vpsim.Store.arrays store)
+
+(* [None] when the declared layout equals the store-derived one: same
+   placement order, same base and size for every array, alias and the
+   spill pool *)
+let layout_mismatch c =
+  let module L = Convex_memsys.Layout in
+  let want, names = store_layout c in
+  let got = Macs.Hierarchy.layout_of c in
+  if L.arrays got <> L.arrays want then
+    Some
+      (Printf.sprintf "order [%s] vs [%s]"
+         (String.concat ";" (L.arrays got))
+         (String.concat ";" (L.arrays want)))
+  else
+    List.find_map
+      (fun n ->
+        let place l = (L.base_of l n, L.size_of l n) in
+        let (gb, gs), (wb, ws) = (place got, place want) in
+        if (gb, gs) = (wb, ws) then None
+        else Some (Printf.sprintf "%s at %d+%d vs %d+%d" n gb gs wb ws))
+      names
+
+let test_layout_lfk () =
+  List.iter
+    (fun (k : Lfk.Kernel.t) ->
+      List.iter
+        (fun opt ->
+          match layout_mismatch (Fcc.Compiler.compile ~opt k) with
+          | None -> ()
+          | Some m ->
+              Alcotest.failf "%s/%s: %s" k.name (Fcc.Opt_level.name opt) m)
+        Fcc.Opt_level.[ v61; ideal; loads_first; packed ])
+    (Lfk.Kernels.all @ Lfk.Kernels.scalar_kernels)
+
+(* fuzz kernels, with a few extra aliases of their declared arrays *)
+let aliased_kernel_arbitrary =
+  let open QCheck.Gen in
+  let gen =
+    oneofl Convex_fuzz.Gen.[ Vector_profile; Scalar_profile ] >>= fun p ->
+    Convex_fuzz.Gen.fuzz_kernel_gen p >>= fun (k : Lfk.Kernel.t) ->
+    list_size (int_bound 3) (oneofl (List.map fst k.arrays)) >|= fun ts ->
+    {
+      k with
+      aliases = k.aliases @ List.mapi (fun i t -> (Printf.sprintf "AL%d" i, t)) ts;
+    }
+  in
+  QCheck.make ~print:Convex_fuzz.Codec.to_string gen
+
+let prop_layout_fuzz =
+  QCheck.Test.make ~count:200 ~name:"declared layout = store layout (fuzz)"
+    aliased_kernel_arbitrary (fun k ->
+      match layout_mismatch (Fcc.Compiler.compile k) with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
+
 (* ---- Suite ---- *)
 
 let suite = lazy (Macs_report.Suite.run ())
@@ -471,6 +625,14 @@ let () =
           Alcotest.test_case "scalar kernels" `Quick test_advisor_scalar_kernel;
           Alcotest.test_case "threshold" `Quick test_advisor_threshold;
           Alcotest.test_case "report" `Quick test_advisor_report_renders;
+          Alcotest.test_case "equals its hierarchy definition" `Quick
+            test_advisor_matches_hierarchy;
+        ] );
+      ( "layout",
+        [
+          Alcotest.test_case "declared = store-derived, LFKs" `Quick
+            test_layout_lfk;
+          QCheck_alcotest.to_alcotest prop_layout_fuzz;
         ] );
       ( "suite",
         [
