@@ -37,6 +37,20 @@ let machine_arg =
            dual-lsu, broken-hierarchy) or a machine-description spec with \
            what-if overrides, e.g. 'c240;banks=64;pipes.mul=2'.")
 
+(* Fuzz corpus entries and chaos journals record the machine by preset
+   name (the corpus replays it through Machine.of_name), so fuzz and chaos
+   take a preset name only. *)
+let machine_preset_arg =
+  Arg.(
+    value
+    & opt
+        (enum (List.map (fun n -> (n, n)) Convex_machine.Machine.preset_names))
+        "c240"
+    & info [ "machine" ] ~docv:"MACHINE"
+        ~doc:
+          (Printf.sprintf "Machine preset: %s."
+             (String.concat ", " Convex_machine.Machine.preset_names)))
+
 let opt_arg =
   Arg.(
     value
@@ -695,18 +709,6 @@ let fuzz_cmd =
       & info [ "count" ] ~docv:"N"
           ~doc:"Number of generated cases (default 500).")
   in
-  let machine_name =
-    Arg.(
-      value
-      & opt
-          (enum
-             (List.map (fun n -> (n, n)) Convex_machine.Machine.preset_names))
-          "c240"
-      & info [ "machine" ] ~docv:"MACHINE"
-          ~doc:
-            (Printf.sprintf "Machine preset: %s."
-               (String.concat ", " Convex_machine.Machine.preset_names)))
-  in
   let budget =
     Arg.(
       value
@@ -793,8 +795,9 @@ let fuzz_cmd =
           shrunk to minimal cases and optionally persisted to a replay \
           corpus; exits non-zero on any violation")
     Term.(
-      const run $ seed $ count $ machine_name $ budget $ sim_budget $ corpus
-      $ no_sim $ plans $ jobs_arg $ cache_arg $ no_cache_arg $ stats_json_arg)
+      const run $ seed $ count $ machine_preset_arg $ budget $ sim_budget
+      $ corpus $ no_sim $ plans $ jobs_arg $ cache_arg $ no_cache_arg
+      $ stats_json_arg)
 
 let chaos_cmd =
   let seed =
@@ -807,18 +810,6 @@ let chaos_cmd =
       value & opt int 24
       & info [ "cells" ] ~docv:"K"
           ~doc:"Number of campaign cells (default 24).")
-  in
-  let machine_name =
-    Arg.(
-      value
-      & opt
-          (enum
-             (List.map (fun n -> (n, n)) Convex_machine.Machine.preset_names))
-          "c240"
-      & info [ "machine" ] ~docv:"MACHINE"
-          ~doc:
-            (Printf.sprintf "Machine preset: %s."
-               (String.concat ", " Convex_machine.Machine.preset_names)))
   in
   let journal =
     Arg.(
@@ -905,7 +896,7 @@ let chaos_cmd =
           are delta-debugged to a minimal fault plan; exits non-zero on any \
           violation")
     Term.(
-      const run $ seed $ cells $ machine_name $ journal $ resume $ budget
+      const run $ seed $ cells $ machine_preset_arg $ journal $ resume $ budget
       $ jobs_arg $ kill_cells $ cache_arg $ no_cache_arg $ stats_json_arg)
 
 let cache_cmd =

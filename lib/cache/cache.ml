@@ -15,7 +15,7 @@
 module Journal = Macs_util.Journal
 module Sink = Macs_util.Sink
 
-let format_version = 1
+let format_version = 2
 let entry_tag = "macs-cache-entry"
 let log_format = "macs-cache-log"
 
@@ -175,21 +175,46 @@ let store (t : t) ~key payload =
     Atomic.incr t.stores
   end
 
-let find (t : t) ~key =
+(* An entry that fails verification or [decode] is quarantined and
+   counted as a miss, so the caller's recompute can re-store it. *)
+let find_decoded (t : t) ~key decode =
   let path = entry_path t key in
-  if not (Sys.file_exists path) then begin
+  let miss () =
     Atomic.incr t.misses;
     None
-  end
+  in
+  if not (Sys.file_exists path) then miss ()
   else
-    match parse_entry ~key (read_file path) with
-    | Ok payload ->
+    match Result.bind (parse_entry ~key (read_file path)) decode with
+    | Ok v ->
         Atomic.incr t.hits;
-        Some payload
+        Some v
     | Error _reason ->
         quarantine_move t ~key path;
-        Atomic.incr t.misses;
-        None
+        miss ()
+
+let find t ~key = find_decoded t ~key Result.ok
+
+(* A payload is its records' journal lines joined by newlines, so a hit
+   hands the caller back exactly the records a recompute would produce. *)
+let memo t ~key ~encode ~decode compute =
+  let ( let* ) = Result.bind in
+  let rec records = function
+    | [] -> Ok []
+    | line :: rest ->
+        let* r = Journal.decode line in
+        let* rs = records rest in
+        Ok (r :: rs)
+  in
+  let decode_payload s =
+    Result.bind (records (String.split_on_char '\n' s)) decode
+  in
+  match find_decoded t ~key decode_payload with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      store t ~key (String.concat "\n" (List.map Journal.encode (encode v)));
+      v
 
 (* ---- per-run counter log ---- *)
 

@@ -40,6 +40,20 @@ val store : t -> key:string -> string -> unit
 (** Publish a payload under [key] (no-op if the entry already exists —
     entries are deterministic, so first writer wins). *)
 
+val memo :
+  t ->
+  key:string ->
+  encode:('a -> Macs_util.Journal.record list) ->
+  decode:(Macs_util.Journal.record list -> ('a, string) result) ->
+  (unit -> 'a) ->
+  'a
+(** [memo t ~key ~encode ~decode compute]: the cached value under [key],
+    or [compute ()] stored there.  The payload is [encode]'s records as
+    newline-separated {!Macs_util.Journal.encode} lines, so a hit
+    replays the exact records a recompute would produce.  An entry that
+    verifies but does not [decode] is handled like a corrupt one:
+    quarantined, counted as a miss, recomputed and re-stored. *)
+
 val counters : t -> counters
 val reset_counters : t -> unit
 

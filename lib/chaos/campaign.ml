@@ -29,9 +29,9 @@ type config = {
           journaled config, like [budget] *)
   cache : string option;
       (** content-addressed result cache directory; keyed on the cell's
-          (kernel, plan, machine, opt, guard, budget, shrink cap) — not
-          on seed or index, so any campaign sharing the cache reuses
-          matching cells *)
+          kernel and plan plus the machine spec, opt, guard, budget and
+          shrink cap — not on seed or index, so any campaign sharing the
+          cache reuses matching cells *)
 }
 
 let default_config =
@@ -285,33 +285,28 @@ let result_of_record cfg r : (cell_result, string) result =
 
 (* ---- result cache ---- *)
 
-let machine_fingerprint m =
-  Digest.to_hex (Digest.string (Format.asprintf "%a" Machine.pp m))
-
 (* no seed, no index: any campaign evaluating the same (kernel, plan)
-   under the same conditions shares the entry *)
+   under the same conditions shares the entry; the payload is one
+   [chaos-verdict] record of the non-identity fields *)
 let cell_key cfg (cell : cell) =
   Cache.key ~kind:"chaos-cell"
     [
-      ("machine", cfg.machine_name);
-      ("machine-fp", machine_fingerprint cfg.machine);
+      ("machine", Convex_dsl.Machine_dsl.to_spec cfg.machine);
       ("opt", Fcc.Opt_level.name cfg.opt);
       ("guard", Journal.put_int cfg.guard);
       ("budget", Budget.to_string cfg.budget);
       ("shrink", Journal.put_int cfg.max_shrink_steps);
-      ("kernel",
-       Digest.to_hex (Digest.string (Marshal.to_string cell.kernel [])));
+      ("kernel", Lfk.Codec.to_string cell.kernel);
       ("plan", Fault.to_spec cell.plan);
     ]
 
 let payload_of_result r =
-  Journal.encode { Journal.tag = "chaos-verdict"; fields = verdict_fields r }
+  [ { Journal.tag = "chaos-verdict"; fields = verdict_fields r } ]
 
-let result_of_payload ~cell s =
-  let* r = Journal.decode s in
-  if r.Journal.tag <> "chaos-verdict" then
-    Error (Printf.sprintf "expected chaos-verdict record, got %S" r.Journal.tag)
-  else verdict_of_record ~cell r
+let result_of_payload ~cell = function
+  | [ ({ Journal.tag = "chaos-verdict"; _ } as r) ] ->
+      verdict_of_record ~cell r
+  | _ -> Error "expected one chaos-verdict record"
 
 (* ---- the campaign loop ---- *)
 
@@ -396,18 +391,10 @@ let run ?(progress = fun _ -> ()) cfg =
     let cell = cell_of_index cfg i in
     match cache with
     | None -> run_cell cfg cell
-    | Some c -> (
-        let key = cell_key cfg cell in
-        let hit =
-          Option.bind (Cache.find c ~key) (fun payload ->
-              Result.to_option (result_of_payload ~cell payload))
-        in
-        match hit with
-        | Some r -> r
-        | None ->
-            let r = run_cell cfg cell in
-            Cache.store c ~key (payload_of_result r);
-            r)
+    | Some c ->
+        Cache.memo c ~key:(cell_key cfg cell) ~encode:payload_of_result
+          ~decode:(result_of_payload ~cell)
+          (fun () -> run_cell cfg cell)
   in
   let outcomes, stats =
     Exec.run ~jobs:cfg.jobs ?journal:journal_spec ~rewrite:had_shards

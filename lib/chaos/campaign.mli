@@ -43,11 +43,14 @@ type config = {
           end.  Not part of the journaled config (like [budget]). *)
   cache : string option;
       (** content-addressed result cache ({!Convex_cache.Cache}): each
-          cell's verdict is memoised under a key of (kernel, plan,
-          machine, opt, guard, budget, shrink cap) — deliberately not
-          seed or index, so any campaign sharing the cache directory
-          reuses matching cells.  Journals stay byte-identical between
-          cold and warm runs. *)
+          cell's verdict is memoised ({!Convex_cache.Cache.memo}) under a
+          key of the kernel ({!Lfk.Codec.to_string}), the plan
+          ({!Fault.to_spec}), the machine
+          ({!Convex_dsl.Machine_dsl.to_spec}, so every field counts, not
+          just the name), opt, guard, budget and shrink cap —
+          deliberately not seed or index, so any campaign sharing the
+          cache directory reuses matching cells.  Journals stay
+          byte-identical between cold and warm runs. *)
 }
 
 val default_config : config

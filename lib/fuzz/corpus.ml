@@ -107,7 +107,7 @@ let describe_failures report =
        (Oracle_stack.failures report))
 
 let replay_kernel ~sim (e : entry) =
-  match Codec.of_string e.payload with
+  match Lfk.Codec.of_string e.payload with
   | Error msg -> { entry = e; ok = false; detail = "payload: " ^ msg }
   | Ok k -> (
       match Machine.of_name e.machine with

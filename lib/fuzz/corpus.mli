@@ -6,7 +6,7 @@
     killed fuzzer is repaired, never corrupting earlier entries) and
     appends are atomic per entry.  Each entry records what was being
     fuzzed ([kind]), on which machine preset, from which seed, the
-    payload (a {!Codec} kernel or an assembly listing), and the
+    payload (a {!Lfk.Codec} kernel or an assembly listing), and the
     expectation:
 
     - [expect = Violation check]: the case failed check [check] when it
@@ -29,7 +29,7 @@ type entry = {
   machine : string;  (** {!Convex_machine.Machine.of_name} spelling *)
   seed : int;  (** fuzzer seed that produced the case *)
   expect : expect;
-  payload : string;  (** {!Codec} text or assembly listing *)
+  payload : string;  (** {!Lfk.Codec} text or assembly listing *)
 }
 
 val format : string

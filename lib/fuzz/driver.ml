@@ -111,7 +111,7 @@ let kernel_case cfg ~index ~label ~plans tally k =
           check;
           detail;
           kind = Corpus.Kernel_case;
-          payload = Codec.to_string shrunk.Shrink.value;
+          payload = Lfk.Codec.to_string shrunk.Shrink.value;
           shrink_steps = shrunk.Shrink.steps;
           shrink_tried = shrunk.Shrink.tried;
         }
@@ -186,22 +186,18 @@ let kind_of_name = function
   | "asm" -> Some Corpus.Asm_case
   | _ -> None
 
-let machine_fingerprint m =
-  Digest.to_hex (Digest.string (Format.asprintf "%a" Machine.pp m))
-
 let case_key cfg ~index =
   Cache.key ~kind:"fuzz-case"
     [
       ("seed", string_of_int cfg.seed);
       ("index", string_of_int index);
-      ("machine", cfg.machine_name);
-      ("machine-fp", machine_fingerprint cfg.machine);
+      ("machine", Convex_dsl.Machine_dsl.to_spec cfg.machine);
       ("sim", Journal.put_bool cfg.sim);
       ("budget", Budget.to_string cfg.budget);
       ("plans", String.concat ";" (List.map Fault.to_spec cfg.fault_plans));
     ]
 
-let case_out_payload (o : case_out) =
+let records_of_case_out (o : case_out) =
   let case_r =
     {
       Journal.tag = "fuzz-case";
@@ -229,22 +225,11 @@ let case_out_payload (o : case_out) =
         ];
     }
   in
-  String.concat "\n"
-    (List.map Journal.encode
-       (case_r :: (match o.violation with None -> [] | Some v -> [ violation_r v ])))
+  case_r :: (match o.violation with None -> [] | Some v -> [ violation_r v ])
 
 let ( let* ) = Result.bind
 
-let case_out_of_payload s =
-  let* records =
-    List.fold_left
-      (fun acc line ->
-        let* acc = acc in
-        let* r = Journal.decode line in
-        Ok (r :: acc))
-      (Ok [])
-      (String.split_on_char '\n' s)
-  in
+let case_out_of_records records =
   let int_field r k =
     let* v = Journal.field_err r k in
     match Journal.get_int v with
@@ -284,7 +269,7 @@ let case_out_of_payload s =
       let* skipped = int_field r "skipped" in
       Ok { label; passed; skipped; violation }
   in
-  match List.rev records with
+  match records with
   | [ case_r ] -> case_of case_r None
   | [ case_r; v_r ] ->
       let* v = violation_of v_r in
@@ -329,18 +314,10 @@ let run ?(progress = fun _ -> ()) cfg =
     let o =
       match cache with
       | None -> compute index
-      | Some c -> (
-          let key = case_key cfg ~index in
-          let hit =
-            Option.bind (Cache.find c ~key) (fun payload ->
-                Result.to_option (case_out_of_payload payload))
-          in
-          match hit with
-          | Some o -> o
-          | None ->
-              let o = compute index in
-              Cache.store c ~key (case_out_payload o);
-              o)
+      | Some c ->
+          Cache.memo c ~key:(case_key cfg ~index) ~encode:records_of_case_out
+            ~decode:case_out_of_records
+            (fun () -> compute index)
     in
     (* a sequential run persists incrementally, exactly as it always has;
        a parallel run defers to the index-ordered pass below so the

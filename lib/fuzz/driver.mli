@@ -36,7 +36,8 @@ type config = {
   cache : string option;
       (** content-addressed result cache directory
           ({!Convex_cache.Cache}): case outcomes are memoised under a
-          key of (seed, index, machine, plans, budget, sim), and a warm
+          key of (seed, index, machine spec
+          ({!Convex_dsl.Machine_dsl.to_spec}), plans, budget, sim), and a warm
           re-run replays them without touching the oracle stack — with
           byte-identical corpus and summary, hit counters excepted *)
 }
@@ -55,7 +56,7 @@ type violation = {
   check : string;  (** failing check id *)
   detail : string;
   kind : Corpus.kind;
-  payload : string;  (** shrunk {!Codec} text or assembly listing *)
+  payload : string;  (** shrunk {!Lfk.Codec} text or assembly listing *)
   shrink_steps : int;
   shrink_tried : int;
 }

@@ -124,23 +124,6 @@ let load_prior ~path ~config ~retry_failed ~karr =
       (orig :: List.concat_map (fun (_, o) -> records_of_prior o) keep);
   Ok (orig, keep, retry_failed || had_shards)
 
-(* a cell's cache payload is exactly its journal record block, so a hit
-   re-journals the same bytes a recompute would have written *)
-let cell_of_payload s =
-  let* records =
-    List.fold_left
-      (fun acc line ->
-        let* acc = acc in
-        let* r = J.decode line in
-        Ok (r :: acc))
-      (Ok [])
-      (String.split_on_char '\n' s)
-  in
-  Suite_journal.cell_of_records (List.rev records)
-
-let payload_of_cell c =
-  String.concat "\n" (List.map J.encode (Suite_journal.records_of_cell c))
-
 let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
     ?(faults = Fault.none) ?guard ?(budget = Budget.none)
     ?(oracle_tol = Macs.Oracle.default_tol) ?(jobs = 1) ?journal
@@ -153,8 +136,7 @@ let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
         else Suite.faulted_guard
   in
   let config =
-    Suite_journal.config_of_run ~machine_name:machine.Machine.name ~opt
-      ~faults ~guard
+    Suite_journal.config_of_run ~machine ~opt ~faults ~guard
   in
   let resume = resume || retry_failed in
   let karr = Array.of_list (Suite.kernels ()) in
@@ -187,7 +169,7 @@ let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
         ("config", J.encode (Suite_journal.config_record config));
         ("budget", Budget.to_string budget);
         ("tol", J.put_float oracle_tol);
-        ("kernel", Digest.to_hex (Digest.string (Marshal.to_string k [])));
+        ("kernel", Lfk.Codec.to_string k);
       ]
   in
   let compute_cell i =
@@ -216,21 +198,16 @@ let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
           violations = [];
         }
   in
+  (* a cell's cache payload is exactly its journal record block, so a
+     hit re-journals the same bytes a recompute would have written *)
   let run_cell i =
     match cache with
     | None -> compute_cell i
-    | Some c -> (
-        let key = cell_key karr.(i) in
-        let hit =
-          Option.bind (Cache.find c ~key) (fun payload ->
-              Result.to_option (cell_of_payload payload))
-        in
-        match hit with
-        | Some cell -> cell
-        | None ->
-            let cell = compute_cell i in
-            Cache.store c ~key (payload_of_cell cell);
-            cell)
+    | Some c ->
+        Cache.memo c ~key:(cell_key karr.(i))
+          ~encode:Suite_journal.records_of_cell
+          ~decode:Suite_journal.cell_of_records
+          (fun () -> compute_cell i)
   in
   let journal_spec =
     Option.map

@@ -67,14 +67,18 @@ val run :
   (outcome, string) result
 (** Errors only on journal problems the caller must decide about: an
     unreadable or corrupt journal, or a resume whose journaled config
-    (machine, opt level, fault plan, guard) differs from the requested
-    run — replaying rows measured under different conditions would
-    silently mix incomparable numbers.  [retry_failed] implies resume.
+    (machine spec, opt level, fault plan, guard) differs from the
+    requested run — replaying rows measured under different conditions
+    would silently mix incomparable numbers.  [retry_failed] implies
+    resume.
     Simulation failures never surface here; they degrade to estimates.
 
     [cache] points at a {!Convex_cache.Cache} directory: each cell's
-    journal record block is memoised under a key of (config, budget,
-    oracle tolerance, kernel), so a warm re-run journals byte-identical
-    records without simulating.  A resume aimed at a [Fresh] journal
-    (missing, empty, or an interrupted create — see
-    {!Macs_util.Journal.inspect}) starts over instead of failing. *)
+    journal record block is memoised ({!Convex_cache.Cache.memo}) under a
+    key of (config record, budget, oracle tolerance, {!Lfk.Codec} kernel
+    text), so a warm re-run journals byte-identical records without
+    simulating.  The config record names the machine by its full spec,
+    so two machines that share a display name never share entries.  A
+    resume aimed at a [Fresh] journal (missing, empty, or an interrupted
+    create — see {!Macs_util.Journal.inspect}) starts over instead of
+    failing. *)

@@ -4,9 +4,9 @@ let format = "macs-suite-journal"
 
 type config = { machine : string; opt : string; faults : string; guard : int }
 
-let config_of_run ~machine_name ~opt ~faults ~guard =
+let config_of_run ~machine ~opt ~faults ~guard =
   {
-    machine = machine_name;
+    machine = Convex_dsl.Machine_dsl.to_spec machine;
     opt = Fcc.Opt_level.name opt;
     faults =
       (if Convex_fault.Fault.is_none faults then ""

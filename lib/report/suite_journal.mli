@@ -5,10 +5,11 @@
 
     Record stream layout (after the journal header):
 
-    - first a [config] record pinning the run — machine preset name, opt
-      level, fault-plan clause syntax ({!Convex_fault.Fault.to_spec}) and
-      progress guard.  Resume refuses a journal whose config differs from
-      the requested run, because replayed rows would not be comparable;
+    - first a [config] record pinning the run — the canonical machine
+      spec ({!Convex_dsl.Machine_dsl.to_spec}), opt level, fault-plan
+      clause syntax ({!Convex_fault.Fault.to_spec}) and progress guard.
+      Resume refuses a journal whose config differs from the requested
+      run, because replayed rows would not be comparable;
     - then [row] records in kernel order, each fully self-describing:
       measured rows carry the perf numbers and checksum, estimated and
       failed rows carry the structured diagnostic
@@ -25,18 +26,24 @@ val format : string
 (** Schema name carried in the journal header ("macs-suite-journal"). *)
 
 type config = {
-  machine : string;  (** preset name as given on the command line *)
+  machine : string;
+      (** {!Convex_dsl.Machine_dsl.to_spec}: every field of the machine,
+          not just its display name *)
   opt : string;  (** {!Fcc.Opt_level.name} *)
   faults : string;  (** fault-plan clause syntax; [""] for none *)
   guard : int;
 }
 
 val config_of_run :
-  machine_name:string ->
+  machine:Convex_machine.Machine.t ->
   opt:Fcc.Opt_level.t ->
   faults:Convex_fault.Fault.t ->
   guard:int ->
   config
+(** The config record of a run: the machine by its canonical spec, the
+    fault plan by its clause syntax ([""] for none).  It is the whole
+    identity of a run's rows — the resume check compares it and the
+    suite cache key embeds it. *)
 
 (** {1 Record codecs} *)
 

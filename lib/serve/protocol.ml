@@ -78,7 +78,7 @@ let decode_kernel = function
           | exception Not_found ->
               bad "kernel: no LFK kernel numbered %d (valid: 1-12)" id)
       | None, Some src -> (
-          match Convex_fuzz.Codec.of_string src with
+          match Lfk.Codec.of_string src with
           | Error m ->
               Error
                 (perror ~site:"Codec.of_string" ~kind:"parse-failure"

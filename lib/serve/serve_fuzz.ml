@@ -16,7 +16,7 @@ let kernel_gen =
       (1, G.map (fun i -> Json.Num (float_of_int i)) (G.oneofl [ 0; 5; 11; 13; 99; -1 ]));
       ( 2,
         G.map
-          (fun k -> Json.Str (Convex_fuzz.Codec.to_string k))
+          (fun k -> Json.Str (Lfk.Codec.to_string k))
           (Convex_fuzz.Gen.fuzz_kernel_gen Convex_fuzz.Gen.Vector_profile) );
       (1, G.map (fun s -> Json.Str s) (G.oneofl [ "(not a kernel"; ""; "lfk7" ]));
     ]

@@ -129,6 +129,50 @@ let test_store_find_round_trip () =
   Alcotest.(check int) "one store" 1 c.Cache.stores;
   rm_rf dir
 
+let test_memo () =
+  let dir = fresh_dir "memo" in
+  let t = Cache.open_dir dir in
+  let key = Cache.key ~kind:"test" [ ("case", "memo") ] in
+  let encode n =
+    [
+      { Journal.tag = "n"; fields = [ ("v", string_of_int n) ] };
+      { Journal.tag = "end"; fields = [] };
+    ]
+  in
+  let decode = function
+    | [ ({ Journal.tag = "n"; _ } as r); { Journal.tag = "end"; _ } ] ->
+        Option.to_result ~none:"bad v"
+          (Option.bind (Journal.field r "v") int_of_string_opt)
+    | _ -> Error "expected n, end"
+  in
+  let calls = ref 0 in
+  let memo () =
+    Cache.memo t ~key ~encode ~decode (fun () ->
+        incr calls;
+        42)
+  in
+  Alcotest.(check int) "cold run computes" 42 (memo ());
+  Alcotest.(check (option string))
+    "payload is the records' journal lines"
+    (Some (String.concat "\n" (List.map Journal.encode (encode 42))))
+    (Cache.find t ~key);
+  Alcotest.(check int) "warm run replays" 42 (memo ());
+  Alcotest.(check int) "computed once" 1 !calls;
+  (* an entry that verifies but does not decode is neither served nor
+     kept: it is quarantined like a corrupt one and recomputed *)
+  Sys.remove (Cache.entry_path t key);
+  Cache.store t ~key "n\tv=oops";
+  Cache.reset_counters t;
+  Alcotest.(check int) "undecodable entry recomputed" 42 (memo ());
+  Alcotest.(check int) "computed again" 2 !calls;
+  let c = Cache.counters t in
+  Alcotest.(check (list int)) "hits, misses, quarantined, stores"
+    [ 0; 1; 1; 1 ]
+    [ c.Cache.hits; c.Cache.misses; c.Cache.quarantined; c.Cache.stores ];
+  Alcotest.(check int) "the re-stored entry is served" 42 (memo ());
+  Alcotest.(check int) "no third compute" 2 !calls;
+  rm_rf dir
+
 let test_key_sensitivity () =
   let base = [ ("machine", "c240"); ("kernel", "k1") ] in
   let k0 = Cache.key ~kind:"cell" base in
@@ -373,6 +417,8 @@ let () =
           Alcotest.test_case "store/find round trip, first writer wins"
             `Quick test_store_find_round_trip;
           Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity;
+          Alcotest.test_case "memo: replay, undecodable entry recomputed"
+            `Quick test_memo;
         ] );
       ( "corruption",
         [

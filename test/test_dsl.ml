@@ -111,6 +111,112 @@ let test_override_roundtrip () =
       "no-refresh;ports=2";
     ]
 
+(* ---- identity: every field reaches the spec ---- *)
+
+(* to_spec is the machine's cache and journal identity, so a field it
+   dropped would let two different machines share results. *)
+let test_every_field_changes_spec () =
+  let base = machine "c240" in
+  (* naming every field without a catch-all (missing-field warnings are
+     errors) stops a new field from compiling until it gets a mutant *)
+  let {
+    Machine.name = _;
+    clock_mhz = _;
+    max_vl = _;
+    timing = _;
+    memory = _;
+    pipes = _;
+    pair_read_limit = _;
+    pair_write_limit = _;
+    scalar_cycles = _;
+    scalar_memory_cycles = _;
+  } =
+    base
+  in
+  let {
+    Mem_params.banks = _;
+    word_bytes = _;
+    bank_busy_cycles = _;
+    refresh_period = _;
+    refresh_duration = _;
+    ports = _;
+  } =
+    base.Machine.memory
+  in
+  let mem f = { base with Machine.memory = f base.Machine.memory } in
+  let pipes f = { base with Machine.pipes = f base.Machine.pipes } in
+  let timing cls f =
+    {
+      base with
+      Machine.timing =
+        Timing.map (fun c p -> if c = cls then f p else p) base.Machine.timing;
+    }
+  in
+  let mutants =
+    [
+      ("name", { base with Machine.name = "C-240 (what-if)" });
+      ("clock", { base with Machine.clock_mhz = 25.5 });
+      ("vl", { base with Machine.max_vl = 64 });
+      ("pipes.ld", pipes (fun p -> { p with Machine.load_store = 2 }));
+      ("pipes.add", pipes (fun p -> { p with Machine.add_unit = 2 }));
+      ("pipes.mul", pipes (fun p -> { p with Machine.multiply_unit = 2 }));
+      ("pair_read_limit", { base with Machine.pair_read_limit = 3 });
+      ("pair_write_limit", { base with Machine.pair_write_limit = 2 });
+      ("scalar_cycles", { base with Machine.scalar_cycles = 2 });
+      ("scalar_memory_cycles", { base with Machine.scalar_memory_cycles = 2 });
+      ("banks", mem (fun m -> { m with Mem_params.banks = 64 }));
+      ("word_bytes", mem (fun m -> { m with Mem_params.word_bytes = 4 }));
+      ("busy", mem (fun m -> { m with Mem_params.bank_busy_cycles = 4 }));
+      ( "refresh_period",
+        mem (fun m -> { m with Mem_params.refresh_period = 800 }) );
+      ( "refresh_duration",
+        mem (fun m -> { m with Mem_params.refresh_duration = 16 }) );
+      ("ports", mem (fun m -> { m with Mem_params.ports = 2 }));
+    ]
+    @ List.concat_map
+        (fun (cname, cls) ->
+          let t field f = ("t." ^ cname ^ "." ^ field, timing cls f) in
+          [
+            t "x" (fun p -> { p with Timing.x = p.Timing.x + 1 });
+            t "y" (fun p -> { p with Timing.y = p.Timing.y + 1 });
+            t "z" (fun p -> { p with Timing.z = p.Timing.z +. 0.25 });
+            t "b" (fun p -> { p with Timing.b = p.Timing.b + 1 });
+          ])
+        Dsl.vclass_names
+  in
+  let spec0 = Dsl.to_spec base in
+  List.iter
+    (fun (label, m) ->
+      Alcotest.(check bool) (label ^ " changes to_spec") true
+        (Dsl.to_spec m <> spec0))
+    mutants;
+  let specs = List.map (fun (_, m) -> Dsl.to_spec m) mutants in
+  Alcotest.(check int) "every mutant has its own spec" (List.length specs)
+    (List.length (List.sort_uniq compare specs))
+
+(* The one deliberate collapse: with no refresh the period is
+   unobservable (Memory.refresh_active short-circuits on a zero
+   duration), and to_spec prints refresh=none for every period. *)
+let test_refresh_none_collapse () =
+  let base = machine "c240" in
+  let off period =
+    {
+      base with
+      Machine.memory =
+        {
+          base.Machine.memory with
+          Mem_params.refresh_duration = 0;
+          refresh_period = period;
+        };
+    }
+  in
+  let a = off 400 and b = off 1000 in
+  Alcotest.(check bool) "the machines differ" false (Machine.equal a b);
+  Alcotest.(check string) "their specs are equal" (Dsl.to_spec a)
+    (Dsl.to_spec b);
+  Alcotest.(check bool) "printed as refresh=none" true
+    (List.mem "refresh=none" (String.split_on_char ';' (Dsl.to_spec a)))
+
 (* ---- typed diagnostics ---- *)
 
 let check_failure ~expect_site spec =
@@ -191,6 +297,13 @@ let () =
           Alcotest.test_case "field overrides" `Quick test_overrides;
           Alcotest.test_case "override round-trip" `Quick
             test_override_roundtrip;
+        ] );
+      ( "identity",
+        [
+          Alcotest.test_case "every field changes to_spec" `Quick
+            test_every_field_changes_spec;
+          Alcotest.test_case "refresh=none collapse" `Quick
+            test_refresh_none_collapse;
         ] );
       ( "diagnostics",
         [

@@ -4,7 +4,7 @@
    journal round trip, and replay of the committed corpus. *)
 
 module Gen = Convex_fuzz.Gen
-module Codec = Convex_fuzz.Codec
+module Codec = Lfk.Codec
 module Shrink = Convex_fuzz.Shrink
 module Corpus = Convex_fuzz.Corpus
 module Oracle_stack = Convex_fuzz.Oracle_stack

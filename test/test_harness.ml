@@ -431,6 +431,60 @@ let test_supervisor_refuses_config_mismatch () =
   | Ok _ -> Alcotest.fail "resume under a different machine must refuse");
   Sys.remove path
 
+(* c240 with 64 banks keeps c240's display name: only the full machine
+   spec tells the two apart *)
+let banks64 () =
+  match Convex_dsl.Machine_dsl.parse "c240;banks=64" with
+  | Ok m -> m
+  | Error e -> Alcotest.fail (Macs_error.to_string e)
+
+let test_supervisor_cache_keys_whole_machine () =
+  let cache =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "macs_sup_machine_%d" (Unix.getpid ()))
+  in
+  rm_rf cache;
+  let run ?cache machine =
+    match Supervisor.run ~machine ?cache () with
+    | Ok o -> o
+    | Error e -> Alcotest.failf "supervisor errored: %s" e
+  in
+  ignore (run ~cache Machine.c240);
+  let warm = run ~cache (banks64 ()) in
+  let plain = run (banks64 ()) in
+  (match warm.Supervisor.cache_counters with
+  | Some c ->
+      Alcotest.(check int) "no c240 entry served" 0 c.Convex_cache.Cache.hits
+  | None -> Alcotest.fail "cache counters missing");
+  let rows o =
+    List.map
+      (fun r -> Journal.encode (Macs_report.Suite_journal.record_of_row r))
+      o.Supervisor.suite.Macs_report.Suite.rows
+  in
+  Alcotest.(check (list string)) "rows equal a cache-less run" (rows plain)
+    (rows warm);
+  rm_rf cache
+
+let test_supervisor_resume_refuses_other_spec () =
+  let path = tmp_journal "spec" in
+  let budget = Budget.make ~max_cycles:500.0 () in
+  (match Supervisor.run ~machine:(banks64 ()) ~budget ~journal:path () with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "supervisor errored: %s" e);
+  (match
+     Supervisor.run ~machine:Machine.c240 ~budget ~journal:path ~resume:true ()
+   with
+  | Ok _ -> Alcotest.fail "resume under c240 replayed a banks=64 journal"
+  | Error msg ->
+      let needle = "different configuration (machine " in
+      let n = String.length needle in
+      let rec named i =
+        i + n <= String.length msg
+        && (String.sub msg i n = needle || named (i + 1))
+      in
+      Alcotest.(check bool) "the machine mismatch is named" true (named 0));
+  Sys.remove path
+
 (* ---- bound oracle ---- *)
 
 let test_oracle_c240_clean () =
@@ -525,6 +579,10 @@ let () =
             test_supervisor_resume_fresh_journal;
           Alcotest.test_case "config mismatch refused" `Quick
             test_supervisor_refuses_config_mismatch;
+          Alcotest.test_case "cache keyed by the whole machine" `Quick
+            test_supervisor_cache_keys_whole_machine;
+          Alcotest.test_case "resume refuses another machine spec" `Quick
+            test_supervisor_resume_refuses_other_spec;
         ] );
       ( "oracle",
         [

@@ -309,7 +309,7 @@ let aliased_kernel_arbitrary =
       aliases = k.aliases @ List.mapi (fun i t -> (Printf.sprintf "AL%d" i, t)) ts;
     }
   in
-  QCheck.make ~print:Convex_fuzz.Codec.to_string gen
+  QCheck.make ~print:Lfk.Codec.to_string gen
 
 let prop_layout_fuzz =
   QCheck.Test.make ~count:200 ~name:"declared layout = store layout (fuzz)"
