@@ -858,7 +858,6 @@ let chaos_cmd =
         seed;
         cells;
         machine;
-        machine_name;
         journal;
         resume;
         jobs;

@@ -13,7 +13,6 @@ type config = {
   seed : int;
   cells : int;
   machine : Machine.t;
-  machine_name : string;
   opt : Fcc.Opt_level.t;
   budget : Budget.t;
       (** per-cell watchdog; keep it to cycles for a byte-identical
@@ -39,7 +38,6 @@ let default_config =
     seed = 42;
     cells = 24;
     machine = Machine.c240;
-    machine_name = "c240";
     opt = Fcc.Opt_level.v61;
     budget = Budget.none;
     guard = Suite.faulted_guard;
@@ -167,6 +165,13 @@ let int_field r k =
   | Some i -> Ok i
   | None -> Error (Printf.sprintf "field %S: bad int %S" k s)
 
+(* The journal and the render name the machine that actually runs: its
+   preset name when it is one, else its full spec. *)
+let machine_label m =
+  match List.find_opt (fun (_, p) -> Machine.equal p m) Machine.presets with
+  | Some (name, _) -> name
+  | None -> Convex_dsl.Machine_dsl.to_spec m
+
 let config_record cfg =
   {
     Journal.tag = "config";
@@ -174,7 +179,7 @@ let config_record cfg =
       [
         ("seed", Journal.put_int cfg.seed);
         ("cells", Journal.put_int cfg.cells);
-        ("machine", cfg.machine_name);
+        ("machine", machine_label cfg.machine);
         ("opt", Fcc.Opt_level.name cfg.opt);
         ("guard", Journal.put_int cfg.guard);
         ("budget", Budget.to_string cfg.budget);
@@ -265,23 +270,21 @@ let result_of_record cfg r : (cell_result, string) result =
   if r.Journal.tag <> "cell" then
     Error (Printf.sprintf "expected cell record, got %S" r.Journal.tag)
   else
+    (* the executor has range-checked the index against [cfg.cells] *)
     let* index = int_field r "index" in
-    if index < 0 || index >= cfg.cells then
-      Error (Printf.sprintf "cell index %d outside campaign [0, %d)" index cfg.cells)
-    else
-      let cell = cell_of_index cfg index in
-      let* lfk = int_field r "lfk" in
-      let* plan_spec = str_field r "plan" in
-      if lfk <> cell.kernel.Lfk.Kernel.id then
-        Error
-          (Printf.sprintf "cell %d: journal ran LFK%d, campaign generates LFK%d"
-             index lfk cell.kernel.Lfk.Kernel.id)
-      else if plan_spec <> Fault.to_spec cell.plan then
-        Error
-          (Printf.sprintf
-             "cell %d: journal plan %S differs from the generated %S" index
-             plan_spec (Fault.to_spec cell.plan))
-      else verdict_of_record ~cell r
+    let cell = cell_of_index cfg index in
+    let* lfk = int_field r "lfk" in
+    let* plan_spec = str_field r "plan" in
+    if lfk <> cell.kernel.Lfk.Kernel.id then
+      Error
+        (Printf.sprintf "cell %d: journal ran LFK%d, campaign generates LFK%d"
+           index lfk cell.kernel.Lfk.Kernel.id)
+    else if plan_spec <> Fault.to_spec cell.plan then
+      Error
+        (Printf.sprintf
+           "cell %d: journal plan %S differs from the generated %S" index
+           plan_spec (Fault.to_spec cell.plan))
+    else verdict_of_record ~cell r
 
 (* ---- result cache ---- *)
 
@@ -310,10 +313,9 @@ let result_of_payload ~cell = function
 
 (* ---- the campaign loop ---- *)
 
-(* Resume: merge any shards a killed parallel run left behind back into
-   the main journal, then replay each cell block — a [cell] record is a
-   completed result, a [poison] record a quarantined cell. *)
-let load_completed cfg path =
+(* The campaign's journal: one [cell] record per cell.  Resume refuses a
+   journal recorded under another config. *)
+let journal_spec cfg path =
   let config_ok r =
     if r.Journal.tag <> "config" then
       Error
@@ -325,64 +327,28 @@ let load_completed cfg path =
     else Ok ()
   in
   let index_of r =
-    match r.Journal.tag with
-    | "cell" | "poison" ->
-        Option.bind (Journal.field r "index") Journal.get_int
-    | _ -> None
+    if r.Journal.tag = "cell" then
+      Option.bind (Journal.field r "index") Journal.get_int
+    else None
   in
-  let had_shards = Journal.shards ~path <> [] in
-  let* orig, groups = Journal.merge_shards ~path ~format ~config_ok ~index_of in
-  let tbl = Hashtbl.create 64 in
-  let* () =
-    List.fold_left
-      (fun acc (i, records) ->
-        let* () = acc in
-        match records with
-        | [ ({ Journal.tag = "poison"; _ } as r) ] ->
-            let* p = Exec.poison_of_record r in
-            if p.Exec.index < 0 || p.Exec.index >= cfg.cells then
-              Error
-                (Printf.sprintf "poison index %d outside campaign [0, %d)"
-                   p.Exec.index cfg.cells)
-            else begin
-              Hashtbl.replace tbl i (Exec.Poisoned p);
-              Ok ()
-            end
-        | [ r ] ->
-            let* result = result_of_record cfg r in
-            Hashtbl.replace tbl i (Exec.Done result);
-            Ok ()
-        | rs ->
-            Error
-              (Printf.sprintf "cell %d: expected one journal record, got %d"
-                 i (List.length rs)))
-      (Ok ()) groups
+  let of_records = function
+    | [ r ] -> result_of_record cfg r
+    | rs ->
+        Error
+          (Printf.sprintf "expected one journal record per cell, got %d"
+             (List.length rs))
   in
-  Ok (orig, tbl, had_shards)
+  {
+    Exec.path;
+    format;
+    config = config_record cfg;
+    config_ok;
+    index_of;
+    records_of = (fun _ r -> [ record_of_result r ]);
+    of_records;
+  }
 
 let run ?(progress = fun _ -> ()) cfg =
-  let* orig_config, completed, had_shards =
-    match cfg.journal with
-    (* a [Fresh] journal — missing, empty, or an interrupted create —
-       holds no cells, so resuming into it just starts over *)
-    | Some path when cfg.resume && not (Journal.is_fresh ~path ~format) ->
-        load_completed cfg path
-    | Some path ->
-        Journal.create ~path ~format [ config_record cfg ];
-        Ok (config_record cfg, Hashtbl.create 0, false)
-    | None -> Ok (config_record cfg, Hashtbl.create 0, false)
-  in
-  let journal_spec =
-    Option.map
-      (fun path ->
-        {
-          Exec.path;
-          format;
-          config = orig_config;
-          records_of = (fun _ r -> [ record_of_result r ]);
-        })
-      cfg.journal
-  in
   let cache = Option.map Cache.open_dir cfg.cache in
   let run_one i =
     if List.mem i cfg.kill_cells then
@@ -396,14 +362,17 @@ let run ?(progress = fun _ -> ()) cfg =
           ~decode:(result_of_payload ~cell)
           (fun () -> run_cell cfg cell)
   in
-  let outcomes, stats =
-    Exec.run ~jobs:cfg.jobs ?journal:journal_spec ~rewrite:had_shards
-      ~already:(Hashtbl.find_opt completed)
-      ~context:(fun i ->
-        let c = cell_of_index cfg i in
-        Printf.sprintf "%s under %s" c.kernel.Lfk.Kernel.name
-          (Fault.to_spec c.plan))
-      ~progress ~cells:cfg.cells run_one
+  let context i =
+    let c = cell_of_index cfg i in
+    Printf.sprintf "%s under %s" c.kernel.Lfk.Kernel.name (Fault.to_spec c.plan)
+  in
+  let* outcomes, stats =
+    match cfg.journal with
+    | None ->
+        Ok (Exec.run ~jobs:cfg.jobs ~context ~progress ~cells:cfg.cells run_one)
+    | Some path ->
+        Exec.run_journaled ~jobs:cfg.jobs ~resume:cfg.resume ~context
+          ~progress ~journal:(journal_spec cfg path) ~cells:cfg.cells run_one
   in
   let results = ref [] and quarantined = ref [] in
   Array.iter
@@ -474,7 +443,8 @@ let render t =
   Buffer.add_string buf
     (Printf.sprintf
        "Chaos campaign: seed %d, %d cells on %s (opt %s, guard %d)\n"
-       t.config.seed t.config.cells t.config.machine_name
+       t.config.seed t.config.cells
+       (machine_label t.config.machine)
        (Fcc.Opt_level.name t.config.opt)
        t.config.guard);
   let quarantine_note =

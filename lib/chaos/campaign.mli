@@ -22,7 +22,10 @@ type config = {
   seed : int;
   cells : int;
   machine : Machine.t;
-  machine_name : string;
+      (** journaled and rendered by its preset name when it equals a
+          {!Machine.presets} entry ({!Machine.equal}), else by its full
+          {!Convex_dsl.Machine_dsl.to_spec} — so a resume checks the
+          machine that actually ran *)
   opt : Fcc.Opt_level.t;
   budget : Convex_harness.Budget.t;
       (** per-cell watchdog.  Keep it to [max_cycles] when the journal
@@ -110,13 +113,15 @@ val format : string
 
 val run : ?progress:(int -> unit) -> config -> (t, string) result
 (** Run the campaign through the fault-tolerant executor.  With a
-    journal path: a fresh run writes the config record then journals one
-    record per completed cell ([jobs = 1] appends to the main journal
-    exactly as before; [jobs > 1] goes through per-worker shards and a
-    final canonical rewrite, byte-identical to the sequential journal).
-    With [resume] and an existing file, shards left by a killed parallel
-    run are merged back first ({!Macs_util.Journal.merge_shards}), the
-    journal replayed — refusing a config mismatch or a record that
+    journal path the executor owns the journal
+    ({!Convex_exec.Executor.run_journaled}): a fresh run writes the
+    config record, then one [cell] record per completed cell ([jobs = 1]
+    appends to the main journal; [jobs > 1] goes through per-worker
+    shards and a final canonical rewrite, byte-identical to the
+    sequential journal).  With [resume] and an existing file, shards left
+    by a killed parallel run are merged back, the journal replayed —
+    refusing a config mismatch ("different campaign configuration"), a
+    cell or [poison] index outside the campaign, or a record that
     disagrees with the regenerated cell — and only the missing cells
     run.  [progress] is called with each freshly executed cell index.
     [Error] means the journal could not be used; the campaign itself

@@ -186,11 +186,13 @@ let sweep ?(modes = [ Sink.Before; Sink.Torn; Sink.After ]) ?(cross = false)
 (* ---- canned scenario: bare executor with sharded journaling ----
 
    The cheapest workload that still drives every journal write boundary:
-   [Exec.run ~jobs:1 ~rewrite:true] journals through a per-worker shard
-   and a final canonical rewrite (shard create, shard appends, tmp
-   create, publish rename), all with a pure-arithmetic cell body.
-   Recovery is exactly what the harnesses do: merge surviving shards,
-   replay completed cells, run the rest, rewrite canonically. *)
+   [Exec.run_journaled ~jobs:1 ~sharded:true] creates the main journal,
+   then journals through a per-worker shard and a final canonical
+   rewrite (shard create, shard appends, tmp create, publish rename),
+   all with a pure-arithmetic cell body.  Recovery is the executor's own
+   resume — the very path the suite and chaos harnesses take: merge
+   surviving shards, replay completed cells, run the rest, rewrite
+   canonically. *)
 
 let exec_format = "macs-crash-exec"
 
@@ -199,56 +201,51 @@ let scenario_exec_shards ?(cells = 6) () =
     { Journal.tag = "config"; fields = [ ("cells", Journal.put_int cells) ] }
   in
   let body i = (i * i) + 7 in
-  let records_of i v =
-    [
-      {
-        Journal.tag = "cell";
-        fields = [ ("index", Journal.put_int i); ("value", Journal.put_int v) ];
-      };
-    ]
+  let journal path =
+    {
+      Exec.path;
+      format = exec_format;
+      config;
+      config_ok =
+        (fun r ->
+          if r = config then Ok ()
+          else
+            Error
+              (Printf.sprintf "unexpected config record %S" r.Journal.tag));
+      index_of =
+        (fun r ->
+          if r.Journal.tag = "cell" then
+            Option.bind (Journal.field r "index") Journal.get_int
+          else None);
+      records_of =
+        (fun i v ->
+          [
+            {
+              Journal.tag = "cell";
+              fields =
+                [ ("index", Journal.put_int i); ("value", Journal.put_int v) ];
+            };
+          ]);
+      of_records =
+        (function
+        | [ r ] ->
+            Option.to_result ~none:"cell record without an integer value"
+              (Option.bind (Journal.field r "value") Journal.get_int)
+        | rs ->
+            Error (Printf.sprintf "%d records, expected 1" (List.length rs)));
+    }
   in
   let prepare ~dir =
     let path = Filename.concat dir "exec.journal" in
-    let spec = { Exec.path; format = exec_format; config; records_of } in
-    let run () =
-      ignore (Exec.run ~jobs:1 ~rewrite:true ~journal:spec ~cells body)
+    let go ~resume () =
+      match
+        Exec.run_journaled ~jobs:1 ~sharded:true ~resume
+          ~journal:(journal path) ~cells body
+      with
+      | Ok _ -> ()
+      | Error e -> failwith ("exec-shards: " ^ e)
     in
-    let recover () =
-      let prior = Hashtbl.create 8 in
-      (* a [Fresh] main journal (missing, or a torn rewrite that never
-         published) holds nothing to replay; otherwise fold any surviving
-         shards back in and replay the completed cells *)
-      if not (Journal.is_fresh ~path ~format:exec_format) then begin
-        let config_ok r =
-          if r = config then Ok ()
-          else Error (Printf.sprintf "unexpected config record %S" r.Journal.tag)
-        in
-        let index_of r =
-          if r.Journal.tag = "cell" then
-            Option.bind (Journal.field r "index") Journal.get_int
-          else None
-        in
-        match Journal.merge_shards ~path ~format:exec_format ~config_ok ~index_of with
-        | Error e -> failwith ("merge_shards: " ^ e)
-        | Ok (_, groups) ->
-            List.iter
-              (fun (i, records) ->
-                match records with
-                | [ r ] -> (
-                    match Option.bind (Journal.field r "value") Journal.get_int with
-                    | Some v -> Hashtbl.replace prior i (Exec.Done v)
-                    | None -> failwith "cell record without an integer value")
-                | rs ->
-                    failwith
-                      (Printf.sprintf "cell %d: %d records, expected 1" i
-                         (List.length rs)))
-              groups
-      end;
-      ignore
-        (Exec.run ~jobs:1 ~rewrite:true ~journal:spec
-           ~already:(Hashtbl.find_opt prior) ~cells body)
-    in
-    { run; recover; artifacts = [ path ] }
+    { run = go ~resume:false; recover = go ~resume:true; artifacts = [ path ] }
   in
   { name = "exec-shards"; prepare }
 

@@ -75,7 +75,10 @@ type 'r journal = {
   path : string;
   format : string;
   config : Journal.record;
+  config_ok : Journal.record -> (unit, string) result;
+  index_of : Journal.record -> int option;
   records_of : int -> 'r -> Journal.record list;
+  of_records : Journal.record list -> ('r, string) result;
 }
 
 type stats = {
@@ -88,21 +91,20 @@ type stats = {
   stopped_early : bool;
 }
 
-let run ?(jobs = 1) ?(retry = default_retry) ?journal ?(rewrite = false)
-    ?(already = fun _ -> None)
-    ?(context = fun i -> Printf.sprintf "cell %d" i) ?(progress = fun _ -> ())
-    ?(should_stop = fun () -> false) ~cells f =
+let records_of_outcome j i = function
+  | Done r -> j.records_of i r
+  | Poisoned p -> [ poison_record p ]
+
+(* The engine behind [run] and [run_journaled]: [results] arrives
+   holding the replayed outcomes, and a [journal] already holds their
+   records. *)
+let execute ~jobs ~retry ~journal ~sharded ~context ~progress ~should_stop
+    ~cells ~results f =
   let jobs = max 1 (min jobs (max 1 cells)) in
-  let results = Array.make (max cells 0) None in
-  let replayed = ref 0 in
-  for i = 0 to cells - 1 do
-    match already i with
-    | Some o ->
-        results.(i) <- Some o;
-        incr replayed
-    | None -> ()
-  done;
-  let shard_mode = jobs > 1 || rewrite in
+  let replayed =
+    Array.fold_left (fun n o -> if Option.is_some o then n + 1 else n) 0 results
+  in
+  let shard_mode = jobs > 1 || sharded in
   let retried = Atomic.make 0 in
   let executed = Atomic.make 0 in
   let quarantined = Atomic.make 0 in
@@ -112,10 +114,6 @@ let run ?(jobs = 1) ?(retry = default_retry) ?journal ?(rewrite = false)
   let locked fn =
     Mutex.lock mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock mutex) fn
-  in
-  let records_of_outcome j i = function
-    | Done r -> j.records_of i r
-    | Poisoned p -> [ poison_record p ]
   in
   let note o =
     (match o with Poisoned _ -> Atomic.incr quarantined | Done _ -> ());
@@ -249,13 +247,7 @@ let run ?(jobs = 1) ?(retry = default_retry) ?journal ?(rewrite = false)
      | _ -> ()
    end
    else begin
-     (* sequential append mode: the historical byte-identical path.
-        Start the journal ourselves when the caller has not (harnesses
-        with their own header-writing helpers create it first). *)
-     (match journal with
-     | Some j when Journal.is_fresh ~path:j.path ~format:j.format ->
-         Journal.create ~path:j.path ~format:j.format [ j.config ]
-     | _ -> ());
+     (* sequential append mode: the historical byte-identical path *)
      let i = ref 0 in
      let continue_ = ref true in
      while !continue_ && !i < cells do
@@ -285,9 +277,86 @@ let run ?(jobs = 1) ?(retry = default_retry) ?journal ?(rewrite = false)
     {
       jobs;
       executed = Atomic.get executed;
-      replayed = !replayed;
+      replayed;
       retried = Atomic.get retried;
       quarantined = Atomic.get quarantined;
       lost_workers = Atomic.get lost;
       stopped_early = Atomic.get stopped;
     } )
+
+let run ?(jobs = 1) ?(retry = default_retry) ?(already = fun _ -> None)
+    ?(context = fun i -> Printf.sprintf "cell %d" i) ?(progress = fun _ -> ())
+    ?(should_stop = fun () -> false) ~cells f =
+  execute ~jobs ~retry ~journal:None ~sharded:false ~context ~progress
+    ~should_stop ~cells
+    ~results:(Array.init (max cells 0) already)
+    f
+
+(* Resume: fold any shards a killed parallel run left behind into the
+   main journal, then decode each cell block — a lone [poison] record is
+   a quarantined cell, any other block goes through the caller's codec.
+   Returns the journal's own config record (its bytes survive), the
+   replayed outcomes, and whether shards were merged. *)
+let load j ~cells =
+  let index_of r =
+    if r.Journal.tag = "poison" then
+      Option.bind (Journal.field r "index") Journal.get_int
+    else j.index_of r
+  in
+  let merged = Journal.shards ~path:j.path <> [] in
+  let* config, blocks =
+    Journal.merge_shards ~path:j.path ~format:j.format ~config_ok:j.config_ok
+      ~index_of
+  in
+  let* prior =
+    List.fold_left
+      (fun acc (i, records) ->
+        let* acc = acc in
+        if i < 0 || i >= cells then
+          Error
+            (Printf.sprintf "journal %s: cell %d outside the run's [0, %d)"
+               j.path i cells)
+        else
+          let* o =
+            match records with
+            | [ ({ Journal.tag = "poison"; _ } as r) ] ->
+                Result.map (fun p -> Poisoned p) (poison_of_record r)
+            | rs -> Result.map (fun r -> Done r) (j.of_records rs)
+          in
+          Ok ((i, o) :: acc))
+      (Ok []) blocks
+  in
+  Ok (config, List.rev prior, merged)
+
+let run_journaled ?(jobs = 1) ?(retry = default_retry) ?(resume = false)
+    ?(keep = fun _ -> true) ?(sharded = false)
+    ?(context = fun i -> Printf.sprintf "cell %d" i) ?(progress = fun _ -> ())
+    ?(should_stop = fun () -> false) ~journal:j ~cells f =
+  (* a [Fresh] file — missing, empty, or an interrupted create — never
+     received a cell, so resuming into it is starting over *)
+  let* j, prior, rewrite =
+    if resume && not (Journal.is_fresh ~path:j.path ~format:j.format) then begin
+      let* config, prior, merged = load j ~cells in
+      let j = { j with config } in
+      let kept = List.filter (fun (_, o) -> keep o) prior in
+      let dropped = List.length kept < List.length prior in
+      (* dropped cells leave gaps that sequential appends would fill out
+         of index order: rewrite them away now and finish sharded, whose
+         final rewrite is canonical *)
+      if dropped then
+        Journal.write_atomic ~path:j.path ~format:j.format
+          (config
+          :: List.concat_map (fun (i, o) -> records_of_outcome j i o) kept);
+      Ok (j, kept, merged || dropped)
+    end
+    else begin
+      Journal.remove_shards ~path:j.path;
+      Journal.create ~path:j.path ~format:j.format [ j.config ];
+      Ok (j, [], false)
+    end
+  in
+  let results = Array.make (max cells 0) None in
+  List.iter (fun (i, o) -> results.(i) <- Some o) prior;
+  Ok
+    (execute ~jobs ~retry ~journal:(Some j) ~sharded:(sharded || rewrite)
+       ~context ~progress ~should_stop ~cells ~results f)

@@ -22,8 +22,8 @@
       ({!Macs_util.Journal.shard_append}); on completion the coordinator
       atomically rewrites the main journal in cell-index order (the same
       bytes a sequential run produces) and removes the shards.  A crash
-      mid-run leaves the shards behind for
-      {!Macs_util.Journal.merge_shards} to recover. *)
+      mid-run leaves the shards behind for a resume
+      ({!run_journaled} [~resume:true]) to merge back. *)
 
 exception Transient of string
 (** Raise from a cell to request a bounded retry with backoff.  A cell
@@ -69,18 +69,28 @@ type 'r journal = {
   path : string;
   format : string;
   config : Macs_util.Journal.record;
-      (** config record for shard headers and the final rewrite; on
-          resume pass the original record loaded from the main journal so
-          its bytes survive. *)
+      (** config record a fresh journal (and every shard) starts with; a
+          resume keeps the journal's own record bytes instead *)
+  config_ok : Macs_util.Journal.record -> (unit, string) result;
+      (** on resume, accept or refuse the journal's config record; the
+          [Error] message is returned as is *)
+  index_of : Macs_util.Journal.record -> int option;
+      (** the cell a record closes, or [None] for a record that belongs
+          to the next closer ({!Macs_util.Journal.merge_shards}).
+          [poison] records are handled by the executor and never reach
+          this function. *)
   records_of : int -> 'r -> Macs_util.Journal.record list;
       (** journal records for a completed cell, in the order a sequential
           run would append them. *)
+  of_records : Macs_util.Journal.record list -> ('r, string) result;
+      (** decode one cell block (the records up to and including its
+          closer) back to a result; the inverse of [records_of] *)
 }
 
 type stats = {
   jobs : int;  (** worker count actually used *)
   executed : int;  (** cells run fresh this invocation *)
-  replayed : int;  (** cells supplied by [already] *)
+  replayed : int;  (** cells supplied by [already] or the journal *)
   retried : int;  (** transient retries performed *)
   quarantined : int;  (** cells that ended up poisoned *)
   lost_workers : int;  (** worker domains retired by lethal cells *)
@@ -90,8 +100,6 @@ type stats = {
 val run :
   ?jobs:int ->
   ?retry:retry ->
-  ?journal:'r journal ->
-  ?rewrite:bool ->
   ?already:(int -> 'r outcome option) ->
   ?context:(int -> string) ->
   ?progress:(int -> unit) ->
@@ -102,23 +110,54 @@ val run :
 (** [run ~cells f] executes [f i] for every cell [i] not already
     supplied by [already] and returns one outcome per cell (replayed
     outcomes included; [None] only for cells skipped by an early stop),
-    plus run statistics.
+    plus run statistics.  Nothing is journaled.
 
     [jobs] (default 1) is clamped to [1 .. cells].  [jobs = 1] runs
-    inline — no domain is spawned — and, when a [journal] is given,
-    appends each fresh cell's records directly to the main journal in
-    index order (creating it with header and config first if the caller
-    has not): byte-identical to the historical sequential behaviour.
-
-    [jobs > 1] (or [rewrite = true], for resuming after a parallel
-    crash) switches to sharded journaling: each worker writes its own
-    [<path>.shard<K>]; after all workers join, the main journal is
-    atomically rewritten in cell-index order from the in-memory outcomes
-    and the shards are removed.  The rewrite is skipped when no cell ran
-    fresh, leaving an already-complete journal untouched.
+    inline, in index order, and spawns no domain.
 
     [progress i] is called (serialized under a mutex) as each cell is
     claimed.  [should_stop] is polled before each claim; once it returns
     [true] no further cells start — cells never started stay [None] in
-    the returned array, are not journaled, and [stopped_early] is set, so
-    a later resume re-runs them. *)
+    the returned array and [stopped_early] is set. *)
+
+val run_journaled :
+  ?jobs:int ->
+  ?retry:retry ->
+  ?resume:bool ->
+  ?keep:('r outcome -> bool) ->
+  ?sharded:bool ->
+  ?context:(int -> string) ->
+  ?progress:(int -> unit) ->
+  ?should_stop:(unit -> bool) ->
+  journal:'r journal ->
+  cells:int ->
+  (int -> 'r) ->
+  ('r outcome option array * stats, string) result
+(** {!run} with a checkpoint journal; the executor owns its whole life.
+
+    {b Start.}  Without [resume], or when the file is
+    {{!Macs_util.Journal.inspect}[Fresh]}, the journal is created afresh
+    with the header and [journal.config] (truncating any old file,
+    deleting stale shards).
+
+    {b Resume.}  With [resume] and an intact file, shards a killed
+    parallel run left behind are merged in
+    ({!Macs_util.Journal.merge_shards}, checking every config record with
+    [config_ok]) and each cell block is decoded: a lone [poison] record
+    here, any other block by [of_records].  A refused config, an
+    undecodable block, or a block for a cell outside [0 .. cells-1] (a
+    [poison] index included) returns [Error] before any cell runs.  The
+    journal's own config record bytes are kept.  Decoded cells count as
+    [replayed] and do not run again — except those [keep] (default: all)
+    rejects, which are rewritten out of the journal atomically first.
+
+    {b Journaling.}  [jobs = 1] appends each fresh cell's records to the
+    main journal in index order: byte-identical to the historical
+    sequential behaviour.  [jobs > 1] journals through per-worker shards
+    [<path>.shard<K>], then atomically rewrites the main journal in
+    cell-index order and removes the shards; the rewrite is skipped when
+    no cell ran fresh, so a complete journal stays untouched.  The
+    sharded path is also taken after a resume that merged shards or
+    dropped cells (its final rewrite restores index order), and when
+    [sharded] is set, which reaches every shard write boundary at
+    [jobs = 1] without spawning domains. *)

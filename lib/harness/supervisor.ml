@@ -16,19 +16,29 @@ type outcome = {
 
 let ( let* ) = Result.bind
 
+(* Two machine specs run to hundreds of characters and usually differ in
+   one field: name only the [;] clauses each side lacks. *)
+let spec_diff got want =
+  let clauses s = String.split_on_char ';' s in
+  let only a b =
+    String.concat ";" (List.filter (fun c -> not (List.mem c b)) a)
+  in
+  (only (clauses got) (clauses want), only (clauses want) (clauses got))
+
 let config_mismatch (want : Suite_journal.config)
     (got : Suite_journal.config) =
-  let diff name w g =
+  let diff name (g, w) =
     if w = g then None else Some (Printf.sprintf "%s %S vs %S" name g w)
   in
   List.filter_map Fun.id
     [
-      diff "machine" want.Suite_journal.machine got.Suite_journal.machine;
-      diff "opt" want.Suite_journal.opt got.Suite_journal.opt;
-      diff "faults" want.Suite_journal.faults got.Suite_journal.faults;
+      diff "machine"
+        (spec_diff got.Suite_journal.machine want.Suite_journal.machine);
+      diff "opt" (got.Suite_journal.opt, want.Suite_journal.opt);
+      diff "faults" (got.Suite_journal.faults, want.Suite_journal.faults);
       diff "guard"
-        (string_of_int want.Suite_journal.guard)
-        (string_of_int got.Suite_journal.guard);
+        (string_of_int got.Suite_journal.guard,
+         string_of_int want.Suite_journal.guard);
     ]
 
 (* Substitute the analytic estimate for a row the simulation could not
@@ -49,15 +59,9 @@ let degrade ~machine ~opt (row : Suite.row) err =
     source = Suite.Estimated err;
   }
 
-let records_of_prior = function
-  | Exec.Done c -> Suite_journal.records_of_cell c
-  | Exec.Poisoned p -> [ Exec.poison_record p ]
-
-(* Resume: merge any journal shards a killed parallel run left behind
-   back into the main journal ({!J.merge_shards}), then decode each
-   cell block — retry attempts and violations close with their row; a
-   lone poison record is a quarantined cell. *)
-let load_prior ~path ~config ~retry_failed ~karr =
+(* The suite's journal: one cell block per kernel, closed by its [row]
+   record.  Resume refuses a journal recorded under another config. *)
+let journal_spec ~path ~config ~karr =
   let config_ok r =
     let* got = Suite_journal.config_of_record r in
     match config_mismatch config got with
@@ -71,58 +75,32 @@ let load_prior ~path ~config ~retry_failed ~karr =
              path
              (String.concat ", " diffs))
   in
-  let kernel_index id =
-    let rec go i =
-      if i >= Array.length karr then None
-      else if karr.(i).Lfk.Kernel.id = id then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
   let index_of r =
-    match r.J.tag with
-    | "row" ->
-        Option.bind (Option.bind (J.field r "lfk") J.get_int) kernel_index
-    | "poison" -> Option.bind (J.field r "index") J.get_int
-    | _ -> None
+    if r.J.tag <> "row" then None
+    else
+      Option.bind (Option.bind (J.field r "lfk") J.get_int) (fun id ->
+          Array.find_index (fun k -> k.Lfk.Kernel.id = id) karr)
   in
-  let had_shards = J.shards ~path <> [] in
-  let* orig, groups =
-    J.merge_shards ~path ~format:Suite_journal.format ~config_ok ~index_of
-  in
-  let* prior =
-    List.fold_left
-      (fun acc (i, records) ->
-        let* acc = acc in
-        match records with
-        | [ r ] when r.J.tag = "poison" ->
-            let* p = Exec.poison_of_record r in
-            Ok ((i, Exec.Poisoned p) :: acc)
-        | _ ->
-            let* cell = Suite_journal.cell_of_records records in
-            Ok ((i, Exec.Done cell) :: acc))
-      (Ok []) groups
-  in
-  let prior = List.rev prior in
-  let keep =
-    if retry_failed then
-      List.filter
-        (fun (_, o) ->
-          match o with
-          | Exec.Done (c : Suite_journal.cell) -> (
-              match
-                (c.Suite_journal.row.Suite.outcome, c.Suite_journal.row.Suite.source)
-              with
-              | Ok _, Suite.Measured -> true
-              | _ -> false)
-          | Exec.Poisoned _ -> false)
-        prior
-    else prior
-  in
-  if retry_failed then
-    J.write_atomic ~path ~format:Suite_journal.format
-      (orig :: List.concat_map (fun (_, o) -> records_of_prior o) keep);
-  Ok (orig, keep, retry_failed || had_shards)
+  {
+    Exec.path;
+    format = Suite_journal.format;
+    config = Suite_journal.config_record config;
+    config_ok;
+    index_of;
+    records_of = (fun _ c -> Suite_journal.records_of_cell c);
+    of_records = Suite_journal.cell_of_records;
+  }
+
+(* [--retry-failed] keeps only the rows that were measured *)
+let measured = function
+  | Exec.Done
+      {
+        Suite_journal.row =
+          { Suite.outcome = Ok _; source = Suite.Measured; _ };
+        _;
+      } ->
+      true
+  | _ -> false
 
 let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
     ?(faults = Fault.none) ?guard ?(budget = Budget.none)
@@ -138,30 +116,8 @@ let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
   let config =
     Suite_journal.config_of_run ~machine ~opt ~faults ~guard
   in
-  let resume = resume || retry_failed in
   let karr = Array.of_list (Suite.kernels ()) in
   let cells = Array.length karr in
-  (* a file in the [Fresh] state — missing, empty, or an interrupted
-     create — never received a cell, so resuming into it degenerates to
-     starting over *)
-  let live path =
-    not (J.is_fresh ~path ~format:Suite_journal.format)
-  in
-  let* orig_config, prior, rewrite =
-    match journal with
-    | Some path when resume && live path ->
-        load_prior ~path ~config ~retry_failed ~karr
-    | Some _ | None -> Ok (Suite_journal.config_record config, [], false)
-  in
-  (* a fresh run (or a resume aimed at a missing file) starts the journal
-     with just the config record; a true resume appends after — or, when
-     shards were merged, rewrites over — the existing records *)
-  (match journal with
-  | Some path when (not resume) || not (live path) ->
-      Suite_journal.start ~path config
-  | _ -> ());
-  let replayed = Hashtbl.create 16 in
-  List.iter (fun (i, o) -> Hashtbl.replace replayed i o) prior;
   let cache = Option.map Cache.open_dir cache in
   let cell_key k =
     Cache.key ~kind:"suite-cell"
@@ -198,49 +154,46 @@ let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
           violations = [];
         }
   in
-  (* a cell's cache payload is exactly its journal record block, so a
-     hit re-journals the same bytes a recompute would have written *)
+  let estimated = Atomic.make 0 in
   let run_cell i =
-    match cache with
-    | None -> compute_cell i
-    | Some c ->
-        Cache.memo c ~key:(cell_key karr.(i))
-          ~encode:Suite_journal.records_of_cell
-          ~decode:Suite_journal.cell_of_records
-          (fun () -> compute_cell i)
+    (* a cell's cache payload is exactly its journal record block, so a
+       hit re-journals the same bytes a recompute would have written *)
+    let c =
+      match cache with
+      | None -> compute_cell i
+      | Some c ->
+          Cache.memo c ~key:(cell_key karr.(i))
+            ~encode:Suite_journal.records_of_cell
+            ~decode:Suite_journal.cell_of_records
+            (fun () -> compute_cell i)
+    in
+    (match c.Suite_journal.row.Suite.source with
+    | Suite.Estimated _ -> Atomic.incr estimated
+    | Suite.Measured -> ());
+    c
   in
-  let journal_spec =
-    Option.map
-      (fun path ->
-        {
-          Exec.path;
-          format = Suite_journal.format;
-          config = orig_config;
-          records_of = (fun _ c -> Suite_journal.records_of_cell c);
-        })
-      journal
+  let context i =
+    Printf.sprintf "LFK%d (%s)" karr.(i).Lfk.Kernel.id karr.(i).Lfk.Kernel.name
   in
-  let outcomes, estats =
-    Exec.run ~jobs ?journal:journal_spec ~rewrite
-      ~already:(fun i -> Hashtbl.find_opt replayed i)
-      ~context:(fun i ->
-        Printf.sprintf "LFK%d (%s)" karr.(i).Lfk.Kernel.id
-          karr.(i).Lfk.Kernel.name)
-      ~cells run_cell
+  let* outcomes, estats =
+    match journal with
+    | None -> Ok (Exec.run ~jobs ~context ~cells run_cell)
+    | Some path ->
+        Exec.run_journaled ~jobs
+          ~resume:(resume || retry_failed)
+          ~keep:(fun o -> (not retry_failed) || measured o)
+          ~context
+          ~journal:(journal_spec ~path ~config ~karr)
+          ~cells run_cell
   in
   let rows = ref [] and violations = ref [] in
-  let poisons = ref [] and estimated = ref 0 in
-  Array.iteri
-    (fun i o ->
-      match o with
+  let poisons = ref [] in
+  Array.iter
+    (function
       | Some (Exec.Done (c : Suite_journal.cell)) ->
           rows := c.Suite_journal.row :: !rows;
           violations :=
-            List.rev_append c.Suite_journal.violations !violations;
-          if not (Hashtbl.mem replayed i) then (
-            match c.Suite_journal.row.Suite.source with
-            | Suite.Estimated _ -> incr estimated
-            | Suite.Measured -> ())
+            List.rev_append c.Suite_journal.violations !violations
       | Some (Exec.Poisoned p) -> poisons := p :: !poisons
       | None -> ())
     outcomes;
@@ -262,7 +215,7 @@ let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
         {
           resumed = estats.Exec.replayed;
           executed = estats.Exec.executed;
-          estimated = !estimated;
+          estimated = Atomic.get estimated;
         };
       quarantined = List.rev !poisons;
       cache_counters = Option.map Cache.counters cache;

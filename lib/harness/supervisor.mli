@@ -15,11 +15,13 @@ open Convex_machine
       means.  The suite result never aborts and never loses the
       diagnostic;
     - {b checkpoint/resume} ({!Suite_journal}): with a journal path, the
-      supervisor checkpoints every completed row to disk; a re-run with
-      [~resume:true] replays completed rows byte-identically and picks up
-      at the first missing kernel.  [~retry_failed:true] instead re-runs
-      only the rows that carry diagnostics (failed or estimated), keeping
-      every measured row.
+      executor ({!Convex_exec.Executor.run_journaled}) checkpoints every
+      completed cell to disk; a re-run with [~resume:true] merges any
+      shards a killed parallel run left, replays completed rows
+      byte-identically and runs only the missing kernels.
+      [~retry_failed:true] keeps only the measured rows: the rows that
+      carry diagnostics (failed or estimated) and quarantined cells are
+      rewritten out of the journal before the run, then re-run.
 
     Every measured row is also cross-checked against the bound oracle
     ({!Macs.Oracle.check_row}); violations ride along in the suite result
@@ -66,11 +68,14 @@ val run :
   unit ->
   (outcome, string) result
 (** Errors only on journal problems the caller must decide about: an
-    unreadable or corrupt journal, or a resume whose journaled config
-    (machine spec, opt level, fault plan, guard) differs from the
-    requested run — replaying rows measured under different conditions
-    would silently mix incomparable numbers.  [retry_failed] implies
-    resume.
+    unreadable or corrupt journal, a cell block for a kernel the suite
+    does not have (a [poison] record included), or a resume whose
+    journaled config (machine spec, opt level, fault plan, guard)
+    differs from the requested run — replaying rows measured under
+    different conditions would silently mix incomparable numbers.  The
+    refusal says "different configuration (" and names each field that
+    differs; for the machine, only the spec's [;] clauses that differ
+    (["banks=64" vs "banks=32"]).  [retry_failed] implies resume.
     Simulation failures never surface here; they degrade to estimates.
 
     [cache] points at a {!Convex_cache.Cache} directory: each cell's

@@ -289,41 +289,3 @@ let cell_of_records records =
         | t -> Error (Printf.sprintf "unexpected record %S inside a cell" t))
   in
   go [] [] records
-
-let repair ~path = Journal.repair ~path ~format
-let start ~path config = Journal.create ~path ~format [ config_record config ]
-let append_row ~path row = Journal.append ~path (record_of_row row)
-
-let append_violation ~path v =
-  Journal.append ~path (record_of_violation v)
-
-let write ~path config ~rows ~violations =
-  Journal.create ~path ~format
-    (config_record config
-    :: List.map record_of_row rows
-    @ List.map record_of_violation violations)
-
-let load ~path =
-  let* records = Journal.load ~path ~format in
-  match records with
-  | [] -> Error "journal holds no config record"
-  | cfg :: rest ->
-      let* config = config_of_record cfg in
-      let* rows_rev, violations_rev =
-        List.fold_left
-          (fun acc r ->
-            let* rows, violations = acc in
-            match r.Journal.tag with
-            | "row" ->
-                let* row = row_of_record r in
-                Ok (row :: rows, violations)
-            | "violation" ->
-                let* v = violation_of_record r in
-                Ok (rows, v :: violations)
-            | "attempt" | "poison" ->
-                (* retry history and quarantined cells carry no row data *)
-                Ok (rows, violations)
-            | t -> Error (Printf.sprintf "unknown record tag %S" t))
-          (Ok ([], [])) rest
-      in
-      Ok (config, List.rev rows_rev, List.rev violations_rev)

@@ -80,30 +80,3 @@ type cell = {
 
 val records_of_cell : cell -> Journal.record list
 val cell_of_records : Journal.record list -> (cell, string) result
-
-(** {1 File operations} *)
-
-val repair : path:string -> (unit, string) result
-(** {!Journal.repair} with this schema: truncate a torn tail so resume
-    can append cleanly after a writer was killed mid-record. *)
-
-val start : path:string -> config -> unit
-(** Create a fresh journal holding just the config record. *)
-
-val append_row : path:string -> Suite.row -> unit
-val append_violation : path:string -> Macs.Oracle.violation -> unit
-
-val write :
-  path:string ->
-  config ->
-  rows:Suite.row list ->
-  violations:Macs.Oracle.violation list ->
-  unit
-(** Rewrite the whole journal in one shot (used by [--retry-failed],
-    which replaces diagnostic rows in place). *)
-
-val load :
-  path:string ->
-  (config * Suite.row list * Macs.Oracle.violation list, string) result
-(** Parse a journal back: header, config, rows and violations in their
-    journaled order.  A torn final line is dropped ({!Journal.load}). *)

@@ -353,6 +353,29 @@ let test_campaign_refuses_config_mismatch () =
         (contains ~needle:"different campaign configuration" e)
   | Ok _ -> Alcotest.fail "resume under a different seed must refuse"
 
+let test_campaign_resume_checks_the_machine_run () =
+  (* the journal names the machine the cells actually ran on: an ideal
+     machine campaign journals "ideal", and resuming it as the default
+     c240 campaign must refuse instead of splicing ideal-machine verdicts
+     into a c240 campaign *)
+  with_tmp @@ fun j ->
+  let cfg =
+    { Campaign.default_config with
+      machine = Machine.ideal; seed = 5; cells = 2; journal = Some j }
+  in
+  let t = run_ok cfg in
+  Alcotest.(check bool) "journal names the ideal machine" true
+    (contains ~needle:"\tmachine=ideal\t" (read_file j));
+  Alcotest.(check bool) "render names the ideal machine" true
+    (contains ~needle:"cells on ideal" (Campaign.render t));
+  match
+    Campaign.run { cfg with Campaign.machine = Machine.c240; resume = true }
+  with
+  | Error e ->
+      Alcotest.(check bool) "mismatch is explained" true
+        (contains ~needle:"different campaign configuration" e)
+  | Ok _ -> Alcotest.fail "resume on c240 replayed an ideal-machine journal"
+
 (* ---- parallel execution: jobs parity, quarantine, shard recovery ---- *)
 
 let test_campaign_parallel_byte_identical () =
@@ -446,7 +469,6 @@ let test_broken_hierarchy_minimal_plans () =
     {
       Campaign.default_config with
       machine = broken;
-      machine_name = "broken-hierarchy";
       seed = 42;
       cells = 2;
     }
@@ -528,6 +550,8 @@ let () =
             test_campaign_resume_survives_torn_tail;
           Alcotest.test_case "config mismatch refused" `Slow
             test_campaign_refuses_config_mismatch;
+          Alcotest.test_case "resume checks the machine that ran" `Slow
+            test_campaign_resume_checks_the_machine_run;
           Alcotest.test_case "parallel journal byte-identical" `Slow
             test_campaign_parallel_byte_identical;
           Alcotest.test_case "kill-cell quarantined and resumable" `Slow

@@ -174,9 +174,6 @@ let cell_record i =
 let config = { Journal.tag = "config"; fields = [ ("seed", "42") ] }
 let format = "exec-test"
 
-let journal_spec path =
-  { Exec.path; format; config; records_of = (fun i () -> [ cell_record i ]) }
-
 let index_of r =
   if r.Journal.tag = "cell" then Journal.get_int (List.assoc "i" r.fields)
   else None
@@ -184,11 +181,28 @@ let index_of r =
 let config_ok r =
   if r = config then Ok () else Error "config mismatch"
 
+let journal_spec path =
+  {
+    Exec.path;
+    format;
+    config;
+    config_ok;
+    index_of;
+    records_of = (fun i () -> [ cell_record i ]);
+    of_records = (fun _ -> Ok ());
+  }
+
+let run_journaled ?jobs ?resume ?should_stop path ~cells =
+  match
+    Exec.run_journaled ?jobs ?resume ?should_stop ~journal:(journal_spec path)
+      ~cells (fun _ -> ())
+  with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "journaled run refused: %s" e
+
 let test_parallel_journal_byte_identical () =
   let p1 = tmp_journal "seq" and p4 = tmp_journal "par" in
-  let run path jobs =
-    ignore (Exec.run ~jobs ~journal:(journal_spec path) ~cells:13 (fun _ -> ()))
-  in
+  let run path jobs = ignore (run_journaled ~jobs path ~cells:13) in
   run p1 1;
   run p4 4;
   Alcotest.(check string) "jobs=4 journal byte-identical to jobs=1"
@@ -202,35 +216,89 @@ let test_stop_then_resume_loses_nothing () =
   (* a parallel run stopped early, then resumed: the merged journal must
      equal an uninterrupted sequential run's bytes *)
   let full = tmp_journal "stopfull" and part = tmp_journal "stoppart" in
-  ignore (Exec.run ~journal:(journal_spec full) ~cells:10 (fun _ -> ()));
+  ignore (run_journaled full ~cells:10);
   let started = Atomic.make 0 in
   let stop () = Atomic.fetch_and_add started 1 >= 5 in
-  let _, s1 =
-    Exec.run ~jobs:3 ~journal:(journal_spec part) ~should_stop:stop ~cells:10
-      (fun _ -> ())
-  in
+  let _, s1 = run_journaled ~jobs:3 ~should_stop:stop part ~cells:10 in
   Alcotest.(check bool) "stopped early" true s1.Exec.stopped_early;
-  (* resume: merge whatever landed (main or shards), rerun the rest *)
-  match
-    Journal.merge_shards ~path:part ~format ~config_ok ~index_of
-  with
-  | Error e -> Alcotest.failf "merge failed: %s" e
-  | Ok (orig, cells) ->
-      let tbl = Hashtbl.create 16 in
-      List.iter (fun (i, _) -> Hashtbl.replace tbl i (Exec.Done ())) cells;
-      let _, s2 =
-        Exec.run ~jobs:3
-          ~journal:{ (journal_spec part) with config = orig }
-          ~rewrite:true
-          ~already:(Hashtbl.find_opt tbl) ~cells:10
-          (fun _ -> ())
-      in
-      Alcotest.(check int) "every completed cell replayed"
-        (List.length cells) s2.Exec.replayed;
-      Alcotest.(check string) "resumed journal byte-identical"
-        (read_file full) (read_file part);
-      Sys.remove full;
-      Sys.remove part
+  (* resume: the executor merges whatever landed (main or shards),
+     replays it and runs the rest *)
+  let _, s2 = run_journaled ~jobs:3 ~resume:true part ~cells:10 in
+  Alcotest.(check (pair int int)) "the five started cells replayed, the rest run"
+    (5, 5) (s2.Exec.replayed, s2.Exec.executed);
+  Alcotest.(check string) "resumed journal byte-identical"
+    (read_file full) (read_file part);
+  Alcotest.(check (list (pair int string))) "shards consumed" []
+    (Journal.shards ~path:part);
+  Sys.remove full;
+  Sys.remove part
+
+let test_poison_outside_run_refused () =
+  (* a poison record names its own cell; one past the end of the run is
+     a journal from another run, never silently dropped *)
+  let path = tmp_journal "poisonrange" in
+  Journal.create ~path ~format
+    [
+      config;
+      cell_record 0;
+      Exec.poison_record
+        { Exec.index = 99; attempts = 1; error = "boom"; context = "c99" };
+    ];
+  (match
+     Exec.run_journaled ~resume:true ~journal:(journal_spec path) ~cells:4
+       (fun _ -> ())
+   with
+  | Ok _ -> Alcotest.fail "a poison record outside the run was accepted"
+  | Error e ->
+      Alcotest.(check bool) "the index is named" true
+        (let needle = "cell 99" in
+         let n = String.length needle in
+         let rec go i =
+           i + n <= String.length e && (String.sub e i n = needle || go (i + 1))
+         in
+         go 0));
+  Sys.remove path
+
+let test_keep_rewrites_dropped_cells () =
+  (* [keep] drops a replayed cell from the middle of the journal: it runs
+     again, and the journal comes out as if it had never been dropped *)
+  let full = tmp_journal "keepfull" and part = tmp_journal "keeppart" in
+  let record i v =
+    { Journal.tag = "cell"; fields = [ ("i", Journal.put_int i); ("v", v) ] }
+  in
+  let spec path =
+    {
+      (journal_spec path) with
+      Exec.records_of = (fun i v -> [ record i v ]);
+      of_records =
+        (function
+        | [ r ] -> Journal.field_err r "v" | _ -> Error "one record per cell");
+    }
+  in
+  let run ?resume ?keep path =
+    match
+      Exec.run_journaled ?resume ?keep ~journal:(spec path) ~cells:5
+        (Printf.sprintf "value-%d")
+    with
+    | Ok (_, s) -> s
+    | Error e -> Alcotest.failf "journaled run refused: %s" e
+  in
+  ignore (run full);
+  Journal.create ~path:part ~format
+    (config
+    :: List.init 5 (fun i -> if i = 2 then record i "stale" else cell_record i)
+    );
+  let s =
+    run ~resume:true
+      ~keep:(function Exec.Done v -> v <> "stale" | Exec.Poisoned _ -> false)
+      part
+  in
+  Alcotest.(check (pair int int)) "four kept, one re-run" (4, 1)
+    (s.Exec.replayed, s.Exec.executed);
+  Alcotest.(check string) "journal canonical after the re-run"
+    (read_file full) (read_file part);
+  Sys.remove full;
+  Sys.remove part
 
 let test_shard_config_mismatch_refused () =
   let path = tmp_journal "shardcfg" in
@@ -364,6 +432,10 @@ let () =
             test_stop_then_resume_loses_nothing;
           Alcotest.test_case "shard config mismatch refused" `Quick
             test_shard_config_mismatch_refused;
+          Alcotest.test_case "poison outside the run refused" `Quick
+            test_poison_outside_run_refused;
+          Alcotest.test_case "keep drops and re-runs cells" `Quick
+            test_keep_rewrites_dropped_cells;
         ] );
       ("journal-properties", qcheck_tests);
     ]

@@ -476,13 +476,102 @@ let test_supervisor_resume_refuses_other_spec () =
    with
   | Ok _ -> Alcotest.fail "resume under c240 replayed a banks=64 journal"
   | Error msg ->
-      let needle = "different configuration (machine " in
+      let has needle =
+        let n = String.length needle in
+        let rec go i =
+          i + n <= String.length msg
+          && (String.sub msg i n = needle || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool) "the machine mismatch is named" true
+        (has "different configuration (machine ");
+      Alcotest.(check bool) "the journal's clause is named" true
+        (has "banks=64");
+      Alcotest.(check bool) "the requested clause is named" true
+        (has "banks=32");
+      Alcotest.(check bool) "unchanged clauses are left out" false
+        (has "t.ld="));
+  Sys.remove path
+
+let test_supervisor_shard_resume_loses_nothing () =
+  (* the wreckage of a parallel suite killed mid-run: the main journal
+     holds the first cells, a shard holds the next ones out of order,
+     and the last never ran.  Resume must merge the shard, replay every
+     landed cell, run only the missing one, and converge on the
+     uninterrupted bytes.  Under dead-bank every cell journals a retry
+     attempt before its row, so each block spans two records. *)
+  let full = tmp_journal "shardfull" and part = tmp_journal "shardpart" in
+  let faults = Result.get_ok (Convex_fault.Fault.parse "dead-bank") in
+  let run ?resume ?jobs path =
+    match Supervisor.run ~faults ~journal:path ?resume ?jobs () with
+    | Ok o -> o
+    | Error e -> Alcotest.failf "supervisor errored: %s" e
+  in
+  ignore (run full);
+  let format = Macs_report.Suite_journal.format in
+  let config, body =
+    match Journal.load ~path:full ~format with
+    | Ok (c :: rest) -> (c, rest)
+    | Ok [] -> Alcotest.fail "journal holds no config"
+    | Error e -> Alcotest.failf "journal load: %s" e
+  in
+  (* one block per kernel, each closed by its row record *)
+  let blocks =
+    let rec go pending acc = function
+      | [] -> List.rev acc
+      | r :: rest when r.Journal.tag = "row" ->
+          go [] (List.rev (r :: pending) :: acc) rest
+      | r :: rest -> go (r :: pending) acc rest
+    in
+    Array.of_list (go [] [] body)
+  in
+  Alcotest.(check int) "twelve cells" 12 (Array.length blocks);
+  Journal.create ~path:part ~format
+    (config :: List.concat (Array.to_list (Array.sub blocks 0 5)));
+  Journal.shard_start ~path:part ~shard:1 ~format ~config;
+  for i = 10 downto 5 do
+    List.iteri
+      (fun seq r -> Journal.shard_append ~path:part ~shard:1 ~index:i ~seq r)
+      blocks.(i)
+  done;
+  let o = run ~resume:true ~jobs:4 part in
+  Alcotest.(check int) "main + shard cells replayed" 11
+    o.Supervisor.stats.Supervisor.resumed;
+  Alcotest.(check int) "only the missing cell runs" 1
+    o.Supervisor.stats.Supervisor.executed;
+  Alcotest.(check string) "journal converges on the uninterrupted bytes"
+    (read_file full) (read_file part);
+  Alcotest.(check (list (pair int string))) "shards consumed" []
+    (Journal.shards ~path:part);
+  Sys.remove full;
+  Sys.remove part
+
+let test_supervisor_resume_refuses_stray_poison () =
+  (* a poison record for a cell the suite does not have is a journal
+     from some other run: refuse it rather than drop it *)
+  let path = tmp_journal "poison99" in
+  let budget = Budget.make ~max_cycles:500.0 () in
+  (match Supervisor.run ~budget ~journal:path () with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "supervisor errored: %s" e);
+  Journal.append ~path
+    (Convex_exec.Executor.poison_record
+       {
+         Convex_exec.Executor.index = 99;
+         attempts = 1;
+         error = "stray";
+         context = "LFK99";
+       });
+  (match Supervisor.run ~budget ~journal:path ~resume:true () with
+  | Ok _ -> Alcotest.fail "resume accepted a poison record for cell 99"
+  | Error e ->
+      let needle = "cell 99" in
       let n = String.length needle in
       let rec named i =
-        i + n <= String.length msg
-        && (String.sub msg i n = needle || named (i + 1))
+        i + n <= String.length e && (String.sub e i n = needle || named (i + 1))
       in
-      Alcotest.(check bool) "the machine mismatch is named" true (named 0));
+      Alcotest.(check bool) "the stray cell is named" true (named 0));
   Sys.remove path
 
 (* ---- bound oracle ---- *)
@@ -583,6 +672,10 @@ let () =
             test_supervisor_cache_keys_whole_machine;
           Alcotest.test_case "resume refuses another machine spec" `Quick
             test_supervisor_resume_refuses_other_spec;
+          Alcotest.test_case "shard resume loses nothing" `Quick
+            test_supervisor_shard_resume_loses_nothing;
+          Alcotest.test_case "resume refuses a stray poison record" `Quick
+            test_supervisor_resume_refuses_stray_poison;
         ] );
       ( "oracle",
         [
