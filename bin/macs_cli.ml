@@ -37,20 +37,6 @@ let machine_arg =
            dual-lsu, broken-hierarchy) or a machine-description spec with \
            what-if overrides, e.g. 'c240;banks=64;pipes.mul=2'.")
 
-(* Fuzz corpus entries and chaos journals record the machine by preset
-   name (the corpus replays it through Machine.of_name), so fuzz and chaos
-   take a preset name only. *)
-let machine_preset_arg =
-  Arg.(
-    value
-    & opt
-        (enum (List.map (fun n -> (n, n)) Convex_machine.Machine.preset_names))
-        "c240"
-    & info [ "machine" ] ~docv:"MACHINE"
-        ~doc:
-          (Printf.sprintf "Machine preset: %s."
-             (String.concat ", " Convex_machine.Machine.preset_names)))
-
 let opt_arg =
   Arg.(
     value
@@ -753,15 +739,13 @@ let fuzz_cmd =
            ^ " Repeatable; defaults to every stock preset.  Each kernel \
               case samples one plan, rotating."))
   in
-  let run seed count machine_name budget sim_budget corpus no_sim plans jobs
+  let run seed count machine budget sim_budget corpus no_sim plans jobs
       cache no_cache stats_json =
-    let machine = Result.get_ok (machine_of_name machine_name) in
     let cfg =
       {
         Convex_fuzz.Driver.seed;
         count;
         machine;
-        machine_name;
         max_wall_s = budget;
         budget = Convex_harness.Budget.make ~max_wall_s:sim_budget ();
         corpus;
@@ -795,7 +779,7 @@ let fuzz_cmd =
           shrunk to minimal cases and optionally persisted to a replay \
           corpus; exits non-zero on any violation")
     Term.(
-      const run $ seed $ count $ machine_preset_arg $ budget $ sim_budget
+      const run $ seed $ count $ machine_arg $ budget $ sim_budget
       $ corpus $ no_sim $ plans $ jobs_arg $ cache_arg $ no_cache_arg
       $ stats_json_arg)
 
@@ -846,9 +830,8 @@ let chaos_cmd =
              the cell is quarantined as a poison record and the campaign \
              degrades to fewer workers instead of aborting.")
   in
-  let run seed cells machine_name journal resume budget jobs kill_cells cache
+  let run seed cells machine journal resume budget jobs kill_cells cache
       no_cache stats_json =
-    let machine = Result.get_ok (machine_of_name machine_name) in
     if resume && journal = None then (
       prerr_endline "macs_cli chaos: --resume needs --journal";
       exit 2);
@@ -895,7 +878,7 @@ let chaos_cmd =
           are delta-debugged to a minimal fault plan; exits non-zero on any \
           violation")
     Term.(
-      const run $ seed $ cells $ machine_preset_arg $ journal $ resume $ budget
+      const run $ seed $ cells $ machine_arg $ journal $ resume $ budget
       $ jobs_arg $ kill_cells $ cache_arg $ no_cache_arg $ stats_json_arg)
 
 let cache_cmd =

@@ -165,13 +165,6 @@ let int_field r k =
   | Some i -> Ok i
   | None -> Error (Printf.sprintf "field %S: bad int %S" k s)
 
-(* The journal and the render name the machine that actually runs: its
-   preset name when it is one, else its full spec. *)
-let machine_label m =
-  match List.find_opt (fun (_, p) -> Machine.equal p m) Machine.presets with
-  | Some (name, _) -> name
-  | None -> Convex_dsl.Machine_dsl.to_spec m
-
 let config_record cfg =
   {
     Journal.tag = "config";
@@ -179,7 +172,7 @@ let config_record cfg =
       [
         ("seed", Journal.put_int cfg.seed);
         ("cells", Journal.put_int cfg.cells);
-        ("machine", machine_label cfg.machine);
+        ("machine", Convex_dsl.Machine_dsl.label cfg.machine);
         ("opt", Fcc.Opt_level.name cfg.opt);
         ("guard", Journal.put_int cfg.guard);
         ("budget", Budget.to_string cfg.budget);
@@ -444,7 +437,7 @@ let render t =
     (Printf.sprintf
        "Chaos campaign: seed %d, %d cells on %s (opt %s, guard %d)\n"
        t.config.seed t.config.cells
-       (machine_label t.config.machine)
+       (Convex_dsl.Machine_dsl.label t.config.machine)
        (Fcc.Opt_level.name t.config.opt)
        t.config.guard);
   let quarantine_note =

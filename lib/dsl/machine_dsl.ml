@@ -354,6 +354,11 @@ let parse spec =
     let* () = validate m in
     Ok m
 
+let label m =
+  match List.find_opt (fun (_, p) -> Machine.equal p m) Machine.presets with
+  | Some (name, _) -> name
+  | None -> to_spec m
+
 let of_name_or_spec s =
   match parse s with
   | Ok m -> Ok m

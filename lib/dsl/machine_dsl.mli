@@ -61,6 +61,12 @@ val validate : Machine.t -> (unit, Macs_util.Macs_error.t) result
     chosen so no wire-supplied description can make the simulator
     allocate or spin unboundedly. *)
 
+val label : Machine.t -> string
+(** The name a record (a chaos journal, a fuzz corpus entry) gives the
+    machine that actually ran: the preset name when a preset is
+    {!Machine.equal} to it, else its full {!to_spec}.  {!parse} reads
+    either spelling back to an equal machine. *)
+
 val of_name_or_spec : string -> (Machine.t, string) result
 (** {!parse} with the error flattened to a message — drop-in for
     [Machine.of_name] in CLI converters. *)

@@ -1,5 +1,4 @@
 module Journal = Macs_util.Journal
-module Machine = Convex_machine.Machine
 
 type kind = Kernel_case | Asm_case
 
@@ -110,7 +109,7 @@ let replay_kernel ~sim (e : entry) =
   match Lfk.Codec.of_string e.payload with
   | Error msg -> { entry = e; ok = false; detail = "payload: " ^ msg }
   | Ok k -> (
-      match Machine.of_name e.machine with
+      match Convex_dsl.Machine_dsl.of_name_or_spec e.machine with
       | Error msg -> { entry = e; ok = false; detail = msg }
       | Ok machine -> (
           let sim =

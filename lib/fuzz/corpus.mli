@@ -5,7 +5,7 @@
     ["macs-fuzz-corpus"]), so writes are crash-safe (a torn tail from a
     killed fuzzer is repaired, never corrupting earlier entries) and
     appends are atomic per entry.  Each entry records what was being
-    fuzzed ([kind]), on which machine preset, from which seed, the
+    fuzzed ([kind]), on which machine, from which seed, the
     payload (a {!Lfk.Codec} kernel or an assembly listing), and the
     expectation:
 
@@ -26,7 +26,9 @@ type expect = Clean | Violation of string  (** failing check id *)
 
 type entry = {
   kind : kind;
-  machine : string;  (** {!Convex_machine.Machine.of_name} spelling *)
+  machine : string;
+      (** {!Convex_dsl.Machine_dsl.label}: a preset name or a full
+          machine spec *)
   seed : int;  (** fuzzer seed that produced the case *)
   expect : expect;
   payload : string;  (** {!Lfk.Codec} text or assembly listing *)

@@ -11,7 +11,6 @@ type config = {
   seed : int;
   count : int;
   machine : Machine.t;
-  machine_name : string;
   fault_plans : Fault.t list;
   budget : Budget.t;
   max_wall_s : float option;
@@ -26,7 +25,6 @@ let default_config =
     seed = 42;
     count = 500;
     machine = Machine.c240;
-    machine_name = "c240";
     fault_plans = List.map (fun (_, _, p) -> p) Fault.presets;
     budget = Budget.make ~max_wall_s:10.0 ();
     max_wall_s = None;
@@ -153,7 +151,7 @@ let persist cfg v =
       Corpus.append ~path
         {
           Corpus.kind = v.kind;
-          machine = cfg.machine_name;
+          machine = Convex_dsl.Machine_dsl.label cfg.machine;
           seed = cfg.seed;
           expect = Corpus.Violation v.check;
           payload = v.payload;

@@ -24,7 +24,7 @@ type config = {
   seed : int;
   count : int;
   machine : Convex_machine.Machine.t;
-  machine_name : string;  (** {!Convex_machine.Machine.of_name} spelling *)
+      (** corpus entries record it by {!Convex_dsl.Machine_dsl.label} *)
   fault_plans : Convex_fault.Fault.t list;
   budget : Convex_harness.Budget.t;  (** per-simulation watchdog *)
   max_wall_s : float option;  (** whole-campaign wall-clock cap *)

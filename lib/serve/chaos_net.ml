@@ -57,9 +57,10 @@ let now = Unix.gettimeofday
    reply.  Does not close the socket. *)
 let exchange_on fd lines =
   let r = Conn_io.reader fd in
+  let w = Conn_io.writer fd in
   List.map
     (fun line ->
-      match Conn_io.write_line ~write_timeout_s:10.0 ~now fd line with
+      match Conn_io.write_line ~write_timeout_s:10.0 ~now w line with
       | Error _ -> Error "write failed"
       | Ok () -> (
           match

@@ -9,7 +9,14 @@
    idle — and writes replies with a writability deadline, so a client
    that stops reading (stalled-reader attack: the kernel send buffer
    fills) cannot wedge the server either.  Every failure is a typed
-   result; nothing here raises on peer behaviour. *)
+   result; nothing here raises on peer behaviour.
+
+   Both directions work in blocks.  A read scans the buffered bytes for
+   the newline and takes the frame as one span (a frame that arrived
+   whole is a single [Bytes.sub_string]; only one split across reads
+   accumulates in [line]).  A write assembles the reply and its newline
+   in the connection's scratch buffer and sends it with one [write]
+   call. *)
 
 type reader = {
   fd : Unix.file_descr;
@@ -76,38 +83,54 @@ let read_line ?idle_timeout_s ?frame_timeout_s ?(stop = fun () -> false) ~now
     | None -> far_future
     | Some s -> now () +. s
   in
-  let started = Buffer.length r.line > 0 || r.over > 0 in
+  let partial () = Buffer.length r.line + r.over in
+  let started = partial () > 0 in
   let frame_deadline = ref (if started then deadline_of frame_timeout_s else far_future) in
   let idle_deadline = ref (if started then far_future else deadline_of idle_timeout_s) in
+  (* append rbuf[rpos, upto) to the partial frame: up to [limit] bytes
+     retained, the rest only counted *)
+  let take upto =
+    let len = upto - r.rpos in
+    let keep = min len (max 0 (limit - Buffer.length r.line)) in
+    Buffer.add_subbytes r.line r.rbuf r.rpos keep;
+    r.over <- r.over + (len - keep);
+    r.rpos <- upto
+  in
   let finish_line () =
-    let n = Buffer.length r.line + r.over in
+    let n = partial () in
     let line = Buffer.contents r.line in
     Buffer.clear r.line;
     let over = r.over in
     r.over <- 0;
     if over > 0 then Oversized n else Line line
   in
-  let consume_byte c =
-    if c = '\n' then Some (finish_line ())
-    else begin
-      (if Buffer.length r.line >= limit then r.over <- r.over + 1
-       else Buffer.add_char r.line c);
-      (* first byte of a frame: switch from the idle cap to the frame cap *)
-      if Buffer.length r.line + r.over = 1 then begin
-        frame_deadline := deadline_of frame_timeout_s;
-        idle_deadline := far_future
-      end;
-      None
-    end
+  (* bounded by [rlen], not the buffer's length: bytes past it are stale *)
+  let rec newline i =
+    if i >= r.rlen then None
+    else if Bytes.unsafe_get r.rbuf i = '\n' then Some i
+    else newline (i + 1)
   in
   let rec drain_buffer () =
     if r.rpos >= r.rlen then refill ()
     else
-      let c = Bytes.get r.rbuf r.rpos in
-      r.rpos <- r.rpos + 1;
-      match consume_byte c with
-      | Some event -> event
-      | None -> drain_buffer ()
+      match newline r.rpos with
+      | Some nl when partial () = 0 && nl - r.rpos <= limit ->
+          let line = Bytes.sub_string r.rbuf r.rpos (nl - r.rpos) in
+          r.rpos <- nl + 1;
+          Line line
+      | Some nl ->
+          take nl;
+          r.rpos <- nl + 1;
+          finish_line ()
+      | None ->
+          (* first bytes of a frame: switch from the idle cap to the
+             frame cap *)
+          if partial () = 0 then begin
+            frame_deadline := deadline_of frame_timeout_s;
+            idle_deadline := far_future
+          end;
+          take r.rlen;
+          refill ()
   and refill () =
     if r.at_eof then at_eof ()
     else
@@ -115,9 +138,7 @@ let read_line ?idle_timeout_s ?frame_timeout_s ?(stop = fun () -> false) ~now
       match wait_readable ~now ~stop r.fd ~deadline with
       | `Stopped -> Stopped
       | `Timeout ->
-          if Buffer.length r.line > 0 || r.over > 0 then
-            Frame_timeout (Buffer.length r.line + r.over)
-          else Idle_timeout
+          if partial () > 0 then Frame_timeout (partial ()) else Idle_timeout
       | `Ready -> (
           match Unix.read r.fd r.rbuf 0 (Bytes.length r.rbuf) with
           | 0 ->
@@ -135,8 +156,8 @@ let read_line ?idle_timeout_s ?frame_timeout_s ?(stop = fun () -> false) ~now
           | exception Unix.Unix_error (e, _, _) ->
               Read_error (Unix.error_message e))
   and at_eof () =
-    if Buffer.length r.line > 0 || r.over > 0 then begin
-      let n = Buffer.length r.line + r.over in
+    if partial () > 0 then begin
+      let n = partial () in
       Buffer.clear r.line;
       r.over <- 0;
       Torn n
@@ -161,11 +182,27 @@ let rec wait_writable ~now fd ~deadline =
         wait_writable ~now fd ~deadline
     | _, _ :: _, _ -> `Ready
 
+(* A connection's output side: the descriptor plus one scratch buffer
+   that every reply is assembled in, line and newline together, so a
+   reply leaves in one [write] call (two writes per reply could stall
+   behind Nagle's algorithm and the peer's delayed ACK) without a fresh
+   copy per reply.  The buffer grows to the largest reply written and
+   is kept.  Not thread-safe: one writer per connection, used by one
+   thread at a time (the {!Sequencer} lock serializes replies). *)
+type writer = { wfd : Unix.file_descr; mutable scratch : Bytes.t }
+
+let writer fd = { wfd = fd; scratch = Bytes.create 4096 }
+
 (* Write [line] plus a newline, bounded by [write_timeout_s] per call
    (not per chunk: a reply must land whole within one deadline). *)
-let write_line ?write_timeout_s ~now fd line =
-  let payload = Bytes.of_string (line ^ "\n") in
-  let total = Bytes.length payload in
+let write_line ?write_timeout_s ~now w line =
+  let len = String.length line in
+  let total = len + 1 in
+  if Bytes.length w.scratch < total then
+    w.scratch <- Bytes.create (max total (2 * Bytes.length w.scratch));
+  let payload = w.scratch in
+  Bytes.blit_string line 0 payload 0 len;
+  Bytes.set payload len '\n';
   let deadline =
     match write_timeout_s with
     | None -> far_future
@@ -174,10 +211,10 @@ let write_line ?write_timeout_s ~now fd line =
   let rec go off =
     if off >= total then Ok ()
     else
-      match wait_writable ~now fd ~deadline with
+      match wait_writable ~now w.wfd ~deadline with
       | `Timeout -> Error Write_timeout
       | `Ready -> (
-          match Unix.write fd payload off (total - off) with
+          match Unix.write w.wfd payload off (total - off) with
           | n -> go (off + n)
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
           | exception

@@ -47,10 +47,18 @@ type write_error =
   | Write_timeout  (** stalled reader: the client stopped draining replies *)
   | Write_failed of string
 
+type writer
+
+val writer : Unix.file_descr -> writer
+(** The output side of one connection.  It owns a scratch buffer that
+    each reply is assembled in, so a reply and its newline leave in one
+    [write] call without a per-reply copy.  Use one writer per
+    connection, from one thread at a time. *)
+
 val write_line :
   ?write_timeout_s:float ->
   now:(unit -> float) ->
-  Unix.file_descr ->
+  writer ->
   string ->
   (unit, write_error) result
 (** Write [line] plus a trailing newline; the whole reply must land

@@ -134,9 +134,9 @@ let parse ?(max_depth = 64) s =
       Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3f)));
       Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f))))
   in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
+  (* The escape-aware rest of a string, appended to [buf] up to and past
+     its closing quote. *)
+  let escaped_string buf =
     let rec go () =
       match peek () with
       | None -> fail "unterminated string"
@@ -186,6 +186,32 @@ let parse ?(max_depth = 64) s =
           go ()
     in
     go ()
+  in
+  (* Most strings (keys, ids, specs) hold no escape: scan to the closing
+     quote and take the span with one [String.sub].  At the first [\] or
+     control byte, [escaped_string] takes over with the plain prefix
+     already in its buffer, so every strict rejection still fires
+     there. *)
+  let parse_string () =
+    expect '"';
+    let start = !pos in
+    let rec plain i =
+      if i >= n then i
+      else
+        match String.unsafe_get s i with
+        | '"' | '\\' -> i
+        | c when Char.code c < 0x20 -> i
+        | _ -> plain (i + 1)
+    in
+    let stop = plain start in
+    if stop < n && s.[stop] = '"' then (
+      pos := stop + 1;
+      String.sub s start (stop - start))
+    else (
+      pos := stop;
+      let buf = Buffer.create (stop - start + 16) in
+      Buffer.add_substring buf s start (stop - start);
+      escaped_string buf)
   in
   let parse_number () =
     let start = !pos in

@@ -49,14 +49,16 @@ type item = {
 
 type control = Ping | Stats | Shutdown
 
-type frame =
+type 'items envelope =
   | Control of { id : string option; control : control }
   | Batch of {
       id : string;
       deadline_ms : float option;
       budget_cycles : float option;
-      items : (item, perror) result list;
+      items : 'items;
     }
+
+type frame = (item, perror) result list envelope
 
 let ( let* ) = Result.bind
 
@@ -166,7 +168,7 @@ let decode_item j =
       )
   | _ -> bad "batch items must be objects"
 
-let decode_frame ~max_batch line =
+let decode_envelope ~max_batch line =
   match Json.parse line with
   | Error m -> Error (perror ~kind:"bad-frame" ("not JSON: " ^ m))
   | Ok (Json.Obj _ as j) -> (
@@ -221,13 +223,19 @@ let decode_frame ~max_batch line =
               (perror ~kind:"batch-too-large"
                  (Printf.sprintf "batch of %d items exceeds the %d-item limit"
                     (List.length raw_items) max_batch))
-          else
-            Ok
-              (Batch
-                 {
-                   id;
-                   deadline_ms;
-                   budget_cycles;
-                   items = List.map decode_item raw_items;
-                 })))
+          else Ok (Batch { id; deadline_ms; budget_cycles; items = raw_items })))
   | Ok _ -> Error (perror ~kind:"bad-frame" "frame must be a JSON object")
+
+let decode_frame ~max_batch line =
+  Result.map
+    (function
+      | Control c -> Control c
+      | Batch b ->
+          Batch
+            {
+              id = b.id;
+              deadline_ms = b.deadline_ms;
+              budget_cycles = b.budget_cycles;
+              items = List.map decode_item b.items;
+            })
+    (decode_envelope ~max_batch line)

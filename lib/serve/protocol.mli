@@ -75,16 +75,30 @@ val decode_item : Json.t -> (item, perror) result
 
 type control = Ping | Stats | Shutdown
 
-type frame =
+type 'items envelope =
   | Control of { id : string option; control : control }
   | Batch of {
       id : string;
       deadline_ms : float option;
       budget_cycles : float option;
-      items : (item, perror) result list;
+      items : 'items;
     }
+(** A decoded request line, its batch items still of type ['items]. *)
+
+type frame = (item, perror) result list envelope
+
+val decode_envelope :
+  max_batch:int -> string -> (Json.t list envelope, perror) result
+(** Decode one request line's envelope and leave its items raw.  Every
+    frame-level check happens here: JSON syntax, a JSON object, the
+    [id], [deadline_ms] and [budget_cycles] fields, [batch] being an
+    array (or an inline ["op"]), and the [max_batch] cap.  Item fields
+    are not looked at, so the server can derive the frame key and
+    answer a replayed frame without decoding any item; {!decode_item}
+    decodes them on a miss. *)
 
 val decode_frame : max_batch:int -> string -> (frame, perror) result
-(** Decode one request line.  Frame-level failures (bad JSON, missing
-    id, oversized batch) reject the frame; item-level failures are
-    embedded per item. *)
+(** {!decode_envelope}, then {!decode_item} on each item: one request
+    line fully decoded.  Frame-level failures (bad JSON, missing id,
+    oversized batch) reject the frame; item-level failures are embedded
+    per item. *)

@@ -27,6 +27,7 @@ type stats = {
   coalesced : int;
   items : int;
   replayed_items : int;
+  decoded_items : int;
   degraded : int;
 }
 
@@ -77,6 +78,7 @@ let create (config : config) =
               coalesced = 0;
               items = 0;
               replayed_items = 0;
+              decoded_items = 0;
               degraded = 0;
             };
           stop = false;
@@ -128,6 +130,7 @@ let stats_json t =
         ("coalesced", int s.coalesced);
         ("items", int s.items);
         ("replayed_items", int s.replayed_items);
+        ("decoded_items", int s.decoded_items);
         ("degraded", int s.degraded);
       ]
   in
@@ -229,8 +232,8 @@ let reply_of_results ~id item_lines =
          ]),
     List.length (List.filter estimate results) )
 
-let compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~items =
-  let items = Array.of_list items in
+let compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~raw_items =
+  let items = Array.of_list (List.map Protocol.decode_item raw_items) in
   let n = Array.length items in
   let watchdog = watchdog_of t ~deadline_ms ~budget_cycles in
   let already i =
@@ -301,11 +304,15 @@ let compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~items =
         frames = c.frames + 1;
         items = c.items + n;
         replayed_items = c.replayed_items + replayed;
+        decoded_items = c.decoded_items + n;
         degraded = c.degraded + degraded;
       });
   reply
 
-let serve_batch t ~raw ~id ~deadline_ms ~budget_cycles ~items =
+(* The key and both lookups need only the envelope: a frame's items are
+   decoded only once the session and the cache have both missed, so a
+   replayed frame costs a digest, a lookup and the reply write. *)
+let serve_batch t ~raw ~id ~deadline_ms ~budget_cycles ~raw_items =
   let key = Session.frame_key ~id ~payload:raw in
   let replay () =
     match
@@ -366,7 +373,8 @@ let serve_batch t ~raw ~id ~deadline_ms ~budget_cycles ~items =
               replayed reply
           | None -> (
               match
-                compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~items
+                compute_batch t ~key ~id ~deadline_ms ~budget_cycles
+                  ~raw_items
               with
               | reply ->
                   publish (Ok reply);
@@ -395,22 +403,29 @@ let control_reply t ~id control =
         (Json.Obj
            (id_field @ [ ("ok", Json.Bool true); ("shutdown", Json.Bool true) ]))
 
-let handle_line t line =
+let rejection t reply =
+  bump t (fun c -> { c with rejected = c.rejected + 1 });
+  (reply, true)
+
+let handle_frame t line =
   if String.length line > t.config.max_frame_bytes then
-    oversized_reply t (String.length line)
+    (oversized_reply t (String.length line), true)
   else
-    match Protocol.decode_frame ~max_batch:t.config.max_batch line with
-    | Error e ->
-        bump t (fun c -> { c with rejected = c.rejected + 1 });
-        Protocol.error_reply e
-    | Ok (Protocol.Control { id; control }) -> control_reply t ~id control
+    match Protocol.decode_envelope ~max_batch:t.config.max_batch line with
+    | Error e -> rejection t (Protocol.error_reply e)
+    | Ok (Protocol.Control { id; control }) -> (control_reply t ~id control, false)
     | Ok (Protocol.Batch { id; deadline_ms; budget_cycles; items }) -> (
-        match serve_batch t ~raw:line ~id ~deadline_ms ~budget_cycles ~items with
-        | reply -> reply
+        match
+          serve_batch t ~raw:line ~id ~deadline_ms ~budget_cycles
+            ~raw_items:items
+        with
+        | reply -> (reply, false)
         | exception (Macs_util.Sink.Crashed _ as exn) -> raise exn
         | exception ((Out_of_memory | Stack_overflow) as exn) -> raise exn
         | exception exn ->
-            bump t (fun c -> { c with rejected = c.rejected + 1 });
-            Protocol.error_reply ~id
-              (Protocol.perror ~site:"Server.handle_line" ~kind:"internal"
-                 (Printexc.to_string exn)))
+            rejection t
+              (Protocol.error_reply ~id
+                 (Protocol.perror ~site:"Server.handle_line" ~kind:"internal"
+                    (Printexc.to_string exn))))
+
+let handle_line t line = fst (handle_frame t line)

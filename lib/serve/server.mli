@@ -23,7 +23,10 @@
     - {b Idempotent retries.}  A frame's replies are keyed by
       {!Session.frame_key} (id + payload bytes) in the session journal
       and fronted by {!Convex_cache.Cache}; resending a frame replays
-      the original reply byte-for-byte.
+      the original reply byte-for-byte.  The key needs only the frame's
+      envelope ({!Protocol.decode_envelope}), so a hit decodes no batch
+      item: its cost is the envelope parse, a digest, a lookup and the
+      write.
     - {b Crash-safe resume.}  Batch items journal as they complete; a
       server killed mid-batch and restarted on the same session file
       recomputes only the missing items and never re-executes completed
@@ -58,6 +61,9 @@ type stats = {
                         in-flight twin (single-flight dedup) *)
   items : int;  (** batch items evaluated or replayed *)
   replayed_items : int;  (** items replayed from the session journal *)
+  decoded_items : int;
+      (** batch items decoded from the wire: only a frame that misses
+          both the session and the cache decodes its items *)
   degraded : int;  (** items answered at estimate tier *)
 }
 
@@ -82,11 +88,20 @@ val oversized_reply : t -> int -> string
     [rejected].  {!handle_line} answers an over-cap line with the same
     bytes. *)
 
+val handle_frame : t -> string -> string * bool
+(** Serve one request line to one reply line (no trailing newline),
+    and say whether that reply rejects the frame whole: [true] for the
+    [frame-too-large], [bad-frame], envelope ([bad-request],
+    [batch-too-large]) and [internal] error envelopes, [false] for a
+    batch answer (even one whose every item failed) and for control
+    replies.  The connection supervisor counts its strikes from this
+    flag instead of re-reading the reply.  Thread-safe: concurrent
+    callers carrying the same frame key coalesce onto a single
+    computation ({e single flight}) — one journal append, one cache
+    store, byte-identical replies. *)
+
 val handle_line : t -> string -> string
-(** Serve one request line to one reply line (no trailing newline).
-    Thread-safe: concurrent callers carrying the same frame key
-    coalesce onto a single computation ({e single flight}) — one
-    journal append, one cache store, byte-identical replies. *)
+(** [fst (handle_frame t line)]. *)
 
 val shutdown_requested : t -> bool
 (** Whether a [shutdown] control frame has been served (or {!drain}

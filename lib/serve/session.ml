@@ -12,7 +12,7 @@ type t = {
 }
 
 let frame_key ~id ~payload =
-  Digest.to_hex (Digest.string (id ^ "\x00" ^ payload))
+  Digest.to_hex (Digest.string (String.concat "\x00" [ id; payload ]))
 
 let config_record = { J.tag = "config"; fields = [ ("protocol", "1") ] }
 

@@ -241,13 +241,6 @@ let draining_error =
   Protocol.perror ~kind:"draining"
     "the server is draining; no new frames are accepted on this connection"
 
-(* A whole-frame rejection (for the strikes counter): the reply is a
-   top-level error envelope, not a batch answer with item errors. *)
-let is_whole_frame_rejection reply =
-  match Json.parse reply with
-  | Ok j -> Option.bind (Json.mem j "ok") Json.bool = Some false
-  | Error _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* One connection                                                      *)
 
@@ -291,10 +284,11 @@ let handle_connection t ?output fd =
   let net = t.net in
   let reader = Conn_io.reader fd in
   let limiter = Limiter.make ~config:net.limits ~now:t.now () in
+  let writer = Conn_io.writer output in
   let write line =
     Conn_io.write_line
       ?write_timeout_s:(ms_to_s net.write_timeout_ms)
-      ~now:t.now output line
+      ~now:t.now writer line
   in
   let seqr = Sequencer.create ~write in
   let seq = ref 0 in
@@ -305,9 +299,11 @@ let handle_connection t ?output fd =
   let pm = Mutex.create () in
   let slot = Condition.create () in
   let inflight = ref 0 in
-  let submit_reply s reply =
+  (* [rejected] says the reply is a whole-frame rejection (a top-level
+     error envelope, not a batch answer with item errors): it strikes *)
+  let submit_reply s (reply, rejected) =
     Sequencer.submit seqr ~seq:s reply;
-    if is_whole_frame_rejection reply then incr strikes else strikes := 0
+    if rejected then incr strikes else strikes := 0
   in
   let next_seq () =
     let s = !seq in
@@ -316,7 +312,7 @@ let handle_connection t ?output fd =
   in
   let run_frame line =
     let s = next_seq () in
-    if net.pipeline <= 1 then submit_reply s (Server.handle_line t.server line)
+    if net.pipeline <= 1 then submit_reply s (Server.handle_frame t.server line)
     else begin
       Mutex.lock pm;
       while !inflight >= net.pipeline && Atomic.get t.crash = None do
@@ -334,14 +330,15 @@ let handle_connection t ?output fd =
         ignore
           (Thread.create
              (fun () ->
-               (match Server.handle_line t.server line with
-               | reply -> submit_reply s reply
+               (match Server.handle_frame t.server line with
+               | answer -> submit_reply s answer
                | exception (Sink.Crashed _ as exn) -> stash_crash t exn
                | exception exn ->
                    submit_reply s
-                     (Protocol.error_reply
-                        (Protocol.perror ~kind:"internal"
-                           (Printexc.to_string exn))));
+                     ( Protocol.error_reply
+                         (Protocol.perror ~kind:"internal"
+                            (Printexc.to_string exn)),
+                       true ));
                Mutex.lock pm;
                decr inflight;
                Condition.broadcast slot;
@@ -357,7 +354,7 @@ let handle_connection t ?output fd =
     Mutex.unlock pm
   in
   (* a rejected frame still owns its arrival slot in the reply order *)
-  let reject s err = submit_reply s (Protocol.error_reply err) in
+  let reject s err = submit_reply s (Protocol.error_reply err, true) in
   let rec loop () =
     check_crash t;
     if Atomic.get t.drain_requested then Drained
@@ -387,7 +384,7 @@ let handle_connection t ?output fd =
       | Conn_io.Oversized bytes ->
           incr frames;
           bump t (fun c -> c.frames_read <- c.frames_read + 1);
-          submit_reply (next_seq ()) (Server.oversized_reply t.server bytes);
+          submit_reply (next_seq ()) (Server.oversized_reply t.server bytes, true);
           after_frame ()
       | Conn_io.Line line -> (
           incr frames;
@@ -491,7 +488,7 @@ let reject_overloaded t fd =
   (* best-effort: a refused client deserves a typed envelope, but a
      hostile one that never reads must not wedge the accept loop *)
   ignore
-    (Conn_io.write_line ~write_timeout_s:0.25 ~now:t.now fd
+    (Conn_io.write_line ~write_timeout_s:0.25 ~now:t.now (Conn_io.writer fd)
        (Protocol.error_reply (overloaded_conn_error t.net.max_conns)));
   try Unix.close fd with Unix.Unix_error _ -> ()
 

@@ -14,7 +14,10 @@
     - {b Rate limits}: per-connection frame-rate and byte-rate token
       buckets ({!Limiter}); an over-rate frame is answered [throttled]
       and not processed.  [max_strikes] consecutive whole-frame
-      rejections close the connection (garbage-flood defense).
+      rejections close the connection (garbage-flood defense); the
+      count reads {!Server.handle_frame}'s rejection flag, and any
+      answered frame — control frames and all-items-failing batches
+      included — resets it.
     - {b Reply pipelining}: with [pipeline > 1], up to that many frames
       of one connection compute concurrently; replies are re-sequenced
       into arrival order by {!Sequencer}, so the wire contract (one

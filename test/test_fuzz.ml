@@ -211,6 +211,62 @@ let test_campaign_clean_and_deterministic () =
   Alcotest.(check int) "same outcomes" a.Convex_fuzz.Driver.checks_passed
     b.Convex_fuzz.Driver.checks_passed
 
+(* Corpus entries name the machine the campaign ran, by preset name or,
+   for a machine that is no preset, by full spec, and replay runs the
+   recorded violations on that same machine. *)
+let test_corpus_names_machine_that_ran () =
+  let run machine =
+    let path = Filename.temp_file "fuzz_machine" ".corpus" in
+    Sys.remove path;
+    let summary =
+      Convex_fuzz.Driver.run
+        {
+          Convex_fuzz.Driver.default_config with
+          count = 12;
+          machine;
+          fault_plans = [];
+          corpus = Some path;
+        }
+    in
+    let entries =
+      match Corpus.load ~path with
+      | Ok es -> es
+      | Error msg -> Alcotest.fail ("load: " ^ msg)
+    in
+    let replays =
+      match Corpus.replay ~path () with
+      | Ok rs -> rs
+      | Error msg -> Alcotest.fail ("replay: " ^ msg)
+    in
+    Sys.remove path;
+    Alcotest.(check bool) "violations found" false
+      (Convex_fuzz.Driver.clean summary);
+    Alcotest.(check bool) "corpus has entries" true (entries <> []);
+    List.iter
+      (fun (e : Corpus.entry) ->
+        Alcotest.(check string) "recorded machine"
+          (Convex_dsl.Machine_dsl.label machine) e.Corpus.machine)
+      entries;
+    List.iter
+      (fun (r : Corpus.replay) ->
+        if not r.Corpus.ok then
+          Alcotest.failf "entry on %s did not replay: %s"
+            r.Corpus.entry.Corpus.machine r.Corpus.detail)
+      replays
+  in
+  run broken;
+  Alcotest.(check string) "a preset is named" "broken-hierarchy"
+    (Convex_dsl.Machine_dsl.label broken);
+  let variant =
+    match Convex_dsl.Machine_dsl.of_name_or_spec "broken-hierarchy;banks=64" with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check string) "a machine that is no preset is spelled out"
+    (Convex_dsl.Machine_dsl.to_spec variant)
+    (Convex_dsl.Machine_dsl.label variant);
+  run variant
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -235,6 +291,8 @@ let () =
           Alcotest.test_case "append/load round trip" `Quick
             test_corpus_append_load;
           Alcotest.test_case "committed corpus replays" `Quick corpus_replay;
+          Alcotest.test_case "entries name the machine that ran" `Quick
+            test_corpus_names_machine_that_ran;
         ] );
       ( "campaign",
         [

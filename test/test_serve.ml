@@ -71,6 +71,7 @@ let test_json_unicode () =
   | Ok _ -> Alcotest.fail "raw control byte must be rejected"
 
 let test_json_hostile () =
+  let long = String.make 300 'a' in
   List.iter
     (fun s ->
       match Json.parse s with
@@ -88,6 +89,17 @@ let test_json_hostile () =
       "\"unterminated";
       "{\"a\":1} trailing";
       String.concat "" (List.init 100 (fun _ -> "[")) ^ "1";
+      (* strings lex as a plain span up to the first escape or control
+         byte: each rejection must fire on both sides of that switch *)
+      "[-012]";
+      {|"\ud834"|};
+      {|"\ud834\u0041"|};
+      {|"\ud834x"|};
+      "\"" ^ long ^ "\x1f\"";
+      "\"" ^ long ^ "\\n\n\"";
+      "\"" ^ long ^ "\\q\"";
+      "\"" ^ long;
+      "\"" ^ long ^ "\\t";
     ]
 
 let test_json_depth_cap () =
@@ -136,6 +148,59 @@ let test_json_float_rendering () =
             (Int64.bits_of_float f')
       | _ -> Alcotest.failf "float %h did not round-trip" f)
     [ 0.1; 1.0 /. 3.0; 1e-300; 4.2177822177822177; 123456789.125 ]
+
+(* Random documents whose strings mix plain spans, escapes, control
+   bytes and non-ASCII bytes, including an escape after a long plain
+   prefix (the fast path's hand-off point). *)
+let json_gen =
+  let open QCheck.Gen in
+  let str =
+    let piece =
+      oneof
+        [
+          string_size ~gen:(char_range 'a' 'z') (int_range 0 8);
+          oneofl [ "\""; "\\"; "/"; "\n"; "\r"; "\t"; "\b"; "\012" ];
+          map (fun c -> String.make 1 (Char.chr c)) (int_range 0 0x1f);
+          oneofl [ "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9d\x84\x9e"; "\xff" ];
+          map (fun n -> String.make n 'p' ^ "\"") (int_range 64 300);
+        ]
+    in
+    map (String.concat "") (list_size (int_range 0 6) piece)
+  in
+  let num =
+    oneof
+      [
+        map float_of_int (int_range (-1_000_000) 1_000_000);
+        map (fun f -> if Float.is_finite f then f else 0.5) float;
+      ]
+  in
+  sized_size (int_range 0 4)
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun f -> Json.Num f) num;
+               map (fun s -> Json.Str s) str;
+             ]
+         in
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (int_range 0 4) (self (n - 1))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_range 0 4) (pair str (self (n - 1)))) );
+             ])
+
+let json_roundtrip_prop =
+  QCheck.Test.make ~count:500 ~name:"parse (to_string v) = Ok v"
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
 
 (* ---- Protocol ---- *)
 
@@ -197,6 +262,39 @@ let test_decode_item_errors () =
         [ "bad-request"; "parse-failure"; "bad-request"; "ok" ]
         kinds
   | _ -> Alcotest.fail "envelope must decode"
+
+let test_decode_envelope_leaves_items_raw () =
+  (* the envelope decode looks at no item field: an item that fails to
+     decode is still a raw JSON value there, and decode_frame is the
+     envelope decode followed by the item decode *)
+  let line =
+    {|{"id":"x","deadline_ms":5,"batch":[{"op":"wat"},{"op":"simulate","kernel":7}]}|}
+  in
+  (match Protocol.decode_envelope ~max_batch:64 line with
+  | Ok (Protocol.Batch { id; deadline_ms; items; _ }) ->
+      Alcotest.(check string) "id" "x" id;
+      Alcotest.(check (option (float 0.0))) "deadline" (Some 5.0) deadline_ms;
+      Alcotest.(check int) "two raw items" 2 (List.length items);
+      let kinds =
+        List.map
+          (function Ok _ -> "ok" | Error (e : Protocol.perror) -> e.kind)
+          (List.map Protocol.decode_item items)
+      in
+      Alcotest.(check (list string)) "item decode" [ "bad-request"; "ok" ]
+        kinds
+  | _ -> Alcotest.fail "envelope must decode");
+  (match Protocol.decode_envelope ~max_batch:1 line with
+  | Error e ->
+      Alcotest.(check string) "max_batch is an envelope check"
+        "batch-too-large" e.Protocol.kind
+  | Ok _ -> Alcotest.fail "batch over max_batch must be rejected");
+  match
+    (Protocol.decode_envelope ~max_batch:64 {|{"id":"x","batch":{}}|})
+  with
+  | Error e ->
+      Alcotest.(check string) "batch must be an array" "bad-request"
+        e.Protocol.kind
+  | Ok _ -> Alcotest.fail "a non-array batch must be rejected"
 
 let test_frame_key () =
   let k = Session.frame_key ~id:"a" ~payload:"p" in
@@ -531,6 +629,53 @@ let test_replayed_items_count_own_indexes () =
   close_in ic;
   Alcotest.(check int) "only n - k items journaled anew" n !items
 
+(* A session hit is looked up before the items are decoded; it must
+   still never mask a frame-level error, never answer a different
+   payload, and replay a journaled item error byte for byte. *)
+let test_session_hit_keeps_frame_checks () =
+  let dir = tmp_dir "hitcheck" in
+  let path = Filename.concat dir "s.journal" in
+  let config = { Server.default_config with Server.session = Some path } in
+  let three =
+    {|{"id":"m","batch":[{"op":"wat"},{"op":"simulate","kernel":99},{"op":"wat","kernel":1}]}|}
+  in
+  let bad_item = {|{"id":"b","batch":[{"op":"nope","kernel":7}]}|} in
+  let s1 = create_ok config in
+  let r_three = Server.handle_line s1 three in
+  let r_bad = Server.handle_line s1 bad_item in
+  Alcotest.(check int) "first serve decodes every item" 4
+    (Server.stats s1).Server.decoded_items;
+  (* (a) the journaled id with a different payload is computed fresh *)
+  let other = {|{"id":"m","batch":[{"op":"wat","kernel":2}]}|} in
+  let r_other = Server.handle_line s1 other in
+  Alcotest.(check bool) "a different payload is not the journaled reply"
+    true (r_other <> r_three);
+  Alcotest.(check int) "computed, not replayed" 0
+    (Server.stats s1).Server.replayed_frames;
+  Alcotest.(check int) "its item was decoded" 5
+    (Server.stats s1).Server.decoded_items;
+  (* (b) restarted with a smaller max_batch, the journaled 3-item frame
+     is a batch-too-large rejection, not a replay *)
+  let s2 = create_ok { config with Server.max_batch = 2 } in
+  let reply, rejected = Server.handle_frame s2 three in
+  Alcotest.(check bool) "whole-frame rejection" true rejected;
+  Alcotest.(check (option string)) "batch-too-large" (Some "batch-too-large")
+    (get_str [ "error"; "kind" ] (parse_ok reply));
+  Alcotest.(check int) "no replay" 0 (Server.stats s2).Server.replayed_frames;
+  (* (c) a journaled frame holding a bad item replays byte-identically,
+     item error included; (d) a replay decodes no item *)
+  let s3 = create_ok config in
+  Alcotest.(check string) "bad item replayed byte for byte" r_bad
+    (Server.handle_line s3 bad_item);
+  Alcotest.(check (option string)) "item error kept" (Some "bad-request")
+    (get_str [ "error"; "kind" ] (first_result (parse_ok r_bad)));
+  Alcotest.(check string) "3-item frame replayed byte for byte" r_three
+    (Server.handle_line s3 three);
+  let st = Server.stats s3 in
+  Alcotest.(check int) "both replayed" 2 st.Server.replayed_frames;
+  Alcotest.(check int) "no item decoded on a replay" 0 st.Server.decoded_items;
+  Alcotest.(check int) "no item evaluated on a replay" 0 st.Server.items
+
 (* ---- Supervisor layer: limiter, sequencer, conn_io, connections ---- *)
 
 module Limiter = Convex_serve.Limiter
@@ -677,6 +822,117 @@ let test_conn_io_events () =
   Unix.close a;
   Unix.close b
 
+let event_name = function
+  | Conn_io.Line l -> Printf.sprintf "Line %S" l
+  | Conn_io.Oversized n -> Printf.sprintf "Oversized %d" n
+  | Conn_io.Eof -> "Eof"
+  | Conn_io.Torn n -> Printf.sprintf "Torn %d" n
+  | Conn_io.Idle_timeout -> "Idle_timeout"
+  | Conn_io.Frame_timeout n -> Printf.sprintf "Frame_timeout %d" n
+  | Conn_io.Stopped -> "Stopped"
+  | Conn_io.Read_error e -> "Read_error " ^ e
+
+let check_event what expected ev =
+  Alcotest.(check string) what (event_name expected) (event_name ev)
+
+let send fd s = ignore (Unix.write_substring fd s 0 (String.length s) : int)
+
+(* [stop] that holds from its [n]th call on: the reader polls it before
+   each wait, so [stop_after 2] lets exactly one read through and ends
+   the next wait with [Stopped], partial frame kept. *)
+let stop_after n =
+  let calls = ref 0 in
+  fun () ->
+    incr calls;
+    !calls >= n
+
+let test_conn_io_block_reads () =
+  let now = Unix.gettimeofday in
+  (* several frames in one read, an empty line among them *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  send a "one\n\ntwo\nthree\n";
+  Unix.close a;
+  let r = Conn_io.reader b in
+  List.iter
+    (fun expected ->
+      check_event "frames from one read" expected
+        (Conn_io.read_line ~now ~limit:64 r))
+    Conn_io.[ Line "one"; Line ""; Line "two"; Line "three"; Eof ];
+  Unix.close b;
+  (* a frame split at every byte boundary across two reads *)
+  let frame = {|{"id":"x","op":"ping"}|} ^ "\n" in
+  for k = 1 to String.length frame - 1 do
+    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let r = Conn_io.reader b in
+    send a (String.sub frame 0 k);
+    check_event
+      (Printf.sprintf "split at %d: first read ends" k)
+      Conn_io.Stopped
+      (Conn_io.read_line ~stop:(stop_after 2) ~now ~limit:64 r);
+    send a (String.sub frame k (String.length frame - k) ^ "next\n");
+    check_event
+      (Printf.sprintf "split at %d: frame whole" k)
+      (Conn_io.Line (String.sub frame 0 (String.length frame - 1)))
+      (Conn_io.read_line ~now ~limit:64 r);
+    check_event
+      (Printf.sprintf "split at %d: next frame" k)
+      (Conn_io.Line "next")
+      (Conn_io.read_line ~now ~limit:64 r);
+    Unix.close a;
+    Unix.close b
+  done;
+  (* the cap: exactly [limit] bytes is a line, one more is oversized —
+     whole in one read, and split across reads at the cap *)
+  let limit = 16 in
+  let at = String.make limit 'a' and over = String.make (limit + 1) 'b' in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  send a (at ^ "\n" ^ over ^ "\nok\n");
+  let r = Conn_io.reader b in
+  check_event "limit bytes" (Conn_io.Line at) (Conn_io.read_line ~now ~limit r);
+  check_event "limit + 1 bytes" (Conn_io.Oversized (limit + 1))
+    (Conn_io.read_line ~now ~limit r);
+  check_event "after the oversized line" (Conn_io.Line "ok")
+    (Conn_io.read_line ~now ~limit r);
+  List.iter
+    (fun (line, expected) ->
+      let r = Conn_io.reader b in
+      send a (String.sub line 0 limit);
+      check_event "first part" Conn_io.Stopped
+        (Conn_io.read_line ~stop:(stop_after 2) ~now ~limit r);
+      send a (String.sub line limit (String.length line - limit) ^ "\n");
+      check_event "split at the cap" expected (Conn_io.read_line ~now ~limit r))
+    [ (at, Conn_io.Line at); (over, Conn_io.Oversized (limit + 1)) ];
+  (* a line longer than the read buffer, retained whole *)
+  let long = String.init 20_000 (fun i -> Char.chr (97 + (i mod 26))) in
+  send a (long ^ "\n");
+  check_event "longer than one read" (Conn_io.Line long)
+    (Conn_io.read_line ~now ~limit:(1 lsl 20) (Conn_io.reader b));
+  Unix.close a;
+  Unix.close b;
+  (* a torn tail after a whole frame in the same read *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  send a "whole\nhalf";
+  Unix.close a;
+  let r = Conn_io.reader b in
+  check_event "whole frame" (Conn_io.Line "whole")
+    (Conn_io.read_line ~now ~limit:64 r);
+  check_event "torn tail" (Conn_io.Torn 4) (Conn_io.read_line ~now ~limit:64 r);
+  Unix.close b;
+  (* the frame deadline still trips on a tail that started in the same
+     read as a whole frame *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  send a "whole\nst";
+  let r = Conn_io.reader b in
+  check_event "whole frame first" (Conn_io.Line "whole")
+    (Conn_io.read_line ~idle_timeout_s:5.0 ~frame_timeout_s:0.05 ~now ~limit:64 r);
+  let t0 = now () in
+  check_event "started tail misses its deadline" (Conn_io.Frame_timeout 2)
+    (Conn_io.read_line ~idle_timeout_s:5.0 ~frame_timeout_s:0.05 ~now ~limit:64 r);
+  Alcotest.(check bool) "on the frame cap, not the idle cap" true
+    (now () -. t0 < 2.0);
+  Unix.close a;
+  Unix.close b
+
 (* The crash-sweep serve-net drive in miniature: stage frames in the
    socket buffer, serve the connection on this thread, read replies. *)
 let drive_connection ?net server frames =
@@ -741,7 +997,93 @@ let test_supervised_strikes_close () =
   | o -> Alcotest.failf "expected Struck_out 3, got %s" (Supervisor.outcome_name o));
   (* 3 typed rejections + the strike notice; frames 4..10 never read *)
   Alcotest.(check int) "replies stop at the strike close" 4
-    (List.length replies)
+    (List.length replies);
+  (* a batch whose every item fails is answered, not rejected, and
+     resets the count; so does a control frame *)
+  let all_fail = {|{"id":"f","batch":[{"op":"wat"},{"op":"simulate","kernel":99}]}|} in
+  let report, replies =
+    drive_connection ~net s
+      ([ "g"; "g"; all_fail; "g"; "g"; {|{"op":"ping"}|}; "g"; "g"; "g" ]
+      @ List.init 5 (fun _ -> "g"))
+  in
+  (match report.Supervisor.outcome with
+  | Supervisor.Struck_out 3 -> ()
+  | o -> Alcotest.failf "expected Struck_out 3, got %s" (Supervisor.outcome_name o));
+  Alcotest.(check int) "struck out only after the third rejection in a row"
+    10 (List.length replies)
+
+(* The strike predicate the supervisor used to compute by re-parsing
+   every reply, kept as the oracle for [handle_frame]'s flag. *)
+let top_level_not_ok reply =
+  match Json.parse reply with
+  | Ok j -> Json.mem j "ok" = Some (Json.Bool false)
+  | Error _ -> false
+
+let strike_frame_gen =
+  let open QCheck.Gen in
+  let item =
+    oneofl
+      [
+        {|{"op":"validate"}|};
+        {|{"op":"simulate","kernel":7,"budget_cycles":1}|};
+        {|{"op":"simulate","kernel":99}|};
+        {|{"op":"wat"}|};
+        {|{"op":"simulate","kernel":3,"machine":"c240;banks=0"}|};
+        {|{"op":"hierarchy"}|};
+        {|7|};
+      ]
+  in
+  let batch =
+    map2
+      (fun id items ->
+        Printf.sprintf {|{"id":"%s","budget_cycles":200,"batch":[%s]}|} id
+          (String.concat "," items))
+      (oneofl [ "a"; "b"; "c" ])
+      (list_size (int_range 0 5) item)
+  in
+  oneof
+    [
+      batch;
+      oneofl
+        [
+          {|{"op":"ping"}|};
+          {|{"id":"s","op":"stats"}|};
+          {|{"id":"p","op":"ping","batch":[]}|};
+          {|{"op":"simulate","kernel":7}|};
+          {|{"id":7,"op":"validate"}|};
+          {|{"id":"","op":"validate"}|};
+          {|{"id":"d","deadline_ms":-1,"op":"validate"}|};
+          {|{"id":"d","budget_cycles":"x","op":"validate"}|};
+          {|{"id":"d","batch":{}}|};
+          {|{"id":"d"}|};
+          {|[1,2]|};
+          {|"str"|};
+          "";
+          "}{";
+          "garbage";
+        ];
+      map (fun n -> {|{"id":"big","pad":"|} ^ String.make n 'x' ^ {|"}|})
+        (int_range 300 600);
+      map (String.make 1) (char_range '\000' '\255');
+      string_size ~gen:printable (int_range 0 40);
+    ]
+
+let strike_flag_prop =
+  let server =
+    lazy
+      (create_ok
+         {
+           Server.default_config with
+           Server.max_batch = 4;
+           max_frame_bytes = 400;
+           default_budget_cycles = Some 200.0;
+         })
+  in
+  QCheck.Test.make ~count:300 ~name:"handle_frame flag = top-level ok:false"
+    (QCheck.make ~print:(fun s -> s) strike_frame_gen)
+    (fun line ->
+      let reply, rejected = Server.handle_frame (Lazy.force server) line in
+      rejected = top_level_not_ok reply)
 
 let test_supervised_pipeline_order () =
   let s = create_ok Server.default_config in
@@ -882,6 +1224,7 @@ let () =
           Alcotest.test_case "accessors" `Quick test_json_accessors;
           Alcotest.test_case "float rendering" `Quick
             test_json_float_rendering;
+          QCheck_alcotest.to_alcotest json_roundtrip_prop;
         ] );
       ( "protocol",
         [
@@ -890,6 +1233,8 @@ let () =
           Alcotest.test_case "envelope errors" `Quick
             test_decode_envelope_errors;
           Alcotest.test_case "item errors" `Quick test_decode_item_errors;
+          Alcotest.test_case "envelope leaves items raw" `Quick
+            test_decode_envelope_leaves_items_raw;
           Alcotest.test_case "frame key" `Quick test_frame_key;
         ] );
       ( "server",
@@ -911,6 +1256,8 @@ let () =
             test_serve_loop_oversize;
           Alcotest.test_case "replayed items count own indexes" `Quick
             test_replayed_items_count_own_indexes;
+          Alcotest.test_case "session hit keeps frame checks" `Quick
+            test_session_hit_keeps_frame_checks;
         ] );
       ( "supervisor",
         [
@@ -923,10 +1270,13 @@ let () =
           Alcotest.test_case "sequencer latches failure" `Quick
             test_sequencer_latches_first_failure;
           Alcotest.test_case "conn_io events" `Quick test_conn_io_events;
+          Alcotest.test_case "conn_io block reads" `Quick
+            test_conn_io_block_reads;
           Alcotest.test_case "supervised connection" `Quick
             test_supervised_connection_basic;
           Alcotest.test_case "strikes close" `Quick
             test_supervised_strikes_close;
+          QCheck_alcotest.to_alcotest strike_flag_prop;
           Alcotest.test_case "pipeline keeps order" `Quick
             test_supervised_pipeline_order;
           Alcotest.test_case "concurrent dup single-flight" `Quick
