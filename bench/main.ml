@@ -2,11 +2,12 @@
    evaluation (printing ours-vs-paper values), then times each generator
    with Bechamel.
 
-   One Bechamel test per paper artifact:
-     table1, figure2, table2, table3, table4, table5, figure3,
-     lfk1_example, diagnosis, ablations
-   plus per-stage micro-benchmarks (compile / bound / simulate) that show
-   where the library spends its time.
+   The regeneration pass prints the same Markdown document as
+   `macs_cli report`, and the timing pass has one Bechamel test per entry
+   of the artifact catalogue (Macs_report.Report_doc), named by its id,
+   plus the full dataset computation and per-stage micro-benchmarks
+   (compile / bound / simulate) that show where the library spends its
+   time.
 
    A separate executor pass times the three campaign front ends (suite,
    fuzz, chaos) end to end at --jobs 1 vs --jobs N through
@@ -23,103 +24,22 @@ open Toolkit
 (* Artifact regeneration                                               *)
 (* ------------------------------------------------------------------ *)
 
-let regenerate () =
-  let ds = Macs_report.Dataset.compute () in
-  let sections =
-    [
-      Macs_report.Tables.table1 ();
-      Macs_report.Figures.figure2 ();
-      Macs_report.Tables.table2 ds;
-      Macs_report.Tables.table3 ds;
-      Macs_report.Tables.table4 ds;
-      Macs_report.Tables.table5 ds;
-      Macs_report.Figures.figure3 ds;
-      Macs_report.Tables.lfk1_example ();
-      "Gap diagnosis (paper section 4.4)\n"
-      ^ Macs_report.Tables.diagnosis ds;
-      Macs_report.Tables.ablation_compiler ();
-      Macs_report.Tables.ablation_machine ();
-      Macs_report.Tables.scalar_mode ();
-      Macs_report.Tables.parallel_mode ();
-      Macs_report.Tables.stride_sweep ();
-      Macs_report.Tables.utilization ds;
-      Macs_report.Tables.roofline ();
-      Macs_report.Tables.gallery ();
-      Macs_report.Figures.pipeline_trace ();
-      Macs_report.Tables.hockney ();
-      Macs_report.Tables.design_space ();
-      Macs.Application.render
-        (Macs.Application.analyze
-           [
-             (Lfk.Kernels.find 7, 40.0);
-             (Lfk.Kernels.find 1, 30.0);
-             (Lfk.Kernels.find 10, 20.0);
-             (Lfk.Kernels.find 2, 10.0);
-           ]);
-      Macs_report.Suite.render (Macs_report.Suite.run ());
-      "Goal-directed optimization advice (paper conclusion)\n\n"
-      ^ Macs_report.Tables.advice ();
-    ]
-  in
-  List.iter
-    (fun s ->
-      print_endline s;
-      print_newline ();
-      print_endline (String.make 78 '=');
-      print_newline ())
-    sections
+let regenerate () = print_string (Macs_report.Report_doc.to_markdown ())
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel benchmarks                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let artifact_tests () =
-  (* a dataset computed once, shared by the renderers that take one *)
-  let ds = Macs_report.Dataset.compute () in
-  [
-    Test.make ~name:"table1" (Staged.stage Macs_report.Tables.table1);
-    Test.make ~name:"figure2" (Staged.stage Macs_report.Figures.figure2);
-    Test.make ~name:"table2"
-      (Staged.stage (fun () -> Macs_report.Tables.table2 ds));
-    Test.make ~name:"table3"
-      (Staged.stage (fun () -> Macs_report.Tables.table3 ds));
-    Test.make ~name:"table4"
-      (Staged.stage (fun () -> Macs_report.Tables.table4 ds));
-    Test.make ~name:"table5"
-      (Staged.stage (fun () -> Macs_report.Tables.table5 ds));
-    Test.make ~name:"figure3"
-      (Staged.stage (fun () -> Macs_report.Figures.figure3 ds));
-    Test.make ~name:"lfk1_example"
-      (Staged.stage Macs_report.Tables.lfk1_example);
-    Test.make ~name:"diagnosis"
-      (Staged.stage (fun () -> Macs_report.Tables.diagnosis ds));
-    Test.make ~name:"ablations"
-      (Staged.stage Macs_report.Tables.ablation_compiler);
-    Test.make ~name:"dataset_full"
-      (Staged.stage (fun () -> Macs_report.Dataset.compute ()));
-    Test.make ~name:"scalar_mode"
-      (Staged.stage Macs_report.Tables.scalar_mode);
-    Test.make ~name:"parallel_mode"
-      (Staged.stage Macs_report.Tables.parallel_mode);
-    Test.make ~name:"stride_sweep"
-      (Staged.stage Macs_report.Tables.stride_sweep);
-    Test.make ~name:"utilization"
-      (Staged.stage (fun () -> Macs_report.Tables.utilization ds));
-    Test.make ~name:"suite"
-      (Staged.stage (fun () -> Macs_report.Suite.run ()));
-    Test.make ~name:"advice" (Staged.stage Macs_report.Tables.advice);
-    Test.make ~name:"roofline" (Staged.stage Macs_report.Tables.roofline);
-    Test.make ~name:"gallery" (Staged.stage Macs_report.Tables.gallery);
-    Test.make ~name:"pipeline_trace"
-      (Staged.stage (fun () -> Macs_report.Figures.pipeline_trace ()));
-    Test.make ~name:"hockney" (Staged.stage Macs_report.Tables.hockney);
-    Test.make ~name:"design_space"
-      (Staged.stage Macs_report.Tables.design_space);
-    Test.make ~name:"application"
-      (Staged.stage (fun () ->
-           Macs.Application.analyze
-             [ (Lfk.Kernels.find 7, 40.0); (Lfk.Kernels.find 1, 30.0) ]));
-  ]
+  (* one dataset, forced here and shared by every renderer that reads it *)
+  let ctx = Macs_report.Report_doc.context () in
+  ignore (Lazy.force ctx.dataset);
+  Test.make ~name:"dataset_full"
+    (Staged.stage (fun () -> Macs_report.Dataset.compute ()))
+  :: List.map
+       (fun (e : Macs_report.Report_doc.entry) ->
+         Test.make ~name:e.id (Staged.stage (fun () -> e.render ctx)))
+       Macs_report.Report_doc.catalogue
 
 let stage_tests () =
   let k1 = Lfk.Kernels.find 1 and k8 = Lfk.Kernels.find 8 in

@@ -161,77 +161,53 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc:"Full MACS hierarchy and gap diagnosis")
     Term.(const run $ machine_arg $ opt_arg $ kernel_arg)
 
+(* `tables`, `figures` and `extensions` print catalogue entries picked by
+   name; the names, each verb's "all" and its help come from the list *)
+module Doc = Macs_report.Report_doc
+
+let which_arg ~verb ~docv =
+  Arg.(
+    value & pos 0 string "all"
+    & info [] ~docv
+        ~doc:(String.concat ", " (Doc.names ~verb) ^ ", or all."))
+
+let print_catalogue ~verb ~noun ctx which =
+  match Doc.select ~verb which with
+  | [] ->
+      prerr_endline (Printf.sprintf "unknown %s %S" noun which);
+      exit 1
+  | entries -> print_string (Doc.render ctx entries)
+
 let tables_cmd =
-  let which =
-    Arg.(
-      value & pos 0 string "all"
-      & info [] ~docv:"TABLE" ~doc:"1, 2, 3, 4, 5, ablations, or all.")
-  in
   let run machine opt which =
-    let ds () = Macs_report.Dataset.compute ~machine ~opt () in
-    let print = function
-      | "1" -> print_endline (Macs_report.Tables.table1 ())
-      | "2" -> print_endline (Macs_report.Tables.table2 (ds ()))
-      | "3" -> print_endline (Macs_report.Tables.table3 (ds ()))
-      | "4" -> print_endline (Macs_report.Tables.table4 (ds ()))
-      | "5" -> print_endline (Macs_report.Tables.table5 (ds ()))
-      | "ablations" ->
-          print_endline (Macs_report.Tables.ablation_compiler ());
-          print_newline ();
-          print_endline (Macs_report.Tables.ablation_machine ())
-      | "all" ->
-          let d = ds () in
-          print_endline (Macs_report.Tables.table1 ());
-          print_newline ();
-          print_endline (Macs_report.Tables.table2 d);
-          print_newline ();
-          print_endline (Macs_report.Tables.table3 d);
-          print_newline ();
-          print_endline (Macs_report.Tables.table4 d);
-          print_newline ();
-          print_endline (Macs_report.Tables.table5 d)
-      | other ->
-          prerr_endline (Printf.sprintf "unknown table %S" other);
-          exit 1
-    in
-    print which
+    print_catalogue ~verb:"tables" ~noun:"table"
+      (Doc.context ~machine ~opt ())
+      which
   in
   Cmd.v
     (Cmd.info "tables" ~doc:"Reproduce the paper's tables")
-    Term.(const run $ machine_arg $ opt_arg $ which)
+    Term.(
+      const run $ machine_arg $ opt_arg
+      $ which_arg ~verb:"tables" ~docv:"TABLE")
 
 let figures_cmd =
-  let which =
-    Arg.(value & pos 0 string "all" & info [] ~docv:"FIG" ~doc:"2, 3, trace, or all.")
-  in
   let load =
     Arg.(
-      value & opt float 5.1
+      value
+      & opt float Doc.paper_load_average
       & info [ "load" ] ~docv:"L"
           ~doc:"Load average for the multi-process series of figure 3.")
   in
-  let run machine opt load which =
-    let ds () = Macs_report.Dataset.compute ~machine ~opt () in
-    (match which with
-    | "2" -> print_endline (Macs_report.Figures.figure2 ())
-    | "3" ->
-        print_endline
-          (Macs_report.Figures.figure3 ~load_average:load (ds ()))
-    | "trace" -> print_string (Macs_report.Figures.pipeline_trace ())
-    | "all" ->
-        print_endline (Macs_report.Figures.figure2 ());
-        print_newline ();
-        print_endline
-          (Macs_report.Figures.figure3 ~load_average:load (ds ()));
-        print_newline ();
-        print_string (Macs_report.Figures.pipeline_trace ())
-    | other ->
-        prerr_endline (Printf.sprintf "unknown figure %S" other);
-        exit 1)
+  let run machine opt load_average which =
+    print_catalogue ~verb:"figures" ~noun:"figure"
+      (Doc.context ~machine ~opt ~load_average ())
+      which
   in
   Cmd.v
     (Cmd.info "figures" ~doc:"Reproduce the paper's figures")
-    Term.(const run $ machine_arg $ opt_arg $ load $ which)
+    Term.(
+      const run $ machine_arg $ opt_arg $ load
+      $ which_arg ~verb:"figures" ~docv:"FIG")
 
 let listing_cmd =
   let run opt kernel =
@@ -323,67 +299,29 @@ let simulate_cmd =
       const run $ machine_arg $ kernel_arg $ faults_arg $ trace
       $ budget_cycles_arg $ budget_wall_arg)
 
+let print_entry id = print_string (Doc.render (Doc.context ()) [ Doc.find id ])
+
 let calibrate_cmd =
-  let run () = print_endline (Macs_report.Tables.table1 ()) in
   Cmd.v
     (Cmd.info "calibrate"
        ~doc:"Fit X/Y/Z/B from calibration loops (Table 1)")
-    Term.(const run $ const ())
+    Term.(const print_entry $ const "table1")
 
 let example_cmd =
-  let run () = print_endline (Macs_report.Tables.lfk1_example ()) in
   Cmd.v
     (Cmd.info "example" ~doc:"The LFK1 worked example of paper section 3.5")
-    Term.(const run $ const ())
+    Term.(const print_entry $ const "lfk1_example")
 
 let extensions_cmd =
-  let which =
-    Arg.(
-      value & pos 0 string "all"
-      & info [] ~docv:"EXT" ~doc:"scalar, parallel, strides, roofline, hockney, gallery, design-space, application, or all.")
-  in
-  let run which =
-    (match which with
-    | "scalar" -> print_endline (Macs_report.Tables.scalar_mode ())
-    | "parallel" -> print_endline (Macs_report.Tables.parallel_mode ())
-    | "strides" -> print_endline (Macs_report.Tables.stride_sweep ())
-    | "roofline" -> print_endline (Macs_report.Tables.roofline ())
-    | "hockney" -> print_endline (Macs_report.Tables.hockney ())
-    | "design-space" -> print_endline (Macs_report.Tables.design_space ())
-    | "application" ->
-        print_string
-          (Macs.Application.render
-             (Macs.Application.analyze
-                [
-                  (Lfk.Kernels.find 7, 40.0);
-                  (Lfk.Kernels.find 1, 30.0);
-                  (Lfk.Kernels.find 10, 20.0);
-                  (Lfk.Kernels.find 2, 10.0);
-                ]))
-    | "gallery" -> print_endline (Macs_report.Tables.gallery ())
-    | "all" ->
-        List.iter
-          (fun section ->
-            print_endline (section ());
-            print_newline ())
-          [
-            Macs_report.Tables.scalar_mode;
-            Macs_report.Tables.parallel_mode;
-            Macs_report.Tables.stride_sweep;
-            Macs_report.Tables.roofline;
-            Macs_report.Tables.hockney;
-            Macs_report.Tables.gallery;
-            Macs_report.Tables.design_space;
-          ]
-    | other ->
-        prerr_endline (Printf.sprintf "unknown extension %S" other);
-        exit 1)
-  in
   Cmd.v
     (Cmd.info "extensions"
        ~doc:
-         "Beyond the paper: scalar mode, parallel vector mode, the D           (stride) bound")
-    Term.(const run $ which)
+         "Beyond the paper: scalar mode, parallel vector mode, the D (stride) \
+          bound, and the other extensions")
+    Term.(
+      const (print_catalogue ~verb:"extensions" ~noun:"extension")
+      $ const (Doc.context ())
+      $ which_arg ~verb:"extensions" ~docv:"EXT")
 
 let export_cmd =
   let out =
@@ -675,7 +613,7 @@ let report_cmd =
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Markdown output path.")
   in
   let run out =
-    Macs_report.Report_doc.write_file out;
+    Doc.write_file out;
     Printf.printf "wrote %s\n" out
   in
   Cmd.v

@@ -104,6 +104,9 @@ val violations : t -> cell_result list
 val clean : t -> bool
 (** No violations and nothing quarantined. *)
 
+val cell_key : config -> cell -> string
+(** A cell's result-cache key (see [config.cache]). *)
+
 val run_cell : config -> cell -> cell_result
 (** Run one cell and, on violation, delta-debug its plan.  Pure in the
     cell and config (modulo wall-clock budgets). *)

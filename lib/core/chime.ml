@@ -5,7 +5,6 @@ type t = { instrs : Instr.t list; split_by_scalar_memory : bool }
 
 let instr_count c = List.length c.instrs
 let has_memory c = List.exists Instr.is_vector_memory c.instrs
-let has_fp c = List.exists Instr.is_vector_fp c.instrs
 
 let z_max ~machine c =
   List.fold_left

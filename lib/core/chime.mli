@@ -28,7 +28,6 @@ type t = {
 
 val instr_count : t -> int
 val has_memory : t -> bool
-val has_fp : t -> bool
 
 val z_max : machine:Machine.t -> t -> float
 (** Largest per-element rate among the chime's instructions. *)

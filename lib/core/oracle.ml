@@ -6,11 +6,6 @@ type violation = { invariant : string; subject : string; detail : string }
 
 let default_tol = 0.02
 
-let to_error v =
-  Macs_util.Macs_error.oracle_violation
-    ~site:(Printf.sprintf "Oracle(%s)" v.subject)
-    ~invariant:v.invariant v.detail
-
 (* M bound: the machine-only model knows just the peak FP issue rate *)
 let t_m ~machine ~flops =
   let fp_units =
@@ -289,6 +284,3 @@ let render r =
                (Macs_util.Macs_error.to_string e)))
         ss);
   Buffer.contents buf
-
-let pp_violation fmt v =
-  Format.fprintf fmt "%s: %s broken: %s" v.subject v.invariant v.detail

@@ -15,9 +15,7 @@ open Convex_machine
     bugs worth catching on every run, which is why the suite harness
     cross-checks each successful row and [macs_cli validate] exists.
 
-    Violations are plain data ({!violation}); {!to_error} converts one
-    into the structured error channel ({!Macs_util.Macs_error.t}
-    [Oracle_violation]) for suite diagnostics. *)
+    Violations are plain data ({!violation}). *)
 
 type violation = {
   invariant : string;  (** e.g. ["MAC<=MACS"] *)
@@ -28,8 +26,6 @@ type violation = {
 val default_tol : float
 (** Relative slack applied to every comparison (2%): bounds are exact but
     measured times carry strip start-up noise. *)
-
-val to_error : violation -> Macs_util.Macs_error.t
 
 val t_m : machine:Machine.t -> flops:int -> float
 (** The machine-only M bound in CPL: flops over peak FP issue rate. *)
@@ -103,4 +99,3 @@ val validate :
     aborting the validation. *)
 
 val render : report -> string
-val pp_violation : Format.formatter -> violation -> unit

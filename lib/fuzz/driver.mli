@@ -42,6 +42,9 @@ type config = {
           byte-identical corpus and summary, hit counters excepted *)
 }
 
+val case_key : config -> index:int -> string
+(** Case [index]'s result-cache key (see [config.cache]). *)
+
 val default_config : config
 (** Seed 42, 500 cases, healthy C-240, the stock fault presets, a
     10-second-per-simulation watchdog, no campaign cap, no corpus,

@@ -102,6 +102,15 @@ let measured = function
       true
   | _ -> false
 
+let cell_key config ~budget ~oracle_tol k =
+  Cache.key ~kind:"suite-cell"
+    [
+      ("config", J.encode (Suite_journal.config_record config));
+      ("budget", Budget.to_string budget);
+      ("tol", J.put_float oracle_tol);
+      ("kernel", Lfk.Codec.to_string k);
+    ]
+
 let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
     ?(faults = Fault.none) ?guard ?(budget = Budget.none)
     ?(oracle_tol = Macs.Oracle.default_tol) ?(jobs = 1) ?journal
@@ -119,15 +128,6 @@ let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
   let karr = Array.of_list (Suite.kernels ()) in
   let cells = Array.length karr in
   let cache = Option.map Cache.open_dir cache in
-  let cell_key k =
-    Cache.key ~kind:"suite-cell"
-      [
-        ("config", J.encode (Suite_journal.config_record config));
-        ("budget", Budget.to_string budget);
-        ("tol", J.put_float oracle_tol);
-        ("kernel", Lfk.Codec.to_string k);
-      ]
-  in
   let compute_cell i =
     let k = karr.(i) in
     let watchdog =
@@ -162,7 +162,7 @@ let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
       match cache with
       | None -> compute_cell i
       | Some c ->
-          Cache.memo c ~key:(cell_key karr.(i))
+          Cache.memo c ~key:(cell_key config ~budget ~oracle_tol karr.(i))
             ~encode:Suite_journal.records_of_cell
             ~decode:Suite_journal.cell_of_records
             (fun () -> compute_cell i)

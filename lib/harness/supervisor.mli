@@ -53,6 +53,16 @@ type outcome = {
           stay byte-identical *)
 }
 
+val cell_key :
+  Macs_report.Suite_journal.config ->
+  budget:Budget.t ->
+  oracle_tol:float ->
+  Lfk.Kernel.t ->
+  string
+(** A suite cell's result-cache key: the run's config record (machine
+    spec, opt, fault-plan spec, guard), budget, oracle tolerance and the
+    {!Lfk.Codec} kernel text. *)
+
 val run :
   ?machine:Machine.t ->
   ?opt:Fcc.Opt_level.t ->

@@ -33,4 +33,3 @@ let store_of (k : Kernel.t) =
   in
   Convex_vpsim.Store.create (base @ aliased)
 
-let sregs_of (k : Kernel.t) = k.scalars

@@ -15,7 +15,3 @@ val fill : string -> int -> float array
 val store_of : Kernel.t -> Convex_vpsim.Store.t
 (** Build the kernel's initial store: every declared array filled by
     {!fill}, and every alias bound to the same storage as its target. *)
-
-val sregs_of : Kernel.t -> (string * float) list
-(** The kernel's scalar environment (just [Kernel.scalars]; provided here
-    for symmetry with {!store_of}). *)

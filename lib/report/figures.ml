@@ -73,7 +73,7 @@ let figure2 () =
        steady Paper.fig2_steady_chime);
   Buffer.contents buf
 
-let figure3 ?(load_average = 5.1) (ds : Dataset.t) =
+let figure3 ~load_average (ds : Dataset.t) =
   let contention = Convex_memsys.Contention.of_load_average load_average in
   let multi =
     Dataset.compute ~machine:ds.machine ~contention ~opt:ds.opt ()

@@ -6,11 +6,11 @@ val figure2 : unit -> string
     162-cycle chained total, the ~422-cycle unchained total, and the
     VL + ΣB steady-state chime. *)
 
-val figure3 : ?load_average:float -> Dataset.t -> string
+val figure3 : load_average:float -> Dataset.t -> string
 (** Figure 3: CPF per kernel as grouped bars — MA bound, MAC bound, MACS
     bound, measured single-process, and measured with a multi-process
-    memory-contention workload ([load_average] defaults to the paper's
-    5.1). *)
+    memory-contention workload at [load_average] (the paper's is
+    {!Report_doc.paper_load_average}). *)
 
 val pipeline_trace : ?kernel:int -> unit -> string
 (** A Gantt view of the first two strips of a kernel (default LFK1) on the

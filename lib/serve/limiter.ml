@@ -41,8 +41,6 @@ let make ?(config = default_config) ~now () =
     bytes = Option.map (bucket ~now ~burst_s) (positive config.max_bytes_per_s);
   }
 
-let unlimited t = t.frames = None && t.bytes = None
-
 let refill t b =
   let now = t.now () in
   let dt = Float.max 0.0 (now -. b.last) in

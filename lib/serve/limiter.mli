@@ -19,9 +19,6 @@ type t
 val make : ?config:config -> now:(unit -> float) -> unit -> t
 (** Buckets start full.  Non-positive rates mean unlimited. *)
 
-val unlimited : t -> bool
-(** Whether both axes are unlimited (admission always succeeds). *)
-
 type verdict = Admitted | Throttled of string
 
 val admit : t -> bytes:int -> verdict

@@ -203,25 +203,24 @@ let watchdog_of t ~deadline_ms ~budget_cycles =
           | Some e -> Some e
           | None -> drain_check ~cycle)
 
-let reply_of_results ~id item_lines =
-  let results =
-    List.map
-      (fun line ->
-        match Json.parse line with
-        | Ok j -> j
-        | Error m ->
-            (* our own journaled output failing to parse means the journal
-               entry was hand-edited; surface it rather than crash *)
-            Json.Obj
-              [
-                ("ok", Json.Bool false);
-                ( "error",
-                  Protocol.error_json
-                    (Protocol.perror ~site:"Server.reply" ~kind:"internal"
-                       ("unreadable journaled item: " ^ m)) );
-              ])
-      item_lines
-  in
+let internal_item ~site msg =
+  Json.Obj
+    [
+      ("ok", Json.Bool false);
+      ( "error",
+        Protocol.error_json (Protocol.perror ~site ~kind:"internal" msg) );
+    ]
+
+(* A journaled item line is our own [Json.to_string] output, so it parses
+   back to the value that printed it; one that does not was hand-edited,
+   and is surfaced rather than crashing the batch. *)
+let journaled_item line =
+  match Json.parse line with
+  | Ok j -> j
+  | Error m ->
+      internal_item ~site:"Server.reply" ("unreadable journaled item: " ^ m)
+
+let reply_of_results ~id results =
   let estimate j = Option.bind (Json.mem j "tier") Json.str = Some "estimate" in
   ( Json.to_string
       (Json.Obj
@@ -232,6 +231,8 @@ let reply_of_results ~id item_lines =
          ]),
     List.length (List.filter estimate results) )
 
+(* Computed items stay [Json.t] from [Engine.eval_item] to the reply;
+   only the items a restarted server takes from its journal are parsed. *)
 let compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~raw_items =
   let items = Array.of_list (List.map Protocol.decode_item raw_items) in
   let n = Array.length items in
@@ -241,15 +242,15 @@ let compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~raw_items =
     | None -> None
     | Some s ->
         Option.map
-          (fun line -> Convex_exec.Executor.Done line)
+          (fun line -> Convex_exec.Executor.Done (journaled_item line))
           (Session.lookup_item s ~key ~index:i)
   in
   let eval i =
-    let line = Json.to_string (Engine.eval_item ?watchdog items.(i)) in
+    let j = Engine.eval_item ?watchdog items.(i) in
     (match t.session with
-    | Some s -> Session.record_item s ~key ~index:i line
+    | Some s -> Session.record_item s ~key ~index:i (Json.to_string j)
     | None -> ());
-    line
+    j
   in
   (* [replayed] counts the [already] hits over this batch's own indexes:
      the items a restarted server took from the journal *)
@@ -263,35 +264,17 @@ let compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~raw_items =
       in
       (o, st.Convex_exec.Executor.replayed)
   in
-  let item_lines =
+  let results =
     Array.to_list
       (Array.map
          (function
-           | Some (Convex_exec.Executor.Done line) -> line
+           | Some (Convex_exec.Executor.Done j) -> j
            | Some (Convex_exec.Executor.Poisoned p) ->
-               Json.to_string
-                 (Json.Obj
-                    [
-                      ("ok", Json.Bool false);
-                      ( "error",
-                        Protocol.error_json
-                          (Protocol.perror ~site:"Executor"
-                             ~kind:"internal" p.Convex_exec.Executor.error)
-                      );
-                    ])
-           | None ->
-               Json.to_string
-                 (Json.Obj
-                    [
-                      ("ok", Json.Bool false);
-                      ( "error",
-                        Protocol.error_json
-                          (Protocol.perror ~site:"Executor"
-                             ~kind:"internal" "cell never ran") );
-                    ]))
+               internal_item ~site:"Executor" p.Convex_exec.Executor.error
+           | None -> internal_item ~site:"Executor" "cell never ran")
          outcomes)
   in
-  let reply, degraded = reply_of_results ~id item_lines in
+  let reply, degraded = reply_of_results ~id results in
   (match t.session with
   | Some s -> Session.record_frame s ~key ~id reply
   | None -> ());

@@ -143,9 +143,6 @@ let replay ?(machine = Machine.c240) ?(stagger = 3) ?(equalize = true)
       in
       Ok { cpus = outcomes; average_slowdown }
 
-let replay_exn ?machine ?stagger ?equalize ?faults streams =
-  Macs_error.of_result (replay ?machine ?stagger ?equalize ?faults streams)
-
 let run ?machine ?stagger ?faults workloads =
   match
     List.map

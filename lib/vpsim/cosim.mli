@@ -63,15 +63,6 @@ val replay :
     Raises [Invalid_argument] on an empty list or more than four streams
     (contract violations, not runtime outcomes). *)
 
-val replay_exn :
-  ?machine:Machine.t ->
-  ?stagger:int ->
-  ?equalize:bool ->
-  ?faults:Convex_fault.Fault.t ->
-  stream list ->
-  t
-(** Like {!replay}; raises {!Macs_util.Macs_error.Error} on failure. *)
-
 val run :
   ?machine:Machine.t ->
   ?stagger:int ->

@@ -188,6 +188,154 @@ let test_key_sensitivity () =
       ("extra part changes the key", "cell", base @ [ ("plan", "none") ]);
     ]
 
+(* ---- key identity: equal keys exactly when the inputs are equal ---- *)
+
+module Fault = Convex_fault.Fault
+
+(* A plan as written: seed, optional window, injection clauses. *)
+let clause_gen =
+  let open QCheck.Gen in
+  let bank = int_range 0 31 in
+  let pr = Printf.sprintf in
+  oneof
+    [
+      map2 (pr "degrade-bank=%d*%d") bank (int_range 1 8);
+      map3
+        (fun b lo len ->
+          if len = 0 then pr "stuck-bank=%d@%d-" b lo
+          else pr "stuck-bank=%d@%d-%d" b lo (lo + len))
+        bank (int_range 0 5000) (int_range 0 500);
+      map3 (fun b p d -> pr "scrub=%d/%d*%d" b (p + d) d) bank
+        (int_range 1 400) (int_range 1 50);
+      map (pr "jitter=%d") (int_range 0 20);
+      map2
+        (fun pipe q -> pr "slow-pipe=%s*%g" pipe (1.0 +. (float_of_int q /. 4.0)))
+        (oneofl [ "load/store"; "add"; "multiply" ])
+        (int_range 0 12);
+      map2 (fun d p -> pr "port-spike=%d/%d" d (d + p)) (int_range 1 20)
+        (int_range 1 200);
+    ]
+
+let window_gen =
+  QCheck.Gen.(
+    opt (map2 (fun lo len -> (lo, lo + len)) (int_range 0 2000) (int_range 1 2000)))
+
+let plan_parts_gen =
+  QCheck.Gen.(
+    triple (int_range 0 9) window_gen (list_size (int_range 0 3) clause_gen))
+
+(* one clause of the written plan changed, added or dropped *)
+let plan_mutation_gen (seed, window, clauses) =
+  let open QCheck.Gen in
+  let n = List.length clauses in
+  let replace i c = List.mapi (fun j c' -> if i = j then c else c') clauses in
+  let drop i = List.filteri (fun j _ -> i <> j) clauses in
+  oneof
+    ([
+       map (fun s -> (s, window, clauses)) (int_range 0 9);
+       map (fun w -> (seed, w, clauses)) window_gen;
+       map (fun c -> (seed, window, clauses @ [ c ])) clause_gen;
+     ]
+    @
+    if n = 0 then []
+    else
+      [
+        map2 (fun i c -> (seed, window, replace i c)) (int_bound (n - 1)) clause_gen;
+        map (fun i -> (seed, window, drop i)) (int_bound (n - 1));
+      ])
+
+let plan_of_parts (seed, window, clauses) =
+  let spec =
+    String.concat ";"
+      ((Printf.sprintf "seed=%d" seed
+       :: Option.to_list
+            (Option.map (fun (lo, hi) -> Printf.sprintf "window=%d-%d" lo hi) window))
+      @ clauses)
+  in
+  match Fault.parse spec with
+  | Ok p -> p
+  | Error e -> failwith (spec ^ ": " ^ e)
+
+(* one field of the kernel changed *)
+let kernel_mutation_gen (k : Lfk.Kernel.t) =
+  let open QCheck.Gen in
+  let first_seg f =
+    match k.segments with
+    | s :: rest -> { k with segments = f s :: rest }
+    | [] -> { k with segments = [ { base = 0; length = 1; shifts = [] } ] }
+  in
+  oneofl
+    [
+      { k with id = k.id + 1 };
+      { k with name = k.name ^ "'" };
+      { k with description = k.description ^ "." };
+      { k with fortran = k.fortran ^ "!" };
+      { k with body = k.body @ [ List.hd k.body ] };
+      { k with scalars = k.scalars @ [ ("zz", 1.0) ] };
+      {
+        k with
+        scalars =
+          List.mapi (fun i (n, v) -> if i = 0 then (n, v +. 1.0) else (n, v)) k.scalars;
+      };
+      { k with arrays = List.map (fun (n, size) -> (n, size + 1)) k.arrays };
+      { k with aliases = k.aliases @ [ ("ZZ", fst (List.hd k.arrays)) ] };
+      first_seg (fun s -> { s with length = s.length + 1 });
+      first_seg (fun s -> { s with base = s.base + 1 });
+      first_seg (fun s -> { s with shifts = s.shifts @ [ ("ZZ", 1) ] });
+      { k with outer_ops = k.outer_ops + 1 };
+      {
+        k with
+        acc =
+          (match k.acc with
+          | None -> Some { init = Zero; scale_by = None; store_to = None }
+          | Some _ -> None);
+      };
+    ]
+
+let input_pair_gen =
+  let open QCheck.Gen in
+  let* k = oneof [ oneofl Lfk.Kernels.all; Convex_fuzz.Gen.kernel_gen ] in
+  let* parts = plan_parts_gen in
+  let* k', parts' =
+    frequency
+      [
+        (1, return (k, parts));
+        (1, map (fun k' -> (k', parts)) (kernel_mutation_gen k));
+        (1, map (fun p' -> (k, p')) (plan_mutation_gen parts));
+      ]
+  in
+  return ((k, plan_of_parts parts), (k', plan_of_parts parts'))
+
+let suite_key (k, plan) =
+  Convex_harness.Supervisor.cell_key
+    (Macs_report.Suite_journal.config_of_run
+       ~machine:Convex_machine.Machine.c240 ~opt:Fcc.Opt_level.v61 ~faults:plan
+       ~guard:Convex_vpsim.Sim.default_guard)
+    ~budget:Convex_harness.Budget.none ~oracle_tol:Macs.Oracle.default_tol k
+
+let chaos_key (k, plan) =
+  Campaign.cell_key Campaign.default_config { Campaign.index = 0; kernel = k; plan }
+
+let fuzz_key (_, plan) =
+  Driver.case_key { Driver.default_config with fault_plans = [ plan ] } ~index:0
+
+let prop_keys_are_identities =
+  QCheck.Test.make ~count:500
+    ~name:"suite/chaos/fuzz keys equal iff kernel and plan equal"
+    (QCheck.make
+       ~print:(fun ((k, p), (k', p')) ->
+         String.concat "\n"
+           [ Lfk.Codec.to_string k; Fault.to_spec p; Lfk.Codec.to_string k'; Fault.to_spec p' ])
+       input_pair_gen)
+    (fun (((k, p) as a), ((k', p') as b)) ->
+      let same_kernel = compare k k' = 0 in
+      let same_plan = Fault.equal_behaviour p p' in
+      (* the suite journals a plan without injection clauses as "" *)
+      let same_suite_plan = same_plan || (Fault.is_none p && Fault.is_none p') in
+      (suite_key a = suite_key b) = (same_kernel && same_suite_plan)
+      && (chaos_key a = chaos_key b) = (same_kernel && same_plan)
+      && (fuzz_key a = fuzz_key b) = same_plan)
+
 (* ---- corruption is quarantined, never served ---- *)
 
 let quarantine_count dir =
@@ -396,6 +544,7 @@ let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_random_corruption_never_served;
+      prop_keys_are_identities;
       prop_chaos_warm_run_byte_identical;
       prop_fuzz_warm_run_byte_identical;
     ]

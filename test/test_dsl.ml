@@ -217,6 +217,96 @@ let test_refresh_none_collapse () =
   Alcotest.(check bool) "printed as refresh=none" true
     (List.mem "refresh=none" (String.split_on_char ';' (Dsl.to_spec a)))
 
+(* Key identity over generated pairs: the second machine of a pair is the
+   first, or the first with one field changed.  Equal machines print one
+   spec; unequal machines print different specs, except in the
+   refresh=none collapse above. *)
+let field_mutation_gen : (Machine.t -> Machine.t) QCheck.Gen.t =
+  let open QCheck.Gen in
+  let n = int_range 0 64 in
+  let mem f (m : Machine.t) = { m with Machine.memory = f m.Machine.memory } in
+  let pipes f (m : Machine.t) = { m with Machine.pipes = f m.Machine.pipes } in
+  let timing =
+    map3
+      (fun (_, cls) field v (m : Machine.t) ->
+        let set (p : Timing.params) =
+          match field with
+          | 0 -> { p with Timing.x = v }
+          | 1 -> { p with Timing.y = v }
+          | 2 -> { p with Timing.z = float_of_int (v + 1) /. 8.0 }
+          | _ -> { p with Timing.b = v }
+        in
+        {
+          m with
+          Machine.timing =
+            Timing.map (fun c p -> if c = cls then set p else p) m.Machine.timing;
+        })
+      (oneofl Dsl.vclass_names) (int_range 0 3) n
+  in
+  oneof
+    [
+      map
+        (fun s (m : Machine.t) -> { m with Machine.name = s })
+        (string_size ~gen:printable (int_range 0 6));
+      map
+        (fun f (m : Machine.t) -> { m with Machine.clock_mhz = f })
+        (float_range 1.0 100.0);
+      map (fun v (m : Machine.t) -> { m with Machine.max_vl = v }) n;
+      map (fun v -> pipes (fun p -> { p with Machine.load_store = v })) n;
+      map (fun v -> pipes (fun p -> { p with Machine.add_unit = v })) n;
+      map (fun v -> pipes (fun p -> { p with Machine.multiply_unit = v })) n;
+      map (fun v (m : Machine.t) -> { m with Machine.pair_read_limit = v }) n;
+      map (fun v (m : Machine.t) -> { m with Machine.pair_write_limit = v }) n;
+      map (fun v (m : Machine.t) -> { m with Machine.scalar_cycles = v }) n;
+      map
+        (fun v (m : Machine.t) -> { m with Machine.scalar_memory_cycles = v })
+        n;
+      map (fun v -> mem (fun p -> { p with Mem_params.banks = v })) n;
+      map (fun v -> mem (fun p -> { p with Mem_params.word_bytes = v })) n;
+      map (fun v -> mem (fun p -> { p with Mem_params.bank_busy_cycles = v })) n;
+      map
+        (fun v -> mem (fun p -> { p with Mem_params.refresh_period = v }))
+        (int_range 1 2000);
+      (* zero half the time, so the collapse is exercised *)
+      map
+        (fun v -> mem (fun p -> { p with Mem_params.refresh_duration = v }))
+        (oneof [ return 0; int_range 1 16 ]);
+      map (fun v -> mem (fun p -> { p with Mem_params.ports = v })) n;
+      timing;
+    ]
+
+let machine_pair_gen =
+  let open QCheck.Gen in
+  let* base = oneofl (List.map snd Machine.presets) in
+  let* prior = list_size (int_range 0 3) field_mutation_gen in
+  let m = List.fold_left (fun m f -> f m) base prior in
+  let* second = frequency [ (1, return Fun.id); (2, field_mutation_gen) ] in
+  return (m, second m)
+
+let refresh_none_collapse (a : Machine.t) (b : Machine.t) =
+  let off (m : Machine.t) = m.Machine.memory.Mem_params.refresh_duration = 0 in
+  off a && off b
+  && Machine.equal a
+       {
+         b with
+         Machine.memory =
+           {
+             b.Machine.memory with
+             Mem_params.refresh_period =
+               a.Machine.memory.Mem_params.refresh_period;
+           };
+       }
+
+let prop_spec_is_identity =
+  QCheck.Test.make ~count:1000 ~name:"to_spec keys equal iff machines equal"
+    (QCheck.make
+       ~print:(fun (a, b) -> Dsl.to_spec a ^ "\n" ^ Dsl.to_spec b)
+       machine_pair_gen)
+    (fun (a, b) ->
+      let same_key = String.equal (Dsl.to_spec a) (Dsl.to_spec b) in
+      if Machine.equal a b then same_key
+      else same_key = refresh_none_collapse a b)
+
 (* ---- typed diagnostics ---- *)
 
 let check_failure ~expect_site spec =
@@ -304,6 +394,7 @@ let () =
             test_every_field_changes_spec;
           Alcotest.test_case "refresh=none collapse" `Quick
             test_refresh_none_collapse;
+          QCheck_alcotest.to_alcotest prop_spec_is_identity;
         ] );
       ( "diagnostics",
         [

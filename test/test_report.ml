@@ -129,7 +129,10 @@ let test_figure2 () =
     [ "162"; "132"; "load/store"; "multiply" ]
 
 let test_figure3 () =
-  let f = Macs_report.Figures.figure3 (Lazy.force ds) in
+  let f =
+    Macs_report.Figures.figure3
+      ~load_average:Macs_report.Report_doc.paper_load_average (Lazy.force ds)
+  in
   List.iter
     (fun needle -> Alcotest.(check bool) needle true (contains ~needle f))
     [ "LFK1"; "LFK12"; "MA bound"; "measured multi"; "5.1" ]
@@ -169,18 +172,95 @@ let test_dataset_deterministic () =
         x.t_macs.Macs.Macs_bound.cpl y.t_macs.Macs.Macs_bound.cpl)
     a.rows b.rows
 
+module Doc = Macs_report.Report_doc
+
 let test_report_doc () =
-  let sections = Macs_report.Report_doc.sections () in
-  Alcotest.(check bool) "20+ sections" true (List.length sections >= 20);
-  let md = Macs_report.Report_doc.to_markdown () in
+  let md = Doc.to_markdown () in
   Alcotest.(check bool) "has headings" true (contains ~needle:"## Table 4" md);
+  let lines = String.split_on_char '\n' md in
+  (* one heading per catalogue entry, in catalogue order *)
+  Alcotest.(check (list string))
+    "one ## heading per entry"
+    (List.map (fun (e : Doc.entry) -> "## " ^ e.title) Doc.catalogue)
+    (List.filter (fun l -> String.starts_with ~prefix:"## " l) lines);
   (* every fenced block is closed *)
-  let fences = ref 0 in
-  String.split_on_char '\n' md
-  |> List.iter (fun l -> if l = "```" then incr fences);
   Alcotest.(check int) "even fences... counting opens+closes"
-    (2 * List.length sections)
-    !fences
+    (2 * List.length Doc.catalogue)
+    (List.length (List.filter (( = ) "```") lines))
+
+(* ---- the artifact catalogue ---- *)
+
+let verbs = [ "tables"; "figures"; "extensions" ]
+
+let test_catalogue_ids_unique () =
+  let ids = List.map (fun (e : Doc.entry) -> e.id) Doc.catalogue in
+  Alcotest.(check int) "ids unique" (List.length ids)
+    (List.length (List.sort_uniq compare ids));
+  Alcotest.(check bool) "at least 20 entries" true (List.length ids >= 20);
+  List.iter
+    (fun (e : Doc.entry) ->
+      Alcotest.(check bool)
+        (e.id ^ ": named exactly when under a verb")
+        (e.group <> Doc.Report_only)
+        (e.name <> None))
+    Doc.catalogue
+
+let test_catalogue_names_resolve () =
+  List.iter
+    (fun verb ->
+      List.iter
+        (fun name ->
+          Alcotest.(check bool)
+            (verb ^ " " ^ name ^ " resolves")
+            true
+            (Doc.select ~verb name <> []))
+        ("all" :: Doc.names ~verb);
+      Alcotest.(check int) (verb ^ ": unknown name") 0
+        (List.length (Doc.select ~verb "no-such-artifact")))
+    verbs;
+  (* the documented spellings, including the two non-catalogue verbs *)
+  List.iter
+    (fun (verb, names) ->
+      Alcotest.(check (list string)) (verb ^ " names") names
+        (Doc.names ~verb))
+    [
+      ("tables", [ "1"; "2"; "3"; "4"; "5"; "ablations" ]);
+      ("figures", [ "2"; "3"; "trace" ]);
+    ];
+  Alcotest.(check (list string)) "tables ablations"
+    [ "ablation_compiler"; "ablation_machine" ]
+    (List.map (fun (e : Doc.entry) -> e.id) (Doc.select ~verb:"tables" "ablations"));
+  Alcotest.(check bool) "example is report-only" true
+    ((Doc.find "lfk1_example").group = Doc.Report_only)
+
+let test_extensions_all_covers () =
+  let ids group =
+    List.filter_map
+      (fun (e : Doc.entry) -> if e.group = group then Some e.id else None)
+      Doc.catalogue
+  in
+  let selected verb =
+    List.map (fun (e : Doc.entry) -> e.id) (Doc.select ~verb "all")
+  in
+  Alcotest.(check (list string)) "extensions all" (ids Doc.Extension)
+    (selected "extensions");
+  Alcotest.(check bool) "the application profile is an extension" true
+    (List.mem "application" (selected "extensions"));
+  Alcotest.(check (list string)) "tables all" (ids Doc.Table) (selected "tables");
+  Alcotest.(check (list string)) "figures all" (ids Doc.Figure)
+    (selected "figures")
+
+let test_catalogue_renders () =
+  let ctx = Doc.context () in
+  List.iter
+    (fun (e : Doc.entry) ->
+      Alcotest.(check bool) (e.id ^ " renders") true
+        (String.length (e.render ctx) > 0))
+    Doc.catalogue;
+  let two = Doc.select ~verb:"tables" "ablations" in
+  Alcotest.(check string) "render: newline after each, blank line between"
+    (String.concat "\n" (List.map (fun (e : Doc.entry) -> e.render ctx ^ "\n") two))
+    (Doc.render ctx two)
 
 let () =
   Alcotest.run "macs_report"
@@ -215,6 +295,16 @@ let () =
         ] );
       ( "report-doc",
         [ Alcotest.test_case "markdown" `Quick test_report_doc ] );
+      ( "catalogue",
+        [
+          Alcotest.test_case "ids unique" `Quick test_catalogue_ids_unique;
+          Alcotest.test_case "verb names resolve" `Quick
+            test_catalogue_names_resolve;
+          Alcotest.test_case "extensions all covers every extension" `Quick
+            test_extensions_all_covers;
+          Alcotest.test_case "every entry renders" `Quick
+            test_catalogue_renders;
+        ] );
       ( "figures",
         [
           Alcotest.test_case "figure2" `Quick test_figure2;

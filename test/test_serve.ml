@@ -629,6 +629,52 @@ let test_replayed_items_count_own_indexes () =
   close_in ic;
   Alcotest.(check int) "only n - k items journaled anew" n !items
 
+(* Computed items reach the reply as values; only journaled item lines
+   are parsed, and one that does not parse becomes a typed internal
+   error for its index while the rest of the batch is answered. *)
+let test_unreadable_journaled_item () =
+  let dir = tmp_dir "unreadable" in
+  let path = Filename.concat dir "s.journal" in
+  let frame =
+    {|{"id":"u","batch":[{"op":"simulate","kernel":1},{"op":"simulate","kernel":3},{"op":"simulate","kernel":7}]}|}
+  in
+  let key = Session.frame_key ~id:"u" ~payload:frame in
+  (match Session.open_ path with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+      Session.record_item s ~key ~index:0 {|{"ok":true,"tier":|};
+      Session.record_item s ~key ~index:1
+        {|{"ok":true,"tier":"estimate","marker":1}|});
+  let server =
+    create_ok { Server.default_config with Server.session = Some path }
+  in
+  let results =
+    match Option.bind (Json.mem (reply_json server frame) "results") Json.arr with
+    | Some rs -> rs
+    | None -> Alcotest.fail "reply has no results"
+  in
+  (match results with
+  | [ bad; replayed; computed ] ->
+      let error_field f =
+        Option.bind (Json.mem bad "error") (fun e ->
+            Option.bind (Json.mem e f) Json.str)
+      in
+      Alcotest.(check (option bool)) "item 0 failed" (Some false)
+        (Option.bind (Json.mem bad "ok") Json.bool);
+      Alcotest.(check (option string)) "item 0 kind" (Some "internal")
+        (error_field "kind");
+      Alcotest.(check bool) "item 0 names the unreadable line" true
+        (match error_field "message" with
+        | Some m -> String.starts_with ~prefix:"unreadable journaled item" m
+        | None -> false);
+      Alcotest.(check bool) "item 1 replayed" true
+        (Json.mem replayed "marker" <> None);
+      Alcotest.(check (option string)) "item 2 computed" (Some "full")
+        (Option.bind (Json.mem computed "tier") Json.str)
+  | _ -> Alcotest.fail "expected three results");
+  Alcotest.(check int) "the journaled estimate counts as degraded" 1
+    (Server.stats server).Server.degraded
+
 (* A session hit is looked up before the items are decoded; it must
    still never mask a frame-level error, never answer a different
    payload, and replay a journaled item error byte for byte. *)
@@ -1256,6 +1302,8 @@ let () =
             test_serve_loop_oversize;
           Alcotest.test_case "replayed items count own indexes" `Quick
             test_replayed_items_count_own_indexes;
+          Alcotest.test_case "unreadable journaled item" `Quick
+            test_unreadable_journaled_item;
           Alcotest.test_case "session hit keeps frame checks" `Quick
             test_session_hit_keeps_frame_checks;
         ] );
