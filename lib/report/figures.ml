@@ -100,8 +100,8 @@ let figure3 ~load_average (ds : Dataset.t) =
     load_average
     (Chart.render ~categories series)
 
-let pipeline_trace ?(kernel = 1) () =
-  let k = Lfk.Kernels.find kernel in
+let pipeline_trace () =
+  let k = Lfk.Kernels.find 1 in
   let c = Fcc.Compiler.compile k in
   (* two strips of the first segment only, so the picture stays small *)
   let seg = List.hd c.job.Job.segments in

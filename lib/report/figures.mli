@@ -12,7 +12,7 @@ val figure3 : load_average:float -> Dataset.t -> string
     memory-contention workload at [load_average] (the paper's is
     {!Report_doc.paper_load_average}). *)
 
-val pipeline_trace : ?kernel:int -> unit -> string
-(** A Gantt view of the first two strips of a kernel (default LFK1) on the
+val pipeline_trace : unit -> string
+(** A Gantt view of the first two strips of LFK1 on the
     simulator: one bar per vector instruction, grouped by strip, showing
     chaining hand-offs and the steady-state chime cadence. *)

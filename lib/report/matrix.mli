@@ -10,9 +10,6 @@ type verdict = Pass | Degraded | Violation
 
 val worst : verdict -> verdict -> verdict
 
-val verdict_cell : verdict -> string
-(** ["ok"], ["deg"], ["VIOL"]. *)
-
 type t
 
 val create : rows:string list -> cols:string list -> t

@@ -29,6 +29,7 @@ type t = {
   violations : Macs.Oracle.violation list;
 }
 
+(* Sum of the kernel's output arrays: the LFK-style result signature. *)
 let checksum_of_store (k : Lfk.Kernel.t) store =
   List.fold_left
     (fun acc name ->

@@ -114,6 +114,3 @@ val estimated_rows : t -> (row * Macs_util.Macs_error.t) list
     forced the substitution. *)
 
 val render : t -> string
-
-val checksum_of_store : Lfk.Kernel.t -> Convex_vpsim.Store.t -> float
-(** Sum of the kernel's output arrays — the LFK-style result signature. *)

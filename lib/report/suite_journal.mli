@@ -51,19 +51,6 @@ val config_record : config -> Journal.record
 val config_of_record : Journal.record -> (config, string) result
 val record_of_row : Suite.row -> Journal.record
 val row_of_record : Journal.record -> (Suite.row, string) result
-val record_of_violation : Macs.Oracle.violation -> Journal.record
-
-val violation_of_record :
-  Journal.record -> (Macs.Oracle.violation, string) result
-
-val record_of_attempt :
-  lfk:int -> int * Macs_util.Macs_error.t -> Journal.record
-(** One consumed relaxed-guard retry: the kernel number, the guard scale
-    of the attempt and its structured diagnostic (tag ["attempt"]). *)
-
-val attempt_of_record :
-  Journal.record -> (int * int * Macs_util.Macs_error.t, string) result
-(** [(lfk, guard_scale, diagnostic)]. *)
 
 (** {1 Cells}
 

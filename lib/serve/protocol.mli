@@ -88,14 +88,21 @@ type 'items envelope =
 type frame = (item, perror) result list envelope
 
 val decode_envelope :
-  max_batch:int -> string -> (Json.t list envelope, perror) result
-(** Decode one request line's envelope and leave its items raw.  Every
-    frame-level check happens here: JSON syntax, a JSON object, the
-    [id], [deadline_ms] and [budget_cycles] fields, [batch] being an
-    array (or an inline ["op"]), and the [max_batch] cap.  Item fields
-    are not looked at, so the server can derive the frame key and
-    answer a replayed frame without decoding any item; {!decode_item}
-    decodes them on a miss. *)
+  max_batch:int -> string -> (Json.t list Lazy.t envelope, perror) result
+(** Decode one request line's envelope and leave its items unbuilt.
+    Every frame-level check happens here: JSON syntax, a JSON object,
+    the [id], [deadline_ms] and [budget_cycles] fields, [batch] being
+    an array (or an inline ["op"]), and the [max_batch] cap.  The line
+    is validated by {!Json.scan}, which builds no tree: the four
+    envelope fields are parsed from their own spans (the first binding
+    of a key wins, as in {!Json.mem}), and [max_batch] is checked
+    against the scanned element count.  No item is parsed until the
+    lazy items are forced, which parses the [batch] span alone (or, for
+    an inline frame, the line); so the server derives the frame key and
+    answers a replayed frame without building any item, and
+    {!decode_item} decodes them on a miss.  A line the scan rejects is
+    handed to {!Json.parse} only for its error message, so a
+    [bad-frame] reply carries the parser's message and byte offset. *)
 
 val decode_frame : max_batch:int -> string -> (frame, perror) result
 (** {!decode_envelope}, then {!decode_item} on each item: one request

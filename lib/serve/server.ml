@@ -234,7 +234,9 @@ let reply_of_results ~id results =
 (* Computed items stay [Json.t] from [Engine.eval_item] to the reply;
    only the items a restarted server takes from its journal are parsed. *)
 let compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~raw_items =
-  let items = Array.of_list (List.map Protocol.decode_item raw_items) in
+  let items =
+    Array.of_list (List.map Protocol.decode_item (Lazy.force raw_items))
+  in
   let n = Array.length items in
   let watchdog = watchdog_of t ~deadline_ms ~budget_cycles in
   let already i =
@@ -293,8 +295,9 @@ let compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~raw_items =
   reply
 
 (* The key and both lookups need only the envelope: a frame's items are
-   decoded only once the session and the cache have both missed, so a
-   replayed frame costs a digest, a lookup and the reply write. *)
+   built and decoded only once the session and the cache have both
+   missed, so a replayed frame costs the envelope scan, a digest, a
+   lookup and the reply write. *)
 let serve_batch t ~raw ~id ~deadline_ms ~budget_cycles ~raw_items =
   let key = Session.frame_key ~id ~payload:raw in
   let replay () =

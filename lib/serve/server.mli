@@ -24,9 +24,9 @@
       {!Session.frame_key} (id + payload bytes) in the session journal
       and fronted by {!Convex_cache.Cache}; resending a frame replays
       the original reply byte-for-byte.  The key needs only the frame's
-      envelope ({!Protocol.decode_envelope}), so a hit decodes no batch
-      item: its cost is the envelope parse, a digest, a lookup and the
-      write.
+      envelope ({!Protocol.decode_envelope}), so a hit builds and
+      decodes no batch item: its cost is one {!Json.scan} of the line
+      (no JSON tree), a digest, a lookup and the write.
     - {b Crash-safe resume.}  Batch items journal as they complete; a
       server killed mid-batch and restarted on the same session file
       recomputes only the missing items and never re-executes completed

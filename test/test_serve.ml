@@ -202,6 +202,172 @@ let json_roundtrip_prop =
     (QCheck.make ~print:Json.to_string json_gen)
     (fun v -> Json.parse (Json.to_string v) = Ok v)
 
+(* ---- Json.scan: the tree-free twin of Json.parse ---- *)
+
+(* The scan agrees with the parser on [s]: it rejects exactly what
+   [parse] rejects, names a non-object top level, and on an object lists
+   every member, in order and duplicates included, with a span that
+   parses to that member's value and the element count of an array. *)
+let scan_agrees s =
+  match (Json.scan s, Json.parse s) with
+  | Json.Rejected, Error _ -> true
+  | Json.Not_object, Ok j -> (match j with Json.Obj _ -> false | _ -> true)
+  | Json.Object ms, Ok (Json.Obj kvs) ->
+      List.length ms = List.length kvs
+      && List.for_all2
+           (fun (m : Json.member) (k, v) ->
+             m.key = k
+             && Json.member_value s m = v
+             && Json.parse (String.sub s m.pos m.len) = Ok v
+             && m.count = Option.map List.length (Json.arr v))
+           ms kvs
+  | _ -> false
+
+(* A line put through one byte-level mangle: truncated at a random byte,
+   one byte flipped, or a stray backslash or control byte inserted. *)
+let mangle_gen base =
+  let open QCheck.Gen in
+  let* s = base in
+  let n = String.length s in
+  let* at = int_bound n in
+  let insert c =
+    String.sub s 0 at ^ String.make 1 c ^ String.sub s at (n - at)
+  in
+  oneof
+    [
+      return (String.sub s 0 at);
+      (if n = 0 then return s
+       else
+         let* flip = int_range 1 255 in
+         let i = min at (n - 1) in
+         return
+           (String.mapi
+              (fun j c -> if j = i then Char.chr (Char.code c lxor flip) else c)
+              s));
+      return (insert '\\');
+      map (fun c -> insert (Char.chr c)) (int_bound 0x1f);
+    ]
+
+(* Token soup: JSON fragments strung at random, bare or inside a string
+   or a member, so escapes, surrogates and number edges meet every
+   context the grammar has. *)
+let soup_gen =
+  let open QCheck.Gen in
+  let soup =
+    map (String.concat "")
+      (list_size (int_range 1 10)
+         (oneofl
+            [ "{"; "}"; "["; "]"; ":"; ","; " "; "\""; "\\"; "\\u";
+              "\\ud834"; "\\udd1e"; "\\u0041"; "\\uDBFF"; "\\x";
+              "\\n"; "\\/"; "0"; "01"; "-"; "1"; "."; "e"; "E+"; "true";
+              "tru"; "null"; "\"id\""; "\"a\":"; "\x01"; "\x7f"; "\xff";
+              "0123456789abcdef" ]))
+  in
+  oneof
+    [
+      soup;
+      map (fun s -> "\"" ^ s ^ "\"") soup;
+      map (fun s -> "{\"k\":" ^ s ^ "}") soup;
+      map (fun s -> "[" ^ s ^ "]") soup;
+    ]
+
+let scan_agrees_prop =
+  let docs = QCheck.Gen.map Json.to_string json_gen in
+  let lines =
+    QCheck.Gen.oneof
+      [
+        docs;
+        Serve_fuzz.frame_gen;
+        Serve_fuzz.mangled_gen;
+        mangle_gen docs;
+        mangle_gen Serve_fuzz.frame_gen;
+        soup_gen;
+      ]
+  in
+  QCheck.Test.make ~count:2000 ~name:"scan agrees with parse"
+    (QCheck.make ~print:(Printf.sprintf "%S") lines)
+    scan_agrees
+
+let test_scan_cases () =
+  let deep n = String.make n '[' ^ "1" ^ String.make n ']' in
+  let cases =
+    [
+      {|{"i\u0064":"x","batch":[]}|};
+      {|{"id":"first","id":"second","batch":[1]}|};
+      deep 64;
+      deep 65;
+      "{\"a\":" ^ deep 63 ^ "}";
+      "{\"a\":" ^ deep 64 ^ "}";
+      {|"\ud834"|};
+      {|"\ud834\u0041"|};
+      {|"\udd1e"|};
+      {|"\ud834\udd1e"|};
+      {|{"k":"\ud834\udd1e","\ud834\udd1e":1}|};
+      "-0";
+      "01";
+      "1.";
+      "1e+";
+      "[-0,1e+5,2.5E-3]";
+      "tru";
+      "true";
+      {|{"id":"x"} x|};
+      {|{"id":"x"}   |};
+      "[1,2]";
+      "\"s\"";
+      "{}";
+      " { } ";
+      "";
+      "{\"a\":1,}";
+      "[1,]";
+    ]
+  in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "%S" s) true (scan_agrees s))
+    cases;
+  let keys s =
+    match Json.scan s with
+    | Json.Object ms -> List.map (fun (m : Json.member) -> m.key) ms
+    | _ -> Alcotest.failf "%S: expected an object" s
+  in
+  Alcotest.(check (list string)) "escaped key decodes" [ "id"; "batch" ]
+    (keys {|{"i\u0064":"x","batch":[]}|});
+  Alcotest.(check bool) "depth 64 accepted" true
+    (Json.scan (deep 64) = Json.Not_object);
+  Alcotest.(check bool) "depth 65 rejected" true
+    (Json.scan (deep 65) = Json.Rejected);
+  Alcotest.(check bool) "lone surrogate rejected" true
+    (Json.scan {|"\ud834"|} = Json.Rejected);
+  Alcotest.(check (list string)) "paired surrogate key decodes"
+    [ "k"; "\xf0\x9d\x84\x9e" ]
+    (keys {|{"k":"\ud834\udd1e","\ud834\udd1e":1}|});
+  Alcotest.(check bool) "{} is an empty object" true
+    (Json.scan "{}" = Json.Object []);
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (s ^ " rejected") true
+        (Json.scan s = Json.Rejected))
+    [ "01"; "1."; "1e+"; "tru"; {|{"id":"x"} x|} ];
+  (* the envelope reads the escaped key as [id], and the first of two
+     [id]s *)
+  let id_of line =
+    match Protocol.decode_envelope ~max_batch:64 line with
+    | Ok (Protocol.Batch { id; _ }) -> id
+    | _ -> Alcotest.failf "%s: expected a batch" line
+  in
+  Alcotest.(check string) "escaped id" "x"
+    (id_of {|{"i\u0064":"x","batch":[]}|});
+  Alcotest.(check string) "first id wins" "first"
+    (id_of {|{"id":"first","id":"second","batch":[]}|});
+  match
+    Protocol.decode_envelope ~max_batch:64 {|{"id":7,"id":"x","batch":[]}|}
+  with
+  | Error e ->
+      Alcotest.(check string) "a non-string first id" "bad-request"
+        e.Protocol.kind
+  | Ok _ -> Alcotest.fail "the first binding of id is not a string"
+
 (* ---- Protocol ---- *)
 
 let test_decode_batch () =
@@ -264,9 +430,9 @@ let test_decode_item_errors () =
   | _ -> Alcotest.fail "envelope must decode"
 
 let test_decode_envelope_leaves_items_raw () =
-  (* the envelope decode looks at no item field: an item that fails to
-     decode is still a raw JSON value there, and decode_frame is the
-     envelope decode followed by the item decode *)
+  (* the envelope decode looks at no item field and builds no item: an
+     item that fails to decode is still a raw JSON value once forced, and
+     decode_frame is the envelope decode followed by the item decode *)
   let line =
     {|{"id":"x","deadline_ms":5,"batch":[{"op":"wat"},{"op":"simulate","kernel":7}]}|}
   in
@@ -274,6 +440,8 @@ let test_decode_envelope_leaves_items_raw () =
   | Ok (Protocol.Batch { id; deadline_ms; items; _ }) ->
       Alcotest.(check string) "id" "x" id;
       Alcotest.(check (option (float 0.0))) "deadline" (Some 5.0) deadline_ms;
+      Alcotest.(check bool) "items not built" false (Lazy.is_val items);
+      let items = Lazy.force items in
       Alcotest.(check int) "two raw items" 2 (List.length items);
       let kinds =
         List.map
@@ -721,6 +889,56 @@ let test_session_hit_keeps_frame_checks () =
   Alcotest.(check int) "both replayed" 2 st.Server.replayed_frames;
   Alcotest.(check int) "no item decoded on a replay" 0 st.Server.decoded_items;
   Alcotest.(check int) "no item evaluated on a replay" 0 st.Server.items
+
+(* A replayed frame is answered from its envelope scan: none of its
+   items is built, so it allocates a small fraction of what parsing its
+   line into a tree does. *)
+let test_replay_builds_no_item_tree () =
+  let dir = tmp_dir "notree" in
+  let config =
+    {
+      Server.default_config with
+      Server.session = Some (Filename.concat dir "s.journal");
+    }
+  in
+  let item i =
+    Printf.sprintf
+      {|{"op":"simulate","kernel":%d,"machine":"c240;banks=%d;vl=%d;pipes.mul=%d","opt":"v61"}|}
+      (List.nth [ 1; 2; 3; 7 ] (i mod 4))
+      (8 lsl (i mod 4)) (64 + (8 * i)) (1 + (i mod 3))
+  in
+  let line =
+    Printf.sprintf {|{"id":"warm","budget_cycles":50,"batch":[%s]}|}
+      (String.concat "," (List.init 32 item))
+  in
+  let s = create_ok config in
+  let first = Server.handle_line s line in
+  let decoded = (Server.stats s).Server.decoded_items in
+  Alcotest.(check int) "the warm-up decodes 32 items" 32 decoded;
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 100 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. w0) /. 100.0
+  in
+  let parse_words = words (fun () -> Json.parse line) in
+  let replay_words =
+    words (fun () ->
+        let reply, rejected = Server.handle_frame s line in
+        if rejected || reply <> first then Alcotest.fail "replay changed";
+        reply)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "replay %.0f words < parse %.0f / 4" replay_words
+       parse_words)
+    true
+    (replay_words < parse_words /. 4.0);
+  let st = Server.stats s in
+  Alcotest.(check int) "no item decoded on a replay" decoded
+    st.Server.decoded_items;
+  Alcotest.(check int) "every replay served from the session" 100
+    st.Server.replayed_frames
 
 (* ---- Supervisor layer: limiter, sequencer, conn_io, connections ---- *)
 
@@ -1271,6 +1489,8 @@ let () =
           Alcotest.test_case "float rendering" `Quick
             test_json_float_rendering;
           QCheck_alcotest.to_alcotest json_roundtrip_prop;
+          Alcotest.test_case "scan cases" `Quick test_scan_cases;
+          QCheck_alcotest.to_alcotest scan_agrees_prop;
         ] );
       ( "protocol",
         [
@@ -1304,6 +1524,8 @@ let () =
             test_replayed_items_count_own_indexes;
           Alcotest.test_case "unreadable journaled item" `Quick
             test_unreadable_journaled_item;
+          Alcotest.test_case "replay builds no item tree" `Quick
+            test_replay_builds_no_item_tree;
           Alcotest.test_case "session hit keeps frame checks" `Quick
             test_session_hit_keeps_frame_checks;
         ] );
