@@ -170,7 +170,8 @@ let pipeline_arg =
     & info [ "pipeline" ] ~docv:"N"
         ~doc:
           "Frames of one connection computing concurrently; replies are \
-           re-sequenced into arrival order.  0 means follow $(b,--jobs).")
+           re-sequenced into arrival order, and a connection owes at most \
+           N replies at once.  0 means follow $(b,--jobs).")
 
 let config_of jobs session cache deadline budget max_batch max_frame =
   {

@@ -14,7 +14,9 @@
    Both directions work in blocks.  A read scans the buffered bytes for
    the newline and takes the frame as one span (a frame that arrived
    whole is a single [Bytes.sub_string]; only one split across reads
-   accumulates in [line]).  A write assembles the reply and its newline
+   accumulates in [line]).  Before that copy, a whole frame is offered
+   to the caller's [lookup] in place, and a known line is answered with
+   no copy at all.  A write assembles the reply and its newline
    in the connection's scratch buffer and sends it with one [write]
    call. *)
 
@@ -41,6 +43,8 @@ let reader fd =
 
 type read_event =
   | Line of string  (* a complete frame, newline stripped *)
+  | Replay of { reply : string; length : int }
+      (* a complete frame [lookup] answered in place; never copied *)
   | Oversized of int  (* a complete frame over the cap: its true length *)
   | Eof  (* clean close between frames *)
   | Torn of int  (* peer vanished mid-frame, [n] bytes in *)
@@ -77,8 +81,8 @@ let far_future = Float.max_float
    caps retained bytes (the excess is discarded as it streams in).
    Partial-frame state persists across calls, so a frame delivered in
    many small reads accumulates — but never outlives its deadline. *)
-let read_line ?idle_timeout_s ?frame_timeout_s ?(stop = fun () -> false) ~now
-    ~limit r =
+let read_line ?idle_timeout_s ?frame_timeout_s ?(stop = fun () -> false)
+    ?(lookup = fun _ ~pos:_ ~len:_ -> None) ~now ~limit r =
   let deadline_of = function
     | None -> far_future
     | Some s -> now () +. s
@@ -114,10 +118,12 @@ let read_line ?idle_timeout_s ?frame_timeout_s ?(stop = fun () -> false) ~now
     if r.rpos >= r.rlen then refill ()
     else
       match newline r.rpos with
-      | Some nl when partial () = 0 && nl - r.rpos <= limit ->
-          let line = Bytes.sub_string r.rbuf r.rpos (nl - r.rpos) in
+      | Some nl when partial () = 0 && nl - r.rpos <= limit -> (
+          let pos = r.rpos and len = nl - r.rpos in
           r.rpos <- nl + 1;
-          Line line
+          match lookup r.rbuf ~pos ~len with
+          | Some reply -> Replay { reply; length = len }
+          | None -> Line (Bytes.sub_string r.rbuf pos len))
       | Some nl ->
           take nl;
           r.rpos <- nl + 1;

@@ -15,6 +15,9 @@ val reader : Unix.file_descr -> reader
 
 type read_event =
   | Line of string  (** a complete frame, newline stripped *)
+  | Replay of { reply : string; length : int }
+      (** a complete frame that [lookup] answered: its reply, and the
+          frame's length without the newline *)
   | Oversized of int  (** a complete frame over the cap: its true length *)
   | Eof  (** clean close between frames *)
   | Torn of int  (** the peer vanished mid-frame, [n] bytes in *)
@@ -27,6 +30,7 @@ val read_line :
   ?idle_timeout_s:float ->
   ?frame_timeout_s:float ->
   ?stop:(unit -> bool) ->
+  ?lookup:(Bytes.t -> pos:int -> len:int -> string option) ->
   now:(unit -> float) ->
   limit:int ->
   reader ->
@@ -40,7 +44,13 @@ val read_line :
     at least every 100 ms while blocked (default: never true); once it
     holds, the wait ends with {!Stopped}, partial-frame state kept.
     This is how a drain wakes a reader blocked on a pipe, which
-    [shutdown(2)] cannot cut. *)
+    [shutdown(2)] cannot cut.
+
+    [lookup] (default: never) is offered each frame that arrived whole
+    in one read, as a span of the read buffer, before the frame is
+    copied out; a [Some reply] consumes the frame as {!Replay} with no
+    copy made.  The span is valid only during the call.  A frame split
+    across reads is accumulated and returned as {!Line}. *)
 
 type write_error =
   | Peer_closed  (** EPIPE / ECONNRESET: the client hung up mid-reply *)

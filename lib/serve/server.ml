@@ -39,9 +39,80 @@ type flight = {
   mutable result : (string, exn) result option;
 }
 
+(* The replay index: a request line's exact bytes -> the reply the
+   session answered it with.  A repeated line is found by one hash pass
+   over its bytes and one compare against the stored line, so it skips
+   the envelope scan, the frame-key digest and (read straight from a
+   connection buffer) the copy of the line.  Only a line the full path
+   answered as a session replay enters: every frame check has passed
+   for it under this process's config, and its reply is the one a retry
+   is owed, so entries are never removed.  Each entry is a distinct
+   line of a journaled frame (the frame key digests the whole line), and
+   its reply is the string the session already holds, so the index
+   grows only as the session does and adds just the lines.  A cache hit
+   does not enter: its reply lives on disk, and the cache counts every
+   hit in its own [stats] section. *)
+module Index = struct
+  (* a line: a span of a read buffer, or a whole stored line *)
+  type span = { b : Bytes.t; pos : int; len : int }
+
+  module Tbl = Hashtbl.Make (struct
+    type t = span
+
+    (* multiply-xor over 8-byte words, then the tail bytes; the word
+       order is the host's, which is fine for a key that never leaves
+       the process *)
+    let hash { b; pos; len } =
+      let mix h w =
+        let h = (h lxor w) * 0x100000001b3 in
+        h lxor (h lsr 29)
+      in
+      let stop = pos + len in
+      let h = ref len and i = ref pos in
+      while !i + 8 <= stop do
+        h := mix !h (Int64.to_int (Bytes.get_int64_ne b !i));
+        i := !i + 8
+      done;
+      while !i < stop do
+        h := mix !h (Char.code (Bytes.unsafe_get b !i));
+        incr i
+      done;
+      !h
+
+    let equal x y =
+      let word i =
+        Bytes.get_int64_ne x.b (x.pos + i) = Bytes.get_int64_ne y.b (y.pos + i)
+      and byte i = Bytes.get x.b (x.pos + i) = Bytes.get y.b (y.pos + i) in
+      let rec go i =
+        if i + 8 <= x.len then word i && go (i + 8)
+        else i >= x.len || (byte i && go (i + 1))
+      in
+      x.len = y.len && go 0
+  end)
+
+  type t = { mutex : Mutex.t; table : string Tbl.t }
+
+  let create () = { mutex = Mutex.create (); table = Tbl.create 64 }
+
+  let find t b ~pos ~len =
+    Mutex.lock t.mutex;
+    let reply = Tbl.find_opt t.table { b; pos; len } in
+    Mutex.unlock t.mutex;
+    reply
+
+  let add t ~line reply =
+    let key =
+      { b = Bytes.unsafe_of_string line; pos = 0; len = String.length line }
+    in
+    Mutex.lock t.mutex;
+    Tbl.replace t.table key reply;
+    Mutex.unlock t.mutex
+end
+
 type t = {
   config : config;
   session : Session.t option;
+  index : Index.t;
   cache : Convex_cache.Cache.t option;
   mutex : Mutex.t;  (** guards the counters *)
   mutable counters : stats;
@@ -67,6 +138,7 @@ let create (config : config) =
         {
           config;
           session;
+          index = Index.create ();
           cache = Option.map Convex_cache.Cache.open_dir config.cache_dir;
           mutex = Mutex.create ();
           counters =
@@ -294,28 +366,32 @@ let compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~raw_items =
       });
   reply
 
+let note_replay t =
+  bump t (fun c ->
+      { c with frames = c.frames + 1; replayed_frames = c.replayed_frames + 1 })
+
+let replay_of_span t b ~pos ~len = Index.find t.index b ~pos ~len
+
 (* The key and both lookups need only the envelope: a frame's items are
    built and decoded only once the session and the cache have both
    missed, so a replayed frame costs the envelope scan, a digest, a
-   lookup and the reply write. *)
+   lookup and the reply write.  A session hit also enters the replay
+   index, which answers the line's next arrival without any of them. *)
 let serve_batch t ~raw ~id ~deadline_ms ~budget_cycles ~raw_items =
   let key = Session.frame_key ~id ~payload:raw in
   let replay () =
     match
       Option.bind t.session (fun s -> Session.lookup_frame s ~key)
     with
-    | Some _ as hit -> hit
+    | Some reply as hit ->
+        Index.add t.index ~line:raw reply;
+        hit
     | None ->
         Option.bind t.cache (fun c ->
             Convex_cache.Cache.find c ~key:(cache_key key))
   in
   let replayed reply =
-    bump t (fun c ->
-        {
-          c with
-          frames = c.frames + 1;
-          replayed_frames = c.replayed_frames + 1;
-        });
+    note_replay t;
     reply
   in
   match replay () with
@@ -393,25 +469,33 @@ let rejection t reply =
   bump t (fun c -> { c with rejected = c.rejected + 1 });
   (reply, true)
 
+(* The full path: envelope scan, frame key, lookup or computation. *)
+let serve_line t line =
+  match Protocol.decode_envelope ~max_batch:t.config.max_batch line with
+  | Error e -> rejection t (Protocol.error_reply e)
+  | Ok (Protocol.Control { id; control }) -> (control_reply t ~id control, false)
+  | Ok (Protocol.Batch { id; deadline_ms; budget_cycles; items }) -> (
+      match
+        serve_batch t ~raw:line ~id ~deadline_ms ~budget_cycles
+          ~raw_items:items
+      with
+      | reply -> (reply, false)
+      | exception (Macs_util.Sink.Crashed _ as exn) -> raise exn
+      | exception ((Out_of_memory | Stack_overflow) as exn) -> raise exn
+      | exception exn ->
+          rejection t
+            (Protocol.error_reply ~id
+               (Protocol.perror ~site:"Server.handle_line" ~kind:"internal"
+                  (Printexc.to_string exn))))
+
 let handle_frame t line =
-  if String.length line > t.config.max_frame_bytes then
-    (oversized_reply t (String.length line), true)
+  let len = String.length line in
+  if len > t.config.max_frame_bytes then (oversized_reply t len, true)
   else
-    match Protocol.decode_envelope ~max_batch:t.config.max_batch line with
-    | Error e -> rejection t (Protocol.error_reply e)
-    | Ok (Protocol.Control { id; control }) -> (control_reply t ~id control, false)
-    | Ok (Protocol.Batch { id; deadline_ms; budget_cycles; items }) -> (
-        match
-          serve_batch t ~raw:line ~id ~deadline_ms ~budget_cycles
-            ~raw_items:items
-        with
-        | reply -> (reply, false)
-        | exception (Macs_util.Sink.Crashed _ as exn) -> raise exn
-        | exception ((Out_of_memory | Stack_overflow) as exn) -> raise exn
-        | exception exn ->
-            rejection t
-              (Protocol.error_reply ~id
-                 (Protocol.perror ~site:"Server.handle_line" ~kind:"internal"
-                    (Printexc.to_string exn))))
+    match replay_of_span t (Bytes.unsafe_of_string line) ~pos:0 ~len with
+    | Some reply ->
+        note_replay t;
+        (reply, false)
+    | None -> serve_line t line
 
 let handle_line t line = fst (handle_frame t line)

@@ -27,6 +27,20 @@
       envelope ({!Protocol.decode_envelope}), so a hit builds and
       decodes no batch item: its cost is one {!Json.scan} of the line
       (no JSON tree), a digest, a lookup and the write.
+    - {b A replay index.}  A line answered from the session that way
+      enters an in-memory index keyed by its exact bytes, and the
+      line's next arrival is answered from it: one hash pass over the
+      bytes and one compare, no scan, no digest, and, read through
+      {!replay_of_span} from a connection buffer, no copy of the line.
+      Computed, coalesced, cache-answered, rejected, control and
+      oversized frames never enter; a different byte anywhere
+      (whitespace included) is a different line and takes the full
+      path.  An entry's reply is the string the session already holds,
+      so the index grows only with the session.  The index starts
+      empty in every process and cannot change a reply or a [stats]
+      counter: a hit counts as the session replay it repeats, and a
+      cache-answered line goes to the cache, and into its hit count,
+      every time.
     - {b Crash-safe resume.}  Batch items journal as they complete; a
       server killed mid-batch and restarted on the same session file
       recomputes only the missing items and never re-executes completed
@@ -88,6 +102,18 @@ val oversized_reply : t -> int -> string
     [rejected].  {!handle_line} answers an over-cap line with the same
     bytes. *)
 
+val replay_of_span : t -> Bytes.t -> pos:int -> len:int -> string option
+(** The replay index's reply for the request line held in
+    [bytes[pos, pos + len)], if that exact line was answered from the
+    session before in this process.  It copies and
+    counts nothing: a caller that serves the reply must call
+    {!note_replay}.  The supervisor offers each whole line in its read
+    buffer here before copying it out. *)
+
+val note_replay : t -> unit
+(** Count one frame served from {!replay_of_span}: [frames] and
+    [replayed_frames] move exactly as for a replay on the full path. *)
+
 val handle_frame : t -> string -> string * bool
 (** Serve one request line to one reply line (no trailing newline),
     and say whether that reply rejects the frame whole: [true] for the
@@ -95,7 +121,8 @@ val handle_frame : t -> string -> string * bool
     [batch-too-large]) and [internal] error envelopes, [false] for a
     batch answer (even one whose every item failed) and for control
     replies.  The connection supervisor counts its strikes from this
-    flag instead of re-reading the reply.  Thread-safe: concurrent
+    flag instead of re-reading the reply.  A line in the replay index
+    ({!replay_of_span}) is answered from it first.  Thread-safe: concurrent
     callers carrying the same frame key coalesce onto a single
     computation ({e single flight}) — one journal append, one cache
     store, byte-identical replies. *)

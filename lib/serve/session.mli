@@ -17,6 +17,12 @@
 type t
 
 val frame_key : id:string -> payload:string -> string
+(** The MD5 hex digest of [id], a NUL byte and [payload]: the key of a
+    frame's records in the journal, so its value must never change.
+    The server pays for it on a miss, on a cache hit, and on a frame's
+    first session replay in a process; later arrivals of that line are
+    answered by the server's in-memory replay index
+    ({!Server.replay_of_span}), keyed by the line's bytes. *)
 
 val open_ : string -> (t, string) result
 (** Open (creating, or repairing and loading) the session journal at the

@@ -274,8 +274,9 @@ let finish_report t report =
       report.frames report.replies report.throttled;
   report
 
-let handle_connection t ?output fd =
+let handle_connection t ?output ?handle fd =
   let output = Option.value output ~default:fd in
+  let handle = Option.value handle ~default:(Server.handle_frame t.server) in
   let conn = Atomic.fetch_and_add t.conn_seq 1 in
   Atomic.incr t.live;
   locked t (fun () ->
@@ -291,11 +292,14 @@ let handle_connection t ?output fd =
       ~now:t.now writer line
   in
   let seqr = Sequencer.create ~write in
+  let lookup = Server.replay_of_span t.server in
   let seq = ref 0 in
   let frames = ref 0 in
   let throttled = ref 0 in
   let strikes = ref 0 in
-  (* pipeline bookkeeping: frames in flight on worker threads *)
+  (* pipeline bookkeeping: frames in flight on worker threads; with the
+     replies the sequencer holds behind an earlier one, they are the
+     replies this connection owes, at most [pipeline] at once *)
   let pm = Mutex.create () in
   let slot = Condition.create () in
   let inflight = ref 0 in
@@ -310,14 +314,34 @@ let handle_connection t ?output fd =
     incr seq;
     s
   in
+  (* wait, holding [pm] on return, until fewer than [pipeline] replies
+     are owed.  A worker broadcasts [slot] after each submit, which is
+     the only way a held reply leaves the sequencer. *)
+  let await_slot () =
+    Mutex.lock pm;
+    while
+      !inflight + Sequencer.pending seqr >= net.pipeline
+      && Atomic.get t.crash = None
+    do
+      Condition.wait slot pm
+    done
+  in
+  (* a reply the reader already holds (a replay-index hit) is written
+     on this thread, but still takes a slot of the pipeline: behind a
+     slow frame it would otherwise queue in the sequencer unbounded *)
+  let answer_now answer =
+    let s = next_seq () in
+    if net.pipeline > 1 then begin
+      await_slot ();
+      Mutex.unlock pm
+    end;
+    submit_reply s answer
+  in
   let run_frame line =
     let s = next_seq () in
-    if net.pipeline <= 1 then submit_reply s (Server.handle_frame t.server line)
+    if net.pipeline <= 1 then submit_reply s (handle line)
     else begin
-      Mutex.lock pm;
-      while !inflight >= net.pipeline && Atomic.get t.crash = None do
-        Condition.wait slot pm
-      done;
+      await_slot ();
       incr inflight;
       Mutex.unlock pm;
       if Atomic.get t.crash <> None then begin
@@ -330,7 +354,7 @@ let handle_connection t ?output fd =
         ignore
           (Thread.create
              (fun () ->
-               (match Server.handle_frame t.server line with
+               (match handle line with
                | answer -> submit_reply s answer
                | exception (Sink.Crashed _ as exn) -> stash_crash t exn
                | exception exn ->
@@ -364,7 +388,7 @@ let handle_connection t ?output fd =
           ?idle_timeout_s:(ms_to_s net.idle_timeout_ms)
           ?frame_timeout_s:(ms_to_s net.read_timeout_ms)
           ~stop:(fun () -> Atomic.get t.drain_requested)
-          ~now:t.now
+          ~lookup ~now:t.now
           ~limit:(Server.max_frame_bytes_of t.server)
           reader
       with
@@ -386,18 +410,24 @@ let handle_connection t ?output fd =
           bump t (fun c -> c.frames_read <- c.frames_read + 1);
           submit_reply (next_seq ()) (Server.oversized_reply t.server bytes, true);
           after_frame ()
-      | Conn_io.Line line -> (
-          incr frames;
-          bump t (fun c -> c.frames_read <- c.frames_read + 1);
-          match Limiter.admit limiter ~bytes:(String.length line + 1) with
-          | Limiter.Throttled why ->
-              incr throttled;
-              bump t (fun c -> c.throttled_frames <- c.throttled_frames + 1);
-              reject (next_seq ()) (throttled_error why);
-              after_frame ()
-          | Limiter.Admitted ->
-              run_frame line;
-              after_frame ())
+      | Conn_io.Replay { reply; length } ->
+          (* the server's replay index answered the line in the read
+             buffer: counted as the full path counts a replay *)
+          admit ~bytes:(length + 1) (fun () ->
+              Server.note_replay t.server;
+              answer_now (reply, false))
+      | Conn_io.Line line ->
+          admit ~bytes:(String.length line + 1) (fun () -> run_frame line)
+  and admit ~bytes serve =
+    incr frames;
+    bump t (fun c -> c.frames_read <- c.frames_read + 1);
+    (match Limiter.admit limiter ~bytes with
+    | Limiter.Throttled why ->
+        incr throttled;
+        bump t (fun c -> c.throttled_frames <- c.throttled_frames + 1);
+        reject (next_seq ()) (throttled_error why)
+    | Limiter.Admitted -> serve ());
+    after_frame ()
   and after_frame () =
     if !strikes >= t.net.max_strikes then begin
       (* the goodbye notice is itself a rejection envelope — count the

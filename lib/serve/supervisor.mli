@@ -21,7 +21,10 @@
     - {b Reply pipelining}: with [pipeline > 1], up to that many frames
       of one connection compute concurrently; replies are re-sequenced
       into arrival order by {!Sequencer}, so the wire contract (one
-      reply per frame, in order) is unchanged.
+      reply per frame, in order) is unchanged.  A reply held for an
+      earlier one counts against the same depth, so a connection owes
+      at most [pipeline] replies at once and its reader stops until one
+      is written, replay-index hits included.
     - {b Fault containment}: EPIPE / mid-reply hangup / stalled writes
       latch that connection's output dead and close it with a typed
       diagnostic ({!outcome}); the process and the other connections
@@ -48,7 +51,7 @@ type net_config = {
   write_timeout_ms : float option;  (** whole reply to the peer *)
   limits : Limiter.config;  (** per-connection rate limits *)
   max_strikes : int;  (** consecutive whole-frame rejections before close *)
-  pipeline : int;  (** frames of one connection in flight at once *)
+  pipeline : int;  (** replies one connection may owe at once *)
   drain_ms : float;  (** graceful-drain window for in-flight batches *)
   log_diagnostics : bool;  (** per-connection close diagnostics on stderr *)
 }
@@ -100,14 +103,21 @@ val create : ?net:net_config -> Server.t -> t
 (** Also registers the supervisor's counters as a ["supervisor"]
     section of the server's [stats] control reply. *)
 
-val handle_connection : t -> ?output:Unix.file_descr -> Unix.file_descr -> report
+val handle_connection :
+  t ->
+  ?output:Unix.file_descr ->
+  ?handle:(string -> string * bool) ->
+  Unix.file_descr ->
+  report
 (** Serve one already-accepted connection to completion on the calling
     thread (the accept loop spawns a thread per connection around
     this): frames are read from the descriptor, replies written to
     [output] (default: the same descriptor, as for a socket; stdio
-    passes stdin and [~output:stdout]).  Owns both descriptors: always
-    closes them.  Raises the latched {!Macs_util.Sink.Crashed} if any
-    connection crashed. *)
+    passes stdin and [~output:stdout]).  Each frame the replay index
+    does not answer goes to [handle] (default: {!Server.handle_frame}
+    on the supervised server; a test passes one it can hold back).
+    Owns both descriptors: always closes them.  Raises the latched
+    {!Macs_util.Sink.Crashed} if any connection crashed. *)
 
 val listen :
   ?interface:Unix.inet_addr -> port:int -> backlog:int -> unit ->

@@ -868,14 +868,35 @@ let test_session_hit_keeps_frame_checks () =
     (Server.stats s1).Server.replayed_frames;
   Alcotest.(check int) "its item was decoded" 5
     (Server.stats s1).Server.decoded_items;
+  (* a computed frame is not indexed; its first replay indexes it, and
+     the next arrival is answered from the index *)
+  let indexed s line =
+    Server.replay_of_span s (Bytes.of_string line) ~pos:0
+      ~len:(String.length line)
+  in
+  Alcotest.(check (option string)) "computed: not indexed" None
+    (indexed s1 three);
+  Alcotest.(check string) "replayed from the session" r_three
+    (Server.handle_line s1 three);
+  Alcotest.(check (option string)) "replayed: indexed" (Some r_three)
+    (indexed s1 three);
+  Alcotest.(check string) "replayed from the index" r_three
+    (Server.handle_line s1 three);
+  Alcotest.(check int) "both count as replays" 2
+    (Server.stats s1).Server.replayed_frames;
   (* (b) restarted with a smaller max_batch, the journaled 3-item frame
-     is a batch-too-large rejection, not a replay *)
+     (which the first process answered from its index) is a
+     batch-too-large rejection, not a replay *)
   let s2 = create_ok { config with Server.max_batch = 2 } in
+  Alcotest.(check (option string)) "a new process starts with no index"
+    None (indexed s2 three);
   let reply, rejected = Server.handle_frame s2 three in
   Alcotest.(check bool) "whole-frame rejection" true rejected;
   Alcotest.(check (option string)) "batch-too-large" (Some "batch-too-large")
     (get_str [ "error"; "kind" ] (parse_ok reply));
   Alcotest.(check int) "no replay" 0 (Server.stats s2).Server.replayed_frames;
+  Alcotest.(check (option string)) "a rejection is not indexed" None
+    (indexed s2 three);
   (* (c) a journaled frame holding a bad item replays byte-identically,
      item error included; (d) a replay decodes no item *)
   let s3 = create_ok config in
@@ -890,9 +911,24 @@ let test_session_hit_keeps_frame_checks () =
   Alcotest.(check int) "no item decoded on a replay" 0 st.Server.decoded_items;
   Alcotest.(check int) "no item evaluated on a replay" 0 st.Server.items
 
-(* A replayed frame is answered from its envelope scan: none of its
-   items is built, so it allocates a small fraction of what parsing its
-   line into a tree does. *)
+(* A 32-item frame of distinct simulate items (about 3.6 KB), the shape
+   of a replayed benchmark frame. *)
+let frame_32 =
+  let item i =
+    Printf.sprintf
+      {|{"op":"simulate","kernel":%d,"machine":"c240;banks=%d;vl=%d;pipes.mul=%d","opt":"v61"}|}
+      (List.nth [ 1; 2; 3; 7 ] (i mod 4))
+      (8 lsl (i mod 4)) (64 + (8 * i)) (1 + (i mod 3))
+  in
+  Printf.sprintf {|{"id":"warm","budget_cycles":50,"batch":[%s]}|}
+    (String.concat "," (List.init 32 item))
+
+(* A replayed frame builds none of its items, so it allocates a small
+   fraction of what parsing its line into a tree does.  Both replay
+   paths are measured: a line's first session replay in a process (the
+   envelope scan, the digest and the lookup; each of 100 servers
+   restarted on the session answers the line once) and every later one
+   (the replay index: a hash and a compare, well under the scan). *)
 let test_replay_builds_no_item_tree () =
   let dir = tmp_dir "notree" in
   let config =
@@ -901,43 +937,50 @@ let test_replay_builds_no_item_tree () =
       Server.session = Some (Filename.concat dir "s.journal");
     }
   in
-  let item i =
-    Printf.sprintf
-      {|{"op":"simulate","kernel":%d,"machine":"c240;banks=%d;vl=%d;pipes.mul=%d","opt":"v61"}|}
-      (List.nth [ 1; 2; 3; 7 ] (i mod 4))
-      (8 lsl (i mod 4)) (64 + (8 * i)) (1 + (i mod 3))
-  in
-  let line =
-    Printf.sprintf {|{"id":"warm","budget_cycles":50,"batch":[%s]}|}
-      (String.concat "," (List.init 32 item))
-  in
+  let line = frame_32 in
   let s = create_ok config in
   let first = Server.handle_line s line in
   let decoded = (Server.stats s).Server.decoded_items in
   Alcotest.(check int) "the warm-up decodes 32 items" 32 decoded;
   let words f =
     let w0 = Gc.minor_words () in
-    for _ = 1 to 100 do
-      ignore (Sys.opaque_identity (f ()))
+    for i = 0 to 99 do
+      ignore (Sys.opaque_identity (f i))
     done;
     (Gc.minor_words () -. w0) /. 100.0
   in
-  let parse_words = words (fun () -> Json.parse line) in
-  let replay_words =
-    words (fun () ->
-        let reply, rejected = Server.handle_frame s line in
-        if rejected || reply <> first then Alcotest.fail "replay changed";
-        reply)
+  let replay s =
+    let reply, rejected = Server.handle_frame s line in
+    if rejected || reply <> first then Alcotest.fail "replay changed";
+    reply
   in
+  let parse_words = words (fun _ -> Json.parse line) in
+  let restarted = Array.init 100 (fun _ -> create_ok config) in
+  let scan_words = words (fun i -> replay restarted.(i)) in
   Alcotest.(check bool)
-    (Printf.sprintf "replay %.0f words < parse %.0f / 4" replay_words
+    (Printf.sprintf "first replay %.0f words < parse %.0f / 4" scan_words
        parse_words)
     true
-    (replay_words < parse_words /. 4.0);
+    (scan_words < parse_words /. 4.0);
+  Array.iter
+    (fun r ->
+      let st = Server.stats r in
+      Alcotest.(check (pair int int))
+        "one replay from the session, no item decoded"
+        (1, 0)
+        (st.Server.replayed_frames, st.Server.decoded_items))
+    restarted;
+  ignore (replay s : string);
+  let index_words = words (fun _ -> replay s) in
+  Alcotest.(check bool)
+    (Printf.sprintf "indexed replay %.0f words < first replay %.0f / 4"
+       index_words scan_words)
+    true
+    (index_words < scan_words /. 4.0);
   let st = Server.stats s in
   Alcotest.(check int) "no item decoded on a replay" decoded
     st.Server.decoded_items;
-  Alcotest.(check int) "every replay served from the session" 100
+  Alcotest.(check int) "every replay served from the session" 101
     st.Server.replayed_frames
 
 (* ---- Supervisor layer: limiter, sequencer, conn_io, connections ---- *)
@@ -1088,6 +1131,7 @@ let test_conn_io_events () =
 
 let event_name = function
   | Conn_io.Line l -> Printf.sprintf "Line %S" l
+  | Conn_io.Replay { reply; length } -> Printf.sprintf "Replay %S %d" reply length
   | Conn_io.Oversized n -> Printf.sprintf "Oversized %d" n
   | Conn_io.Eof -> "Eof"
   | Conn_io.Torn n -> Printf.sprintf "Torn %d" n
@@ -1197,6 +1241,42 @@ let test_conn_io_block_reads () =
   Unix.close a;
   Unix.close b
 
+(* [lookup] sees each frame that arrived whole, in place: a known one
+   is consumed as [Replay], anything else (unknown, split across reads,
+   over the cap) comes back as before. *)
+let test_conn_io_lookup () =
+  let now = Unix.gettimeofday in
+  let lookup b ~pos ~len =
+    if Bytes.sub_string b pos len = "two" then Some "2" else None
+  in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  send a "one\ntwo\n\ntwo\n";
+  let r = Conn_io.reader b in
+  List.iter
+    (fun expected ->
+      check_event "whole frames" expected
+        (Conn_io.read_line ~lookup ~now ~limit:64 r))
+    Conn_io.
+      [
+        Line "one";
+        Replay { reply = "2"; length = 3 };
+        Line "";
+        Replay { reply = "2"; length = 3 };
+      ];
+  send a "t";
+  check_event "first byte" Conn_io.Stopped
+    (Conn_io.read_line ~stop:(stop_after 2) ~lookup ~now ~limit:64 r);
+  send a "wo\ntwo\n";
+  check_event "split across reads" (Conn_io.Line "two")
+    (Conn_io.read_line ~lookup ~now ~limit:64 r);
+  check_event "whole again" (Conn_io.Replay { reply = "2"; length = 3 })
+    (Conn_io.read_line ~lookup ~now ~limit:64 r);
+  send a "two\n";
+  check_event "over the cap" (Conn_io.Oversized 3)
+    (Conn_io.read_line ~lookup ~now ~limit:2 r);
+  Unix.close a;
+  Unix.close b
+
 (* The crash-sweep serve-net drive in miniature: stage frames in the
    socket buffer, serve the connection on this thread, read replies. *)
 let drive_connection ?net server frames =
@@ -1275,6 +1355,298 @@ let test_supervised_strikes_close () =
   | o -> Alcotest.failf "expected Struck_out 3, got %s" (Supervisor.outcome_name o));
   Alcotest.(check int) "struck out only after the third rejection in a row"
     10 (List.length replies)
+
+(* ---- the replay index ---- *)
+
+(* Serve [frames] on one connection of a fresh supervisor; a writer and
+   a reader thread keep either socket buffer from wedging the exchange.
+   The reply lines, in order. *)
+let serve_on_connection server frames =
+  let sup = Supervisor.create server in
+  let client, srv = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let writer =
+    Thread.create
+      (fun () ->
+        List.iter (fun f -> send client (f ^ "\n")) frames;
+        Unix.shutdown client Unix.SHUTDOWN_SEND)
+      ()
+  in
+  let out = Buffer.create 4096 in
+  let reader =
+    Thread.create
+      (fun () ->
+        let bytes = Bytes.create 4096 in
+        let rec copy () =
+          match Unix.read client bytes 0 4096 with
+          | 0 -> ()
+          | n ->
+              Buffer.add_subbytes out bytes 0 n;
+              copy ()
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> copy ()
+        in
+        copy ())
+      ()
+  in
+  ignore (Supervisor.handle_connection sup srv : Supervisor.report);
+  Thread.join writer;
+  Thread.join reader;
+  Unix.close client;
+  match List.rev (String.split_on_char '\n' (Buffer.contents out)) with
+  | "" :: rest -> List.rev rest
+  | lines -> List.rev lines
+
+let add_stats (a : Server.stats) (b : Server.stats) =
+  Server.
+    {
+      frames = a.frames + b.frames;
+      control = a.control + b.control;
+      rejected = a.rejected + b.rejected;
+      replayed_frames = a.replayed_frames + b.replayed_frames;
+      coalesced = a.coalesced + b.coalesced;
+      items = a.items + b.items;
+      replayed_items = a.replayed_items + b.replayed_items;
+      decoded_items = a.decoded_items + b.decoded_items;
+      degraded = a.degraded + b.degraded;
+    }
+
+let no_stats =
+  Server.
+    {
+      frames = 0;
+      control = 0;
+      rejected = 0;
+      replayed_frames = 0;
+      coalesced = 0;
+      items = 0;
+      replayed_items = 0;
+      decoded_items = 0;
+      degraded = 0;
+    }
+
+let show_stats (s : Server.stats) =
+  Printf.sprintf
+    "frames %d control %d rejected %d replayed_frames %d coalesced %d items \
+     %d replayed_items %d decoded_items %d degraded %d"
+    s.frames s.control s.rejected s.replayed_frames s.coalesced s.items
+    s.replayed_items s.decoded_items s.degraded
+
+let index_frame_bytes = 4096
+
+(* Work frames, each sent three times, with rejected, control and
+   oversized lines and a whitespace variant of a work frame (different
+   bytes: a different frame) mixed in and retried, in random order.
+   [stats] frames become pings: their reply reads the counters of the
+   server that answers, which differ by design between one server and
+   a server per frame. *)
+let index_case_gen =
+  let open QCheck.Gen in
+  let frame =
+    map
+      (fun f ->
+        if astr_contains f {|"op":"stats"|} then {|{"op":"ping"}|} else f)
+      Serve_fuzz.frame_gen
+  in
+  let* pool = list_size (int_range 1 3) frame in
+  let first = List.hd pool in
+  let variant = "{ " ^ String.sub first 1 (String.length first - 1) in
+  let oversized =
+    Printf.sprintf {|{"id":"big","op":"ping","pad":"%s"}|}
+      (String.make index_frame_bytes 'x')
+  in
+  let* extras =
+    list_size (int_range 1 4)
+      (oneofl
+         [
+           {|{"op":"ping"}|};
+           {|{"id":"c","op":"ping"}|};
+           "not json";
+           "";
+           {|{"id":"r","batch":"x"}|};
+           oversized;
+         ])
+  in
+  shuffle_l
+    (List.concat_map (fun f -> [ f; f; f ]) pool
+    @ List.concat_map (fun f -> [ f; f ]) (variant :: extras))
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The cache's counters in a [stats] reply, as hits, misses, stores;
+   zero without a cache. *)
+let cache_counters s =
+  let n k =
+    Option.value ~default:0
+      (Option.bind (get [ "cache"; k ] (Server.stats_json s)) Json.int)
+  in
+  (n "hits", n "misses", n "stores")
+
+let add3 (a, b, c) (x, y, z) = (a + x, b + y, c + z)
+
+(* One long-lived server (over a connection, so whole lines meet the
+   index in the read buffer) against a server restarted on its storage
+   before every frame (so its index is always empty): same replies, same
+   counters (the cache's included), same compacted journal.  Each case
+   runs with a session, with a cache and no session (nothing is
+   indexed: every retry goes to the cache and its hit count), and with
+   both. *)
+let index_invisible_prop =
+  QCheck.Test.make ~count:20 ~name:"replay index is invisible"
+    (QCheck.make ~print:(String.concat "\n") index_case_gen)
+    (fun frames ->
+      let serve_both ~session ~cache =
+        let config dir =
+          {
+            Server.default_config with
+            Server.session =
+              (if session then Some (Filename.concat dir "s.journal")
+               else None);
+            cache_dir =
+              (if cache then Some (Filename.concat dir "cache") else None);
+            max_batch = 2;
+            max_frame_bytes = index_frame_bytes;
+          }
+        in
+        let dir_long = tmp_dir "index_long"
+        and dir_restarted = tmp_dir "index_restarted" in
+        let long = create_ok (config dir_long) in
+        let replies_long = serve_on_connection long frames in
+        let replies, restarted, restarted_cache =
+          List.fold_left
+            (fun (replies, acc, acc_cache) f ->
+              let s = create_ok (config dir_restarted) in
+              let r = Server.handle_line s f in
+              ( r :: replies,
+                add_stats acc (Server.stats s),
+                add3 acc_cache (cache_counters s) ))
+            ([], no_stats, (0, 0, 0))
+            frames
+        in
+        Server.finish long;
+        Server.finish (create_ok (config dir_restarted));
+        let journal dir =
+          if session then read_file (Filename.concat dir "s.journal") else ""
+        in
+        let setup =
+          Printf.sprintf "(session %b, cache %b) " session cache
+        in
+        if replies_long <> List.rev replies then
+          QCheck.Test.fail_report (setup ^ "replies differ")
+        else if Server.stats long <> restarted then
+          QCheck.Test.fail_reportf
+            "%scounters differ:\n  one server  %s\n  restarted   %s" setup
+            (show_stats (Server.stats long)) (show_stats restarted)
+        else if cache_counters long <> restarted_cache then
+          QCheck.Test.fail_report (setup ^ "cache counters differ")
+        else if journal dir_long <> journal dir_restarted then
+          QCheck.Test.fail_report (setup ^ "compacted journals differ")
+        else true
+      in
+      serve_both ~session:true ~cache:false
+      && serve_both ~session:false ~cache:true
+      && serve_both ~session:true ~cache:true)
+
+(* Hundreds of indexed lines: the table grows, every
+   line still finds its own reply, and a line one byte off (same length,
+   and one byte longer) finds none. *)
+let test_replay_index_grows () =
+  let dir = tmp_dir "grow" in
+  let s =
+    create_ok
+      {
+        Server.default_config with
+        Server.session = Some (Filename.concat dir "s.journal");
+      }
+  in
+  let line i = Printf.sprintf {|{"id":"g%d","batch":[{"op":"wat"}]}|} i in
+  let n = 300 in
+  let replies = Array.init n (fun i -> Server.handle_line s (line i)) in
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check string) "replayed" r (Server.handle_line s (line i)))
+    replies;
+  let indexed l =
+    Server.replay_of_span s (Bytes.of_string l) ~pos:0 ~len:(String.length l)
+  in
+  (* the span need not start at 0 *)
+  let at_offset l =
+    let b = Bytes.of_string ("xyz" ^ l ^ "\n") in
+    Server.replay_of_span s b ~pos:3 ~len:(String.length l)
+  in
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check (option string)) "indexed" (Some r) (indexed (line i));
+      Alcotest.(check (option string)) "indexed at an offset" (Some r)
+        (at_offset (line i));
+      let l = line i in
+      let off = Bytes.of_string l in
+      Bytes.set off (String.length l - 3) '!';
+      Alcotest.(check (option string)) "one byte off" None
+        (indexed (Bytes.to_string off));
+      Alcotest.(check (option string)) "one byte longer" None
+        (indexed (l ^ " ")))
+    replies;
+  let st = Server.stats s in
+  Alcotest.(check int) "each replayed once" n st.Server.replayed_frames;
+  Alcotest.(check int) "each decoded once" n st.Server.decoded_items
+
+(* A replay read from a connection is answered in the read buffer: no
+   copy of the line, no digest input, so nothing the size of the line
+   reaches the major heap.  A 3.6 KB line is about 450 words; a copy of
+   it, or the digest's concatenation, each alone break the bound. *)
+let test_replay_allocates_no_line () =
+  let dir = tmp_dir "nocopy" in
+  let s =
+    create_ok
+      {
+        Server.default_config with
+        Server.session = Some (Filename.concat dir "s.journal");
+      }
+  in
+  let first = Server.handle_line s frame_32 in
+  let sup = Supervisor.create s in
+  let client, srv = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let th =
+    Thread.create
+      (fun () -> ignore (Supervisor.handle_connection sup srv : Supervisor.report))
+      ()
+  in
+  let request = Bytes.of_string (frame_32 ^ "\n") in
+  let buf = Bytes.create (1 lsl 18) in
+  let round_trip () =
+    ignore (Unix.write client request 0 (Bytes.length request) : int);
+    let rec go n =
+      let k = Unix.read client buf n (Bytes.length buf - n) in
+      if k = 0 || Bytes.get buf (n + k - 1) = '\n' then n + k else go (n + k)
+    in
+    go 0
+  in
+  (* the first replay takes the full path and enters the index *)
+  ignore (round_trip () + round_trip () : int);
+  let before = Gc.quick_stat () in
+  let short = ref 0 in
+  for _ = 1 to 100 do
+    if round_trip () <> String.length first + 1 then incr short
+  done;
+  let after = Gc.quick_stat () in
+  let last = Bytes.sub_string buf 0 (String.length first) in
+  Unix.shutdown client Unix.SHUTDOWN_SEND;
+  Thread.join th;
+  Unix.close client;
+  Alcotest.(check int) "every reply whole" 0 !short;
+  Alcotest.(check string) "the journaled reply" first last;
+  let per_replay =
+    (after.Gc.major_words -. before.Gc.major_words) /. 100.0
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f major words per replay < 64" per_replay)
+    true (per_replay < 64.0);
+  let st = Server.stats s in
+  Alcotest.(check int) "102 replays counted" 102 st.Server.replayed_frames;
+  Alcotest.(check int) "no item decoded on a replay" 32 st.Server.decoded_items
 
 (* The strike predicate the supervisor used to compute by re-parsing
    every reply, kept as the oracle for [handle_frame]'s flag. *)
@@ -1365,6 +1737,90 @@ let test_supervised_pipeline_order () =
         (Some (Printf.sprintf "p%d" i))
         (get_str [ "id" ] (parse_ok reply)))
     replies
+
+(* A replay-index hit is answered on the reader thread, but it still
+   takes a slot of the pipeline.  With [pipeline 2], a frame held back
+   on its worker and 200 retries of an indexed line behind it, the
+   reader stops after one held reply (the frame, one queued replay, and
+   the one waiting for a slot: 3 read) until the frame is answered. *)
+let test_pipeline_bounds_owed_replies () =
+  let dir = tmp_dir "window" in
+  let s =
+    create_ok
+      {
+        Server.default_config with
+        Server.session = Some (Filename.concat dir "s.journal");
+      }
+  in
+  let retry = {|{"id":"r","batch":[{"op":"wat"}]}|} in
+  let r_retry = Server.handle_line s retry in
+  ignore (Server.handle_line s retry : string);
+  Alcotest.(check (option string)) "the retry is indexed" (Some r_retry)
+    (Server.replay_of_span s (Bytes.of_string retry) ~pos:0
+       ~len:(String.length retry));
+  let slow = {|{"id":"slow","op":"ping"}|} in
+  let m = Mutex.create () and c = Condition.create () in
+  let entered = ref false and released = ref false in
+  let handle line =
+    if line <> slow then Server.handle_frame s line
+    else begin
+      Mutex.lock m;
+      entered := true;
+      Condition.broadcast c;
+      while not !released do
+        Condition.wait c m
+      done;
+      Mutex.unlock m;
+      ("held", false)
+    end
+  in
+  let sup =
+    Supervisor.create
+      ~net:{ Supervisor.default_net_config with Supervisor.pipeline = 2 }
+      s
+  in
+  let client, srv = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let n = 200 in
+  send client
+    (String.concat "\n" (slow :: List.init n (fun _ -> retry)) ^ "\n");
+  Unix.shutdown client Unix.SHUTDOWN_SEND;
+  let th =
+    Thread.create
+      (fun () ->
+        ignore
+          (Supervisor.handle_connection sup ~handle srv : Supervisor.report))
+      ()
+  in
+  Mutex.lock m;
+  while not !entered do
+    Condition.wait c m
+  done;
+  Mutex.unlock m;
+  (* unbounded, the reader would take every retry in this time *)
+  Thread.delay 0.2;
+  let read_while_held = (Supervisor.counters_snapshot sup).Supervisor.frames_read in
+  Mutex.lock m;
+  released := true;
+  Condition.broadcast c;
+  Mutex.unlock m;
+  (* many small replies can fill a socket buffer: read as they come *)
+  let buf = Buffer.create 4096 and bytes = Bytes.create 4096 in
+  let rec copy () =
+    match Unix.read client bytes 0 4096 with
+    | 0 -> ()
+    | k ->
+        Buffer.add_subbytes buf bytes 0 k;
+        copy ()
+  in
+  copy ();
+  Thread.join th;
+  Unix.close client;
+  Alcotest.(check int) "frames read while the first is held" 3 read_while_held;
+  Alcotest.(check (list string)) "every reply, in order"
+    ("held" :: List.init n (fun _ -> r_retry))
+    (String.split_on_char '\n' (String.trim (Buffer.contents buf)));
+  Alcotest.(check int) "every retry counted as a replay" (n + 1)
+    (Server.stats s).Server.replayed_frames
 
 let test_supervised_concurrent_dup_single_flight () =
   (* the same frame key on two live connections at once: one journal
@@ -1528,6 +1984,11 @@ let () =
             test_replay_builds_no_item_tree;
           Alcotest.test_case "session hit keeps frame checks" `Quick
             test_session_hit_keeps_frame_checks;
+          QCheck_alcotest.to_alcotest index_invisible_prop;
+          Alcotest.test_case "replay allocates no line" `Quick
+            test_replay_allocates_no_line;
+          Alcotest.test_case "replay index grows" `Quick
+            test_replay_index_grows;
         ] );
       ( "supervisor",
         [
@@ -1542,6 +2003,7 @@ let () =
           Alcotest.test_case "conn_io events" `Quick test_conn_io_events;
           Alcotest.test_case "conn_io block reads" `Quick
             test_conn_io_block_reads;
+          Alcotest.test_case "conn_io lookup" `Quick test_conn_io_lookup;
           Alcotest.test_case "supervised connection" `Quick
             test_supervised_connection_basic;
           Alcotest.test_case "strikes close" `Quick
@@ -1549,6 +2011,8 @@ let () =
           QCheck_alcotest.to_alcotest strike_flag_prop;
           Alcotest.test_case "pipeline keeps order" `Quick
             test_supervised_pipeline_order;
+          Alcotest.test_case "pipeline bounds owed replies" `Quick
+            test_pipeline_bounds_owed_replies;
           Alcotest.test_case "concurrent dup single-flight" `Quick
             test_supervised_concurrent_dup_single_flight;
           Alcotest.test_case "drain degrades in-flight" `Quick
