@@ -264,19 +264,58 @@ let read_perf_floor () =
     | Ok j -> Option.bind (mem j "tiered_geomean_floor") num
     | Error _ -> None
 
-let run_vpsim_bench () =
-  let time_sim ?fidelity ~layout job =
-    time_per_run (fun () ->
-        ignore (Convex_vpsim.Sim.run_exn ?layout ?fidelity job))
+(* the fast path's coverage over one tiered run of [f] *)
+let coverage_of f =
+  Convex_vpsim.Fastpath.reset_coverage ();
+  f ();
+  Convex_vpsim.Fastpath.coverage ()
+
+let pp_coverage (c : Convex_vpsim.Fastpath.coverage) =
+  let instr = c.leapt + c.stepped
+  and elems = c.leapt_elements + c.stepped_elements in
+  let refused =
+    List.filter_map
+      (fun (r, n) ->
+        if n = 0 then None
+        else
+          Some
+            (Printf.sprintf "%s %d" (Convex_vpsim.Fastpath.refusal_name r) n))
+      c.refused
   in
-  let row name ~layout job =
+  Printf.sprintf "leapt %d/%d instr, %.1f%% of elements; refused: %s" c.leapt
+    instr
+    (100.0 *. float_of_int c.leapt_elements /. float_of_int (max 1 elems))
+    (if refused = [] then "none" else String.concat ", " refused)
+
+(* Items shaped like macs_serve's simulate items, on machines like the
+   ones the serve benchmark sends (banks, vl and pipe counts varied).
+   Reported per row with the coverage counters; excluded from the
+   geomean, as bank-storm is. *)
+let served_items =
+  [
+    (7, Fcc.Opt_level.v61, "c240;banks=8;pipes.ld=2");
+    (1, Fcc.Opt_level.v61, "c240;banks=128;vl=200;pipes.ld=3;pipes.add=2");
+    (8, Fcc.Opt_level.packed, "c240;banks=16;vl=96;pipes.mul=3");
+    ( 3,
+      Fcc.Opt_level.loads_first,
+      "c240;banks=64;vl=256;pipes.ld=2;pipes.add=3;pipes.mul=2" );
+  ]
+
+let run_vpsim_bench () =
+  let time_sim ?machine ?fidelity ~layout job =
+    time_per_run (fun () ->
+        ignore (Convex_vpsim.Sim.run_exn ?machine ?layout ?fidelity job))
+  in
+  let row ?machine ?(label = fun name -> name) name ~layout job =
     (* the reference stepper against the default (tiered) one *)
-    let cycle_s = time_sim ~fidelity:Convex_vpsim.Fastpath.Cycle ~layout job in
-    let tiered_s = time_sim ~layout job in
+    let cycle_s =
+      time_sim ?machine ~fidelity:Convex_vpsim.Fastpath.Cycle ~layout job
+    in
+    let tiered_s = time_sim ?machine ~layout job in
     let speedup = cycle_s /. tiered_s in
     Printf.printf "  %-14s cycle %8.3f ms   tiered %8.3f ms   speedup %6.2fx\n%!"
       name (cycle_s *. 1e3) (tiered_s *. 1e3) speedup;
-    (name, cycle_s, tiered_s, speedup)
+    (label name, cycle_s, tiered_s, speedup)
   in
   Printf.printf "\nTiered fidelity (cycle vs tiered simulation):\n";
   let kernel_rows =
@@ -295,7 +334,60 @@ let run_vpsim_bench () =
   in
   Printf.printf "  %-14s geomean speedup %.2fx (adversarial excluded)\n"
     "livermore" geomean;
-  (kernel_rows @ [ adversarial_row ], geomean)
+  Printf.printf "\nServed mix (excluded from the geomean):\n";
+  let served_rows =
+    List.map
+      (fun (id, opt, spec) ->
+        let k = Lfk.Kernels.find id in
+        let machine = Result.get_ok (Convex_dsl.Machine_dsl.parse spec) in
+        let c = Fcc.Compiler.compile ~opt k in
+        let layout = Some (Macs.Hierarchy.layout_of c) in
+        let job = c.Fcc.Compiler.job in
+        let ((_, cycle_s, tiered_s, _) as r) =
+          row ~machine
+            ~label:(fun name -> name ^ " " ^ spec)
+            (Printf.sprintf "%s/%s" k.name (Fcc.Opt_level.name opt))
+            ~layout job
+        in
+        let cycles =
+          (Convex_vpsim.Sim.run_exn ~machine ?layout job).stats.cycles
+        in
+        let cov =
+          coverage_of (fun () ->
+              ignore (Convex_vpsim.Sim.run_exn ~machine ?layout job))
+        in
+        Printf.printf "    %s\n    ns per simulated cycle: cycle %.2f   tiered %.2f\n"
+          spec (cycle_s *. 1e9 /. cycles) (tiered_s *. 1e9 /. cycles);
+        Printf.printf "    %s\n%!" (pp_coverage cov);
+        r)
+      served_items
+  in
+  (* t_p exactly as Hierarchy measures it, over the Livermore suite on
+     the C-240: the tiered stepper's cost per leapt vector instruction *)
+  let tp_jobs =
+    List.map
+      (fun k ->
+        let c = Fcc.Compiler.compile k in
+        (Macs.Hierarchy.layout_of c, c))
+      Lfk.Kernels.all
+  in
+  let tp_pass () =
+    List.iter
+      (fun (layout, (c : Fcc.Compiler.t)) ->
+        ignore
+          (Convex_vpsim.Measure.run_exn ~layout
+             ~flops_per_iteration:c.flops_per_iteration c.job))
+      tp_jobs
+  in
+  let tp_s = time_per_run tp_pass in
+  let cov = coverage_of tp_pass in
+  Printf.printf
+    "\nHierarchy t_p, c240, Livermore suite: %.1f us per pass, %.2f us per \
+     leapt vector instruction\n  %s\n%!"
+    (tp_s *. 1e6)
+    (tp_s *. 1e6 /. float_of_int (max 1 cov.leapt))
+    (pp_coverage cov);
+  (kernel_rows @ [ adversarial_row ] @ served_rows, geomean)
 
 let write_vpsim_json path ~rows ~geomean ~floor =
   let oc = open_out path in

@@ -29,6 +29,10 @@ val create :
 val reset : t -> unit
 (** Clear bank state (contention and parameters are kept). *)
 
+val release : t -> unit
+(** Give [t]'s port table back to the calling domain for the next
+    {!create} to reuse.  [t] must not be used afterwards. *)
+
 val refresh_active : t -> cycle:int -> bool
 
 val port_stolen : t -> cycle:int -> bool
@@ -42,6 +46,16 @@ val try_access : t -> cycle:int -> word:int -> bool
 
 val bank_of : t -> word:int -> int
 
+(** Why {!admit_stream} refused a stream. *)
+type refusal =
+  | Contended  (** a contention model could steal any port cycle *)
+  | Below_port_mark
+      (** the stream starts at or below the port high-water mark and the
+          consumed slots above its start are not one dense span *)
+  | Over_slip  (** some element would wait more than [max_slip] attempts *)
+  | Fault_window
+      (** the plan is not quiescent from the start through the landing *)
+
 val admit_stream :
   t ->
   start:int ->
@@ -50,27 +64,36 @@ val admit_stream :
   word0:int ->
   wstride:int ->
   max_slip:int ->
-  float array option
+  (float array, refusal) result
 (** Closed-form admission of an affine access stream: element [e] wants
     word [word0 + e * wstride] no earlier than cycle [start + e * z]
-    (integer stream rate [z >= 1]).  Returns [Some cycles] — the access
+    (integer stream rate [z >= 1], [count >= 1], [start >= 0]; anything
+    else raises [Invalid_argument]).  Returns [Ok cycles] — the access
     cycle of every element, each an exact integer-valued float — exactly
     when the cycle-by-cycle {!try_access} spin loop would have granted
     the whole stream with every spin resolvable in closed form: refresh
     waits from the static window geometry, bank drains from the pass's
     own copy of the bank busy lines, and — when the stream starts at or
     below the port high-water mark — an element-0 chase across the most
-    recent span, provided that span is dense.  Every absorbed wait is
+    recent span, provided that span is dense.  A stream that starts above
+    the mark and provably meets no busy bank (each bank free at its first
+    nominal touch, revisits at least [bank_busy_cycles] apart) is proved
+    in O(banks) instead of one step per element.  Every absorbed wait is
     charged to the same stall counter {!try_access} would have charged,
     and every per-element slip must stay within [max_slip] failed
     attempts; the model state afterwards is precisely what the spin loop
-    would have produced.  Returns [None] — leaving the model untouched —
-    whenever any proof obligation fails: active contention, a fault plan
-    not {!Convex_fault.Fault.quiescent} from the stream's start through
-    its actual landing, a start below the mark without a dense span to
-    chase, or an over-long slip.  A [None] is always safe: the caller
-    falls back to the cycle stepper, which computes the same answer the
-    slow way. *)
+    would have produced.  Returns [Error] — leaving the model untouched —
+    whenever any proof obligation fails.  An [Error] is always safe: the
+    caller falls back to the cycle stepper, which computes the same
+    answer the slow way. *)
+
+val fill_affine :
+  float array -> from:int -> upto:int -> first:float -> step:float -> unit
+(** [fill_affine a ~from ~upto ~first ~step] sets [a.(e)] to
+    [first + (e - from) * step] for [e] in [\[from, upto)], by
+    accumulation: exact, and equal to the cycle stepper's own
+    element-by-element sums, when [first] and [step] are integer-valued
+    and every value stays below 2^53. *)
 
 val stats_accesses : t -> int
 (** Accesses accepted since creation/reset. *)

@@ -39,10 +39,22 @@ val spin_check_interval : int
     attempts; a leap never absorbs a wait that long, so watchdog
     observations agree between fidelities. *)
 
-type dep = { curve : float array; lift : float }
-(** One dependence on the stream: element [e] may not enter before
-    [curve.(min e (n-1)) +. lift].  Chain dependences lift by the
-    producer's result latency, WAW/WAR hazards by one cycle. *)
+type deps
+(** The dependences of one instruction's element stream: element [e] may
+    not enter before [curve.(min e (n-1)) +. lift] of each.  A buffer the
+    caller clears and refills for every instruction, so building it
+    allocates nothing. *)
+
+val make_deps : unit -> deps
+val clear_deps : deps -> unit
+
+val add_dep : deps -> float array -> float -> unit
+(** [add_dep d curve lift]: chain dependences lift by the producer's
+    result latency, WAW/WAR hazards by one cycle. *)
+
+val ready_at : deps -> int -> float
+(** The latest cycle any dependence allows element [e] to enter, [0.0]
+    when there is none. *)
 
 type stream =
   | Compute  (** no memory traffic *)
@@ -59,7 +71,7 @@ val try_leap :
   t0:float ->
   vl:int ->
   z:float ->
-  deps:dep list ->
+  deps:deps ->
   stream ->
   float array option
 (** Attempt to advance a whole element stream analytically.  Returns
@@ -69,7 +81,38 @@ val try_leap :
     refresh waits; [None] (state untouched) otherwise.  Obligations:
     [t0] and [z] integer-valued floats with [z >= 1]; the fault plan
     {!Convex_fault.Fault.quiescent} over the stream's
-    {!Mem_params.leap_horizon}; every [dep] curve at or below the closed
-    form; and for [Affine] streams the bank/port/refresh admission of
-    {!Memory.admit_stream} under a slip bound of [guard] (tightened to
-    one watchdog poll interval when [watchdog_armed]). *)
+    {!Mem_params.leap_horizon}; every dependence curve at or below the
+    closed form; and for [Affine] streams the bank/port/refresh admission
+    of {!Memory.admit_stream} under a slip bound of [guard] (tightened to
+    one watchdog poll interval when [watchdog_armed]).  Every call counts
+    in {!coverage}. *)
+
+(** {1 Coverage}
+
+    Process-wide counters of what {!try_leap} leapt and why it refused,
+    updated atomically so runs on several domains add up.  They describe
+    the process, not a run: nothing in {!Sim.stats}, a reply, a journal
+    or a cache entry reads them. *)
+
+type refusal =
+  | Opaque_stream  (** gather/scatter addressing *)
+  | Fault_window  (** the plan is not quiescent over the stream *)
+  | Non_integer_z  (** a memory stream's rate is not an exact integer *)
+  | Dependence  (** a dependence curve crosses the closed form *)
+  | Below_port_mark  (** see {!Memory.Below_port_mark} *)
+  | Over_slip  (** an element would wait past the slip bound *)
+  | Contention  (** a contention model could steal port cycles *)
+
+val refusals : refusal list
+val refusal_name : refusal -> string
+
+type coverage = {
+  leapt : int;  (** instructions leapt *)
+  leapt_elements : int;
+  stepped : int;  (** instructions refused, hence cycle-stepped *)
+  stepped_elements : int;
+  refused : (refusal * int) list;  (** refusals by reason, every reason *)
+}
+
+val coverage : unit -> coverage
+val reset_coverage : unit -> unit

@@ -53,7 +53,79 @@ type inflight = {
 let pair_mask rs =
   List.fold_left (fun m r -> m + (1 lsl (8 * Reg.pair_id r))) 0 rs
 
-type unit_state = { mutable used : bool; mutable next_accept : float }
+(* A growable set of in-flight instructions: the active windows, one
+   register's readers, one instruction's producers.  Kept in arrays so
+   that the per-instruction pruning allocates nothing. *)
+type bag = { mutable items : inflight array; mutable len : int }
+
+let no_inflight =
+  { instr = Instr.Smovvl; enter = [| 0.0 |]; y = 0.0; completion = 0.0;
+    source_unit = 0; unit_id = 0; rmask = 0; wmask = 0 }
+
+let bag () = { items = Array.make 4 no_inflight; len = 0 }
+
+let push b w =
+  if b.len = Array.length b.items then
+    b.items <- Array.append b.items (Array.make b.len no_inflight);
+  b.items.(b.len) <- w;
+  b.len <- b.len + 1
+
+let clear b =
+  Array.fill b.items 0 b.len no_inflight;
+  b.len <- 0
+
+(* keep only the instructions still completing after [t], in order *)
+let keep_live b t =
+  let j = ref 0 in
+  for k = 0 to b.len - 1 do
+    let w = b.items.(k) in
+    if w.completion > t then begin
+      b.items.(!j) <- w;
+      incr j
+    end
+  done;
+  Array.fill b.items !j (b.len - !j) no_inflight;
+  b.len <- !j
+
+(* [Float.max] on the simulator's cycles, which are never NaN and never
+   -0.0: the same answer, inlined, with no boxed float *)
+let[@inline] fmax (a : float) b = if b > a then b else a
+
+(* How a vector instruction addresses memory. *)
+type access =
+  | No_access
+  | Direct of Instr.mem  (** one word per element, affine in the element *)
+  | Indexed of Instr.mem  (** gather/scatter: data-dependent words *)
+
+(* What the steppers need of a vector instruction that does not change
+   from strip to strip, decoded once per run. *)
+type vinfo = {
+  pipe : Pipe.t;
+  timing : Timing.params;
+  units_lo : int;  (** the pipe's first unit instance *)
+  units_n : int;
+  vsrcs : int array;  (** vector registers read *)
+  vdsts : int array;  (** vector registers written *)
+  swrites : int array;  (** scalar registers written (a reduction) *)
+  vrmask : int;  (** {!pair_mask} of the reads *)
+  vwmask : int;  (** {!pair_mask} of the writes *)
+  reads_merge : bool;
+  writes_merge : bool;
+  access : access;
+  loads : bool;  (** waits on overlapping outstanding stores *)
+  stores : bool;  (** becomes an outstanding store *)
+}
+
+type decoded = {
+  di : Instr.t;  (** the instruction itself *)
+  sreads : int array;  (** scalar registers read *)
+  array_base : int;  (** base word of the referenced array, 0 when none *)
+  vinfo : vinfo option;  (** [None] for a scalar instruction *)
+}
+
+(* the clocks every instruction moves, in an all-float record so that
+   updating them boxes nothing *)
+type clock = { mutable issue_front : float; mutable finish : float }
 
 (* latency of a scalar load (cache) and a scalar FP ALU operation *)
 let scalar_load_latency = 4.0
@@ -62,10 +134,6 @@ let scalar_fp_latency = 3.0
 let result_at w e =
   let n = Array.length w.enter in
   w.enter.(min e (n - 1)) +. w.y
-
-let enter_at w e =
-  let n = Array.length w.enter in
-  w.enter.(min e (n - 1))
 
 (* default spin budget of the memory-progress guard, in cycles per access *)
 let default_guard = 1_000_000
@@ -87,42 +155,48 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
   let memory =
     Memory.create ~contention ~faults ?log:access_log machine.memory
   in
+  let healthy = Fault.is_none faults in
+  let watched = Option.is_some watchdog in
   (* function unit instances: load/store units first, then add, then
      multiply *)
   let lsu_n = machine.pipes.load_store in
   let add_n = machine.pipes.add_unit in
   let mul_n = machine.pipes.multiply_unit in
   let n_units = lsu_n + add_n + mul_n in
-  let units =
-    Array.init n_units (fun _ -> { used = false; next_accept = 0.0 })
-  in
-  let unit_ids = function
-    | Pipe.Load_store -> List.init lsu_n Fun.id
-    | Pipe.Add_unit -> List.init add_n (fun i -> lsu_n + i)
-    | Pipe.Multiply_unit -> List.init mul_n (fun i -> lsu_n + add_n + i)
+  let unit_used = Array.make n_units false in
+  let unit_next = Array.make n_units 0.0 in
+  let units_of = function
+    | Pipe.Load_store -> (0, lsu_n)
+    | Pipe.Add_unit -> (lsu_n, add_n)
+    | Pipe.Multiply_unit -> (lsu_n + add_n, mul_n)
   in
   let unit_last_start = Array.make n_units 0.0 in
   let pipe_busy = Array.make Pipe.count 0.0 in
   let vwriter : inflight option array = Array.make Reg.vector_count None in
   let vm_writer : inflight option ref = ref None in
-  let vreaders : inflight list array = Array.make Reg.vector_count [] in
+  let vreaders = Array.init Reg.vector_count (fun _ -> bag ()) in
   let sready = Array.make Reg.scalar_count 0.0 in
-  let issue_front = ref 0.0 in
-  let finish = ref 0.0 in
-  let active : inflight list ref = ref [] in
+  let clk = { issue_front = 0.0; finish = 0.0 } in
+  let active = bag () in
+  let producers = bag () in
+  let deps = Fastpath.make_deps () in
   (* outstanding stores as (lo_word, hi_word, completion): a later load
      overlapping the range must wait — memory RAW dependences, which
      serialize LFK2's ICCG passes and LFK6's recurrence *)
   let stores : (int * int * float) list ref = ref [] in
+  let n_stores = ref 0 in
   let store_dep ~lo ~hi =
     List.fold_left
-      (fun acc (l, h, c) -> if h >= lo && l <= hi then Float.max acc c else acc)
+      (fun acc (l, h, c) -> if h >= lo && l <= hi then fmax acc c else acc)
       0.0 !stores
   in
   let note_store ~lo ~hi ~completion ~now =
-    if List.length !stores > 64 then
+    if !n_stores > 64 then begin
       stores := List.filter (fun (_, _, c) -> c > now) !stores;
-    stores := (lo, hi, completion) :: !stores
+      n_stores := List.length !stores
+    end;
+    stores := (lo, hi, completion) :: !stores;
+    incr n_stores
   in
   let events = ref [] in
   let instructions = ref 0 in
@@ -130,7 +204,7 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
   (* call sites guard on [trace] themselves, so the non-traced hot loop
      never even constructs the event record *)
   let record ev = events := ev :: !events in
-  let note_finish t = if t > !finish then finish := t in
+  let note_finish t = if t > clk.finish then clk.finish <- t in
 
   let check_watchdog cycle =
     match watchdog with
@@ -153,50 +227,107 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
         Macs_error.raise_error
           (if Fault.is_none faults then
              Macs_error.livelock ~site:"Sim.run" ~cycle:!c
-               ~pending:(List.length !active) ~word ()
+               ~pending:active.len ~word ()
            else
              Macs_error.stall_out ~site:"Sim.run" ~cycle:!c
-               ~pending:(List.length !active) ~plan:faults.Fault.name)
+               ~pending:active.len ~plan:faults.Fault.name)
     done;
     float_of_int !c
   in
 
-  let shift_of (seg : Job.segment) array =
-    match List.assoc_opt array seg.shifts with Some s -> s | None -> 0
+  let decode i =
+    let regs l = Array.of_list l in
+    let mem = Instr.mem_ref i in
+    let array_base =
+      match mem with Some m -> Layout.base_of layout m.array | None -> 0
+    in
+    let vinfo =
+      match Instr.vclass_of i with
+      | None -> None
+      | Some cls ->
+          let pipe = Pipe.of_vclass cls in
+          let units_lo, units_n = units_of pipe in
+          let srcs = Instr.reads_v i and dsts = Instr.writes_v i in
+          let indexed =
+            match i with Instr.Vgather _ | Instr.Vscatter _ -> true | _ -> false
+          in
+          Some
+            {
+              pipe;
+              timing = Timing.get machine.timing cls;
+              units_lo;
+              units_n;
+              vsrcs = regs (List.map Reg.v_index srcs);
+              vdsts = regs (List.map Reg.v_index dsts);
+              swrites = regs (List.map Reg.s_index (Instr.writes_s i));
+              vrmask = pair_mask srcs;
+              vwmask = pair_mask dsts;
+              reads_merge = Instr.reads_merge i;
+              writes_merge = Instr.writes_merge i;
+              access =
+                (match mem with
+                | Some m when Instr.is_vector_memory i ->
+                    if indexed then Indexed m else Direct m
+                | _ -> No_access);
+              loads =
+                (match i with Instr.Vld _ | Instr.Vgather _ -> true | _ -> false);
+              stores =
+                (match i with
+                | Instr.Vst _ | Instr.Vscatter _ -> true
+                | _ -> false);
+            }
+    in
+    {
+      di = i;
+      sreads = regs (List.map Reg.s_index (Instr.reads_s i));
+      array_base;
+      vinfo;
+    }
   in
 
-  let word_for (seg : Job.segment) (m : Instr.mem) ~base_index ~element =
-    Layout.word_of layout m ~base_index ~element + shift_of seg m.array
+  let word_of (seg : Job.segment) d (m : Instr.mem) ~base_index ~element =
+    let shift =
+      match seg.shifts with
+      | [] -> 0
+      | shifts -> (
+          match List.assoc_opt m.array shifts with Some s -> s | None -> 0)
+    in
+    d.array_base + m.offset + ((base_index + element) * m.stride) + shift
+  in
+
+  let sreads_ready d =
+    let acc = ref 0.0 in
+    for k = 0 to Array.length d.sreads - 1 do
+      acc := fmax !acc sready.(d.sreads.(k))
+    done;
+    !acc
   in
 
   (* ---- scalar instructions ---- *)
-  let exec_scalar (seg : Job.segment) ~base_index ~strip i =
-    let sdeps =
-      List.fold_left (fun acc r -> Float.max acc sready.(Reg.s_index r)) 0.0
-        (Instr.reads_s i)
-    in
-    let t0 = Float.max !issue_front sdeps in
+  let exec_scalar (seg : Job.segment) ~base_index ~strip d =
+    let i = d.di in
+    let t0 = fmax clk.issue_front (sreads_ready d) in
     let fin =
       match i with
       | Instr.Sld { dst; src } ->
-          let word = word_for seg src ~base_index ~element:0 in
-          let t0 = Float.max t0 (store_dep ~lo:word ~hi:word) in
+          let word = word_of seg d src ~base_index ~element:0 in
+          let t0 = fmax t0 (store_dep ~lo:word ~hi:word) in
           let t_acc = acquire_mem ~earliest:t0 ~word in
           sready.(Reg.s_index dst) <- t_acc +. scalar_load_latency;
-          issue_front := t_acc +. float_of_int machine.scalar_memory_cycles;
+          clk.issue_front <- t_acc +. float_of_int machine.scalar_memory_cycles;
           t_acc +. scalar_load_latency
       | Sst { dst; _ } ->
-          let word = word_for seg dst ~base_index ~element:0 in
+          let word = word_of seg d dst ~base_index ~element:0 in
           let t_acc = acquire_mem ~earliest:t0 ~word in
-          issue_front := t_acc +. float_of_int machine.scalar_memory_cycles;
+          clk.issue_front <- t_acc +. float_of_int machine.scalar_memory_cycles;
           note_store ~lo:word ~hi:word ~completion:(t_acc +. 1.0) ~now:t0;
           t_acc +. 1.0
       | Sbin { dst; _ } ->
           sready.(Reg.s_index dst) <- t0 +. scalar_fp_latency;
-          issue_front := t0 +. float_of_int machine.scalar_cycles;
+          clk.issue_front <- t0 +. float_of_int machine.scalar_cycles;
           t0 +. scalar_fp_latency
       | Sop _ | Smovvl | Sbranch ->
-          issue_front := t0 +. float_of_int machine.scalar_cycles;
+          clk.issue_front <- t0 +. float_of_int machine.scalar_cycles;
           t0 +. float_of_int machine.scalar_cycles
       | Vld _ | Vst _ | Vgather _ | Vscatter _ | Vbin _ | Vneg _ | Vsqrt _
       | Vcmp _ | Vmerge _ | Vsum _ ->
@@ -210,23 +341,19 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
   in
 
   (* ---- vector instructions ---- *)
-  let exec_vector (seg : Job.segment) ~base_index ~strip ~vl i =
-    let cls = Option.get (Instr.vclass_of i) in
-    let pipe = Pipe.of_vclass cls in
-    let p = Timing.get machine.timing cls in
+  let exec_vector (seg : Job.segment) ~base_index ~strip ~vl d v =
+    let i = d.di in
+    let pipe = v.pipe in
     (* choose the least-busy unit instance of the pipe *)
-    let u =
-      List.fold_left
-        (fun best id ->
-          if units.(id).next_accept < units.(best).next_accept then id
-          else best)
-        (List.hd (unit_ids pipe))
-        (unit_ids pipe)
-    in
+    let u = ref v.units_lo in
+    for id = v.units_lo + 1 to v.units_lo + v.units_n - 1 do
+      if unit_next.(id) < unit_next.(!u) then u := id
+    done;
+    let u = !u in
     (* in-order issue with bounded run-ahead: issue of this instruction
        cannot begin before the previous instruction on the same unit has
        started *)
-    let issue_t = Float.max !issue_front unit_last_start.(u) in
+    let issue_t = fmax clk.issue_front unit_last_start.(u) in
     (* a slowed function pipe streams below rate and pays extra issue
        cycles.  Both costs are charged at the cycle they are paid — the
        startup at issue, the per-element rate at each element's entry — so
@@ -234,81 +361,72 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
        that cycle on and the stream recovers to the healthy rate.  The
        healthy path must not pay for the check. *)
     let p =
-      if Fault.is_none faults then p
+      if healthy then v.timing
       else
         {
-          p with
+          v.timing with
           Timing.x =
-            p.x
+            v.timing.x
             + Fault.pipe_extra_startup faults
                 ~cycle:(int_of_float issue_t) pipe;
         }
     in
     let z_at t =
-      if Fault.is_none faults then p.Timing.z
+      if healthy then p.Timing.z
       else p.Timing.z *. Fault.pipe_z_factor faults ~cycle:(int_of_float t) pipe
     in
     let arrive = issue_t +. float_of_int p.x in
-    issue_front := arrive;
-    let sdep =
-      List.fold_left (fun acc r -> Float.max acc sready.(Reg.s_index r)) 0.0
-        (Instr.reads_s i)
-    in
-    let srcs = Instr.reads_v i in
-    let dsts = Instr.writes_v i in
-    let producers =
-      List.filter_map (fun r -> vwriter.(Reg.v_index r)) srcs
-      @ (if Instr.reads_merge i then Option.to_list !vm_writer else [])
-    in
-    let waw =
-      List.filter_map (fun r -> vwriter.(Reg.v_index r)) dsts
-    in
-    let war =
-      List.concat_map (fun r -> vreaders.(Reg.v_index r)) dsts
-    in
-    let ready e =
-      let chain =
-        List.fold_left (fun acc w -> Float.max acc (result_at w e)) 0.0
-          producers
-      in
-      let waw_c =
-        List.fold_left (fun acc w -> Float.max acc (enter_at w e +. 1.0)) 0.0
-          waw
-      in
-      let war_c =
-        List.fold_left (fun acc w -> Float.max acc (enter_at w e +. 1.0)) 0.0
-          war
-      in
-      Float.max chain (Float.max waw_c war_c)
-    in
+    clk.issue_front <- arrive;
+    let sdep = sreads_ready d in
+    (* dependences: chained producers lift by their result latency, WAW
+       and WAR hazards by one cycle *)
+    clear producers;
+    Array.iter
+      (fun r -> match vwriter.(r) with Some w -> push producers w | None -> ())
+      v.vsrcs;
+    (if v.reads_merge then
+       match !vm_writer with Some w -> push producers w | None -> ());
+    Fastpath.clear_deps deps;
+    for k = 0 to producers.len - 1 do
+      let w = producers.items.(k) in
+      Fastpath.add_dep deps w.enter w.y
+    done;
+    for k = 0 to Array.length v.vdsts - 1 do
+      match vwriter.(v.vdsts.(k)) with
+      | Some w -> Fastpath.add_dep deps w.enter 1.0
+      | None -> ()
+    done;
+    for k = 0 to Array.length v.vdsts - 1 do
+      let readers = vreaders.(v.vdsts.(k)) in
+      for j = 0 to readers.len - 1 do
+        Fastpath.add_dep deps readers.items.(j).enter 1.0
+      done
+    done;
     let pipe_c =
-      if units.(u).used then units.(u).next_accept +. float_of_int p.b
-      else 0.0
+      if unit_used.(u) then unit_next.(u) +. float_of_int p.b else 0.0
     in
-    let mem = Instr.mem_ref i in
-    let is_vmem = Instr.is_vector_memory i in
-    let mem_range =
-      match (is_vmem, mem) with
-      | true, Some m -> (
-          match i with
-          | Instr.Vgather _ | Instr.Vscatter _ ->
-              (* data-dependent addresses: conservatively cover the array *)
-              let b = Layout.base_of layout m.array in
-              Some (b, b + 0xFFFF)
-          | _ ->
-              let w0 = word_for seg m ~base_index ~element:0 in
-              let w1 = word_for seg m ~base_index ~element:(vl - 1) in
-              Some (min w0 w1, max w0 w1))
-      | _ -> None
+    let word0 =
+      match v.access with
+      | Direct m -> word_of seg d m ~base_index ~element:0
+      | No_access | Indexed _ -> 0
+    in
+    (* the words the instruction may touch, for memory RAW dependences;
+       data-dependent addresses conservatively cover the array *)
+    let mem_lo, mem_hi =
+      match v.access with
+      | No_access -> (0, -1)
+      | Indexed _ -> (d.array_base, d.array_base + 0xFFFF)
+      | Direct m ->
+          let w1 = word0 + ((vl - 1) * m.stride) in
+          (min word0 w1, max word0 w1)
     in
     let raw_dep =
-      match (i, mem_range) with
-      | (Instr.Vld _ | Instr.Vgather _), Some (lo, hi) -> store_dep ~lo ~hi
-      | _ -> 0.0
+      if v.loads && mem_lo <= mem_hi then store_dep ~lo:mem_lo ~hi:mem_hi
+      else 0.0
     in
     let t0 =
-      Float.max raw_dep
-        (Float.max arrive (Float.max pipe_c (Float.max (ready 0) sdep)))
+      fmax raw_dep
+        (fmax arrive (fmax pipe_c (fmax (Fastpath.ready_at deps 0) sdep)))
     in
     (* Register-pair port limits: at most [pair_read_limit] reads and
        [pair_write_limit] writes per pair among chime-concurrent
@@ -316,11 +434,11 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
        element-entry windows overlap — tailgating instructions in
        successive chimes reuse pairs freely.  A violation delays the start
        past the end of the earliest conflicting entry window. *)
-    active := List.filter (fun w -> w.completion > t0) !active;
+    keep_live active t0;
     let entry_end w = w.enter.(Array.length w.enter - 1) in
     let my_span = z_at t0 *. float_of_int (max 0 (vl - 1)) in
-    let my_rmask = pair_mask srcs in
-    let my_wmask = pair_mask dsts in
+    let my_rmask = v.vrmask in
+    let my_wmask = v.vwmask in
     let pair_conflict_until t0 =
       let my_end = t0 +. my_span in
       (* accumulate packed per-pair usage over chime-concurrent windows
@@ -328,13 +446,13 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
          violation path *)
       let tr = ref my_rmask in
       let tw = ref my_wmask in
-      List.iter
-        (fun w ->
-          if entry_end w >= t0 && w.enter.(0) <= my_end then begin
-            tr := !tr + w.rmask;
-            tw := !tw + w.wmask
-          end)
-        !active;
+      for k = 0 to active.len - 1 do
+        let w = active.items.(k) in
+        if entry_end w >= t0 && w.enter.(0) <= my_end then begin
+          tr := !tr + w.rmask;
+          tw := !tw + w.wmask
+        end
+      done;
       let viol = ref 0 in
       for pid = 0 to Reg.pair_count - 1 do
         if
@@ -348,20 +466,20 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
       if !viol = 0 then None
       else begin
         let best = ref Float.infinity in
-        List.iter
-          (fun w ->
-            if entry_end w >= t0 && w.enter.(0) <= my_end then begin
-              let touches = ref false in
-              for pid = 0 to Reg.pair_count - 1 do
-                if
-                  (!viol lsr pid) land 1 = 1
-                  && ((w.rmask lsr (8 * pid)) land 0xff > 0
-                     || (w.wmask lsr (8 * pid)) land 0xff > 0)
-                then touches := true
-              done;
-              if !touches && entry_end w < !best then best := entry_end w
-            end)
-          !active;
+        for k = 0 to active.len - 1 do
+          let w = active.items.(k) in
+          if entry_end w >= t0 && w.enter.(0) <= my_end then begin
+            let touches = ref false in
+            for pid = 0 to Reg.pair_count - 1 do
+              if
+                (!viol lsr pid) land 1 = 1
+                && ((w.rmask lsr (8 * pid)) land 0xff > 0
+                   || (w.wmask lsr (8 * pid)) land 0xff > 0)
+              then touches := true
+            done;
+            if !touches && entry_end w < !best then best := entry_end w
+          end
+        done;
         if !best = Float.infinity then None else Some !best
       end
     in
@@ -377,22 +495,19 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
     (* back-pressure: a chained consumer charges its bubble to the ultimate
        stream source unit (unless that is its own unit, where the tailgate
        bubble already applies) *)
-    let binding_producer =
-      List.fold_left
-        (fun acc w ->
-          if w.completion > t0 then
-            match acc with
-            | None -> Some w
-            | Some best ->
-                if result_at w 0 > result_at best 0 then Some w else acc
-          else acc)
-        None producers
-    in
+    let binding_producer = ref None in
+    for k = 0 to producers.len - 1 do
+      let w = producers.items.(k) in
+      if w.completion > t0 then
+        match !binding_producer with
+        | Some best when result_at w 0 <= result_at best 0 -> ()
+        | _ -> binding_producer := Some w
+    done;
     let source_unit =
-      match binding_producer with
+      match !binding_producer with
       | Some w when w.source_unit <> u ->
-          units.(w.source_unit).next_accept <-
-            units.(w.source_unit).next_accept +. float_of_int p.b;
+          unit_next.(w.source_unit) <-
+            unit_next.(w.source_unit) +. float_of_int p.b;
           w.source_unit
       | _ -> u
     in
@@ -401,37 +516,18 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
        the cycle loop below would have produced exactly the closed-form
        schedule (see DESIGN §14); any failed obligation falls back to
        stepping the seam cycle by cycle *)
-    let indexed =
-      match i with Instr.Vgather _ | Instr.Vscatter _ -> true | _ -> false
-    in
     let leap =
       match fidelity with
       | Fastpath.Cycle -> None
       | Fastpath.Tiered ->
           let stream =
-            match (is_vmem, mem) with
-            | true, Some m ->
-                if indexed then Fastpath.Opaque
-                else
-                  let word0 = word_for seg m ~base_index ~element:0 in
-                  Fastpath.Affine
-                    {
-                      word0;
-                      wstride =
-                        word_for seg m ~base_index ~element:1 - word0;
-                    }
-            | _ -> Fastpath.Compute
-          in
-          let deps =
-            List.map
-              (fun w -> { Fastpath.curve = w.enter; lift = w.y })
-              producers
-            @ List.map
-                (fun w -> { Fastpath.curve = w.enter; lift = 1.0 })
-                (waw @ war)
+            match v.access with
+            | No_access -> Fastpath.Compute
+            | Indexed _ -> Fastpath.Opaque
+            | Direct m -> Fastpath.Affine { word0; wstride = m.stride }
           in
           Fastpath.try_leap ~memory ~mem_params:machine.memory ~faults
-            ~guard ~watchdog_armed:(watchdog <> None) ~t0 ~vl ~z:(z_at t0)
+            ~guard ~watchdog_armed:watched ~t0 ~vl ~z:(z_at t0)
             ~deps stream
     in
     let enter =
@@ -440,66 +536,60 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
       | None ->
           let enter = Array.make vl t0 in
           let place e earliest =
-            match (is_vmem, mem) with
-            | true, Some m ->
-                let word =
-                  if indexed then
-                    (* the timing model carries no register values: indexed
-                       elements address synthetic uniformly-distributed words
-                       (a mixed integer hash, so banks are genuinely random),
-                       the statistically faithful stand-in for a
-                       data-dependent gather/scatter pattern *)
-                    let h = (e + (base_index * 131) + m.offset) * 0x9E3779B1 in
-                    let h = h land 0x3FFFFFFF in
-                    let h = h lxor (h lsr 15) in
-                    let h = h * 0x85EBCA77 land 0x3FFFFFFF in
-                    let h = h lxor (h lsr 13) in
-                    Layout.base_of layout m.array + (h land 0xFFFF)
-                  else word_for seg m ~base_index ~element:e
-                in
-                acquire_mem ~earliest ~word
-            | _ -> earliest
+            match v.access with
+            | No_access -> earliest
+            | Direct m ->
+                acquire_mem ~earliest
+                  ~word:(word_of seg d m ~base_index ~element:e)
+            | Indexed m ->
+                (* the timing model carries no register values: indexed
+                   elements address synthetic uniformly-distributed words
+                   (a mixed integer hash, so banks are genuinely random),
+                   the statistically faithful stand-in for a
+                   data-dependent gather/scatter pattern *)
+                let h = (e + (base_index * 131) + m.offset) * 0x9E3779B1 in
+                let h = h land 0x3FFFFFFF in
+                let h = h lxor (h lsr 15) in
+                let h = h * 0x85EBCA77 land 0x3FFFFFFF in
+                let h = h lxor (h lsr 13) in
+                acquire_mem ~earliest ~word:(d.array_base + (h land 0xFFFF))
           in
           enter.(0) <- place 0 t0;
           for e = 1 to vl - 1 do
             let t =
-              Float.max (enter.(e - 1) +. z_at enter.(e - 1)) (ready e)
+              Float.max
+                (enter.(e - 1) +. z_at enter.(e - 1))
+                (Fastpath.ready_at deps e)
             in
             enter.(e) <- place e t
           done;
           enter
     in
     let completion = enter.(vl - 1) +. float_of_int p.y +. 1.0 in
-    (match (i, mem_range) with
-    | (Instr.Vst _ | Instr.Vscatter _), Some (lo, hi) ->
-        note_store ~lo ~hi ~completion ~now:t0
-    | _ -> ());
+    if v.stores && mem_lo <= mem_hi then
+      note_store ~lo:mem_lo ~hi:mem_hi ~completion ~now:t0;
     let me = { instr = i; enter; y = float_of_int p.y; completion;
                source_unit; unit_id = u;
-               rmask = my_rmask; wmask = my_wmask } in
+               rmask = v.vrmask; wmask = v.vwmask } in
     let tail_z = z_at enter.(vl - 1) in
-    units.(u).used <- true;
-    units.(u).next_accept <- enter.(vl - 1) +. tail_z;
+    unit_used.(u) <- true;
+    unit_next.(u) <- enter.(vl - 1) +. tail_z;
     unit_last_start.(u) <- t0;
     pipe_busy.(Pipe.index pipe) <-
       pipe_busy.(Pipe.index pipe) +. (enter.(vl - 1) +. tail_z -. enter.(0));
-    List.iter
+    Array.iter
       (fun r ->
-        let idx = Reg.v_index r in
-        vwriter.(idx) <- Some me;
-        vreaders.(idx) <- [])
-      dsts;
-    List.iter
+        vwriter.(r) <- Some me;
+        clear vreaders.(r))
+      v.vdsts;
+    Array.iter
       (fun r ->
-        let idx = Reg.v_index r in
-        vreaders.(idx) <-
-          me :: List.filter (fun w -> w.completion > t0) vreaders.(idx))
-      srcs;
-    List.iter
-      (fun r -> sready.(Reg.s_index r) <- completion)
-      (Instr.writes_s i);
-    if Instr.writes_merge i then vm_writer := Some me;
-    active := me :: !active;
+        keep_live vreaders.(r) t0;
+        push vreaders.(r) me)
+      v.vsrcs;
+    Array.iter (fun r -> sready.(r) <- completion) v.swrites;
+    if v.writes_merge then vm_writer := Some me;
+    push active me;
     note_finish completion;
     if trace then
       record
@@ -507,19 +597,23 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
           first_result = enter.(0) +. me.y; completion }
   in
 
-  let exec_instr seg ~base_index ~strip ~vl i =
-    check_watchdog (Float.max !issue_front !finish);
+  let exec_instr seg ~base_index ~strip ~vl d =
+    if watched then check_watchdog (fmax clk.issue_front clk.finish);
     incr instructions;
-    if Instr.is_vector i then exec_vector seg ~base_index ~strip ~vl i
-    else exec_scalar seg ~base_index ~strip i
+    match d.vinfo with
+    | Some v -> exec_vector seg ~base_index ~strip ~vl d v
+    | None -> exec_scalar seg ~base_index ~strip d
   in
 
   let execute () =
+    let body = List.map decode job.body in
     List.iter
       (fun (seg : Job.segment) ->
         let pro_vl = min seg.vl machine.max_vl in
         List.iter
-          (exec_instr seg ~base_index:seg.base ~strip:!strips ~vl:pro_vl)
+          (fun i ->
+            exec_instr seg ~base_index:seg.base ~strip:!strips ~vl:pro_vl
+              (decode i))
           seg.prologue;
         let step = match job.mode with
           | Job.Vector -> machine.max_vl
@@ -529,38 +623,43 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
         let base = ref seg.base in
         while !remaining > 0 do
           let vl = min step !remaining in
-          List.iter (exec_instr seg ~base_index:!base ~strip:!strips ~vl)
-            job.body;
+          List.iter (exec_instr seg ~base_index:!base ~strip:!strips ~vl) body;
           incr strips;
           base := !base + vl;
           remaining := !remaining - vl
         done;
         List.iter
-          (exec_instr seg ~base_index:seg.base ~strip:(!strips - 1) ~vl:pro_vl)
+          (fun i ->
+            exec_instr seg ~base_index:seg.base ~strip:(!strips - 1)
+              ~vl:pro_vl (decode i))
           seg.epilogue)
       job.segments
   in
-  match execute () with
-  | exception Macs_error.Error e -> Error e
-  | () ->
-      let stats =
-        {
-          cycles = !finish;
-          elements = Job.total_elements job;
-          instructions = !instructions;
-          strips = !strips;
-          mem_accesses = Memory.stats_accesses memory;
-          bank_conflict_stalls = Memory.stats_conflict_stalls memory;
-          refresh_stalls = Memory.stats_refresh_stalls memory;
-          port_stalls = Memory.stats_port_stalls memory;
-          fault_stalls = Memory.stats_fault_stalls memory;
-          pipe_busy =
-            List.map
-              (fun pipe -> (Pipe.name pipe, pipe_busy.(Pipe.index pipe)))
-              Pipe.all;
-        }
-      in
-      Ok { stats; events = List.rev !events }
+  let result =
+    match execute () with
+    | exception Macs_error.Error e -> Error e
+    | () ->
+        let stats =
+          {
+            cycles = clk.finish;
+            elements = Job.total_elements job;
+            instructions = !instructions;
+            strips = !strips;
+            mem_accesses = Memory.stats_accesses memory;
+            bank_conflict_stalls = Memory.stats_conflict_stalls memory;
+            refresh_stalls = Memory.stats_refresh_stalls memory;
+            port_stalls = Memory.stats_port_stalls memory;
+            fault_stalls = Memory.stats_fault_stalls memory;
+            pipe_busy =
+              List.map
+                (fun pipe -> (Pipe.name pipe, pipe_busy.(Pipe.index pipe)))
+                Pipe.all;
+          }
+        in
+        Ok { stats; events = List.rev !events }
+  in
+  Memory.release memory;
+  result
 
 let run_exn ?machine ?layout ?contention ?faults ?guard ?watchdog ?access_log
     ?trace ?fidelity job =

@@ -242,7 +242,7 @@ let admit_differential ~faults ~params ~start ~count ~z ~wstride =
   match
     Memory.admit_stream m1 ~start ~count ~z ~word0:0 ~wstride ~max_slip
   with
-  | Some cycles -> (
+  | Ok cycles -> (
       match
         spin_reference m2 ~start ~count ~z ~word0:0 ~wstride ~max_slip
       with
@@ -255,7 +255,7 @@ let admit_differential ~faults ~params ~start ~count ~z ~wstride =
           probe_equivalent ~msg m1 m2
             ~from:(int_of_float cycles.(count - 1) + 1);
           true)
-  | None ->
+  | Error _ ->
       (* a rejection must leave the model bit-untouched *)
       Alcotest.(check (list int))
         (msg ^ ": untouched counters") (counters (mk ())) (counters m1);
@@ -320,10 +320,10 @@ let test_admit_used_model () =
     Memory.admit_stream m1 ~start:100 ~count:5 ~z:1 ~word0:128 ~wstride:1
       ~max_slip:64
   with
-  | None ->
+  | Error _ ->
       (* rejecting the chase is legal; it must still be a clean rejection *)
       probe_equivalent ~msg:"used model untouched" m1 (mk ()) ~from:128
-  | Some cycles -> (
+  | Ok cycles -> (
       match
         spin_reference m2 ~start:100 ~count:5 ~z:1 ~word0:128 ~wstride:1
           ~max_slip:64
@@ -335,6 +335,67 @@ let test_admit_used_model () =
             ~from:(int_of_float cycles.(4) + 1))
 
 (* ---- qcheck ---- *)
+
+(* Admission on a model that earlier accesses have left with busy banks
+   and consumed port slots, against the spin loop on an identical model:
+   equal cycles, counters and follow-up behaviour when admitted, an
+   untouched model when refused.  Covers both the O(banks) conflict-free
+   proof and the per-element pass, on every bank count the served mix
+   uses and with and without refresh. *)
+let prop_admit_matches_spin =
+  let gen =
+    QCheck.Gen.(
+      let* banks = oneofl [ 8; 16; 32; 64; 128 ] in
+      let* refresh = bool in
+      let* start = int_range 0 500 in
+      (* earlier accesses close below the start leave the first touches'
+         banks busy; a few land above it, past the port mark *)
+      let* prior =
+        list_size (int_range 0 24)
+          (pair (map (fun d -> max 0 (start + d)) (int_range (-24) 2))
+             (int_range 0 300))
+      in
+      let* count = int_range 1 160 in
+      let* z = int_range 1 3 in
+      let* wstride = int_range (-3) 40 in
+      let* max_slip = oneofl [ 8; 64; 4095 ] in
+      return (banks, refresh, prior, start, count, z, wstride, max_slip))
+  in
+  QCheck.Test.make ~count:400
+    ~name:"admission agrees with the spin loop on a used model"
+    (QCheck.make gen)
+    (fun (banks, refresh, prior, start, count, z, wstride, max_slip) ->
+      let params =
+        { (if refresh then Mem_params.c240 else no_refresh_params) with banks }
+      in
+      let mk () =
+        let m = Memory.create params in
+        List.iter
+          (fun (cycle, word) -> ignore (Memory.try_access m ~cycle ~word))
+          prior;
+        m
+      in
+      let m1 = mk () and m2 = mk () in
+      let word0 = 7 in
+      match
+        Memory.admit_stream m1 ~start ~count ~z ~word0 ~wstride ~max_slip
+      with
+      | Ok cycles -> (
+          match spin_reference m2 ~start ~count ~z ~word0 ~wstride ~max_slip with
+          | None -> false
+          | Some expect ->
+              expect = cycles
+              && counters m1 = counters m2
+              &&
+              (probe_equivalent ~msg:"used model" m1 m2
+                 ~from:(int_of_float cycles.(count - 1) + 1);
+               true))
+      | Error _ ->
+          counters m1 = counters (mk ())
+          &&
+          (probe_equivalent ~msg:"refused" m1 (mk ()) ~from:start;
+           true))
+
 
 let prop_odd_strides_conflict_free =
   (* strides coprime with the bank count never revisit a bank within its
@@ -360,7 +421,7 @@ let prop_bank_of_range =
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_odd_strides_conflict_free; prop_bank_of_range ]
+    [ prop_odd_strides_conflict_free; prop_bank_of_range; prop_admit_matches_spin ]
 
 let () =
   Alcotest.run "convex_memsys"

@@ -404,12 +404,12 @@ let bits = Int64.bits_of_float
    Errors must agree too — a plan that stalls one fidelity out must stall
    the other out identically. *)
 let check_equiv ?machine ?layout ?(faults = Convex_fault.Fault.none) ?guard
-    name job =
+    ?watchdog name job =
   let go fidelity =
     let log = ref [] in
     let r =
-      Sim.run ?machine ?layout ~faults ?guard ~access_log:log ~trace:true
-        ~fidelity job
+      Sim.run ?machine ?layout ~faults ?guard ?watchdog ~access_log:log
+        ~trace:true ~fidelity job
     in
     (r, List.rev !log)
   in
@@ -492,6 +492,59 @@ let test_fidelity_lfk () =
             check_equiv ~layout (name "c240" "X") (Macs.Ax.x_process job)))
         fidelity_opts)
     (Macs_report.Suite.kernels ())
+
+(* The machines the service is actually sent: [macs_serve]'s simulate
+   items vary banks, the vector length and the pipe counts (the serve
+   benchmark draws banks from {8..128}, vl from 64..256 in steps of 8 and
+   each of pipes.ld/add/mul from 1..3), and [Advisor.advise] measures
+   three variants of every machine it is asked about.  Both run with the
+   server's drain watchdog armed, which tightens a leap's slip bound. *)
+let never_fires ~cycle:_ = None
+
+let served_mix_triples =
+  let rng = Random.State.make [| 24 |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  List.init 60 (fun _ ->
+      let k = pick Lfk.Kernels.all in
+      let opt = pick fidelity_opts in
+      let spec =
+        Printf.sprintf "c240;banks=%d;vl=%d;pipes.ld=%d;pipes.add=%d;pipes.mul=%d"
+          (pick [ 8; 16; 32; 64; 128 ])
+          (64 + (8 * Random.State.int rng 25))
+          (1 + Random.State.int rng 3)
+          (1 + Random.State.int rng 3)
+          (1 + Random.State.int rng 3)
+      in
+      (k, opt, spec))
+
+let test_fidelity_served_mix () =
+  List.iter
+    (fun ((k : Lfk.Kernel.t), opt, spec) ->
+      let machine = Result.get_ok (Convex_dsl.Machine_dsl.parse spec) in
+      let c = Fcc.Compiler.compile ~opt k in
+      check_equiv ~machine ~layout:(Macs.Hierarchy.layout_of c)
+        ~watchdog:never_fires
+        (Printf.sprintf "%s/%s/%s" k.name (Fcc.Opt_level.name opt) spec)
+        c.Fcc.Compiler.job)
+    served_mix_triples
+
+let test_fidelity_advise_variants () =
+  let base = Result.get_ok (Convex_dsl.Machine_dsl.parse "c240;banks=64") in
+  List.iter
+    (fun (vname, machine) ->
+      List.iter
+        (fun (k : Lfk.Kernel.t) ->
+          let c = Fcc.Compiler.compile k in
+          check_equiv ~machine ~layout:(Macs.Hierarchy.layout_of c)
+            ~watchdog:never_fires
+            (Printf.sprintf "%s/banks=64/%s" k.name vname)
+            c.Fcc.Compiler.job)
+        Lfk.Kernels.all)
+    [
+      ("no_bubbles", Machine.no_bubbles base);
+      ("no_refresh", Machine.no_refresh base);
+      ("dual_load_store", Machine.dual_load_store base);
+    ]
 
 let test_fidelity_remainder_strips () =
   (* LFK2 and LFK6 under short machine vector lengths: strip-mining
@@ -681,6 +734,10 @@ let () =
             test_fidelity_strided_and_indexed;
           Alcotest.test_case "stall-out errors agree" `Quick
             test_fidelity_stall_out_agrees;
+          Alcotest.test_case "served-mix machines" `Quick
+            test_fidelity_served_mix;
+          Alcotest.test_case "advise's machine variants" `Quick
+            test_fidelity_advise_variants;
         ] );
       ( "calibrate",
         [
