@@ -221,12 +221,12 @@ let memo t ~key ~encode ~decode compute =
 let log_run t ~label =
   let c = counters t in
   let path = log_path t in
-  if Journal.is_fresh ~path ~format:log_format then
-    Journal.create ~path ~format:log_format []
-  else
-    (* a crashed writer may have left a torn tail; truncate it so this
-       append starts a fresh record (best-effort — the log is advisory) *)
-    ignore (Journal.repair ~path ~format:log_format);
+  (* a crashed writer may have left a torn tail, which [recover] cuts
+     off so this append starts a fresh record (best-effort — the log is
+     advisory) *)
+  (match Journal.recover ~path ~format:log_format with
+  | Ok Journal.Fresh -> Journal.create ~path ~format:log_format []
+  | Ok (Journal.Intact _ | Journal.Damaged _) | Error _ -> ());
   Journal.append ~path
     {
       Journal.tag = "run";
@@ -321,9 +321,10 @@ let stat t =
   let entries = list_entries t in
   let bytes = List.fold_left (fun a (_, p) -> a + file_size p) 0 entries in
   let runs, total =
-    match Journal.load ~path:(log_path t) ~format:log_format with
-    | Error _ -> (0, { hits = 0; misses = 0; stores = 0; quarantined = 0 })
-    | Ok records ->
+    match Journal.recover ~path:(log_path t) ~format:log_format with
+    | Error _ | Ok (Journal.Fresh | Journal.Damaged _) ->
+        (0, { hits = 0; misses = 0; stores = 0; quarantined = 0 })
+    | Ok (Journal.Intact records) ->
         List.fold_left
           (fun (n, acc) r ->
             if r.Journal.tag <> "run" then (n, acc)

@@ -82,6 +82,9 @@ type stat = {
 }
 
 val stat : t -> stat
+(** Inventory, with the run log read through
+    {!Macs_util.Journal.recover}: a torn tail is cut off, as the next
+    {!log_run} would, and a damaged or corrupt log counts no runs. *)
 
 type verify_report = {
   checked : int;

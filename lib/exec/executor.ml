@@ -296,7 +296,8 @@ let run ?(jobs = 1) ?(retry = default_retry) ?(already = fun _ -> None)
    main journal, then decode each cell block — a lone [poison] record is
    a quarantined cell, any other block goes through the caller's codec.
    Returns the journal's own config record (its bytes survive), the
-   replayed outcomes, and whether shards were merged. *)
+   replayed outcomes, and whether shards were merged; [None] for a
+   [Fresh] main journal. *)
 let load j ~cells =
   let index_of r =
     if r.Journal.tag = "poison" then
@@ -304,29 +305,32 @@ let load j ~cells =
     else j.index_of r
   in
   let merged = Journal.shards ~path:j.path <> [] in
-  let* config, blocks =
+  let* main =
     Journal.merge_shards ~path:j.path ~format:j.format ~config_ok:j.config_ok
       ~index_of
   in
-  let* prior =
-    List.fold_left
-      (fun acc (i, records) ->
-        let* acc = acc in
-        if i < 0 || i >= cells then
-          Error
-            (Printf.sprintf "journal %s: cell %d outside the run's [0, %d)"
-               j.path i cells)
-        else
-          let* o =
-            match records with
-            | [ ({ Journal.tag = "poison"; _ } as r) ] ->
-                Result.map (fun p -> Poisoned p) (poison_of_record r)
-            | rs -> Result.map (fun r -> Done r) (j.of_records rs)
-          in
-          Ok ((i, o) :: acc))
-      (Ok []) blocks
-  in
-  Ok (config, List.rev prior, merged)
+  match main with
+  | None -> Ok None
+  | Some (config, blocks) ->
+      let* prior =
+        List.fold_left
+          (fun acc (i, records) ->
+            let* acc = acc in
+            if i < 0 || i >= cells then
+              Error
+                (Printf.sprintf "journal %s: cell %d outside the run's [0, %d)"
+                   j.path i cells)
+            else
+              let* o =
+                match records with
+                | [ ({ Journal.tag = "poison"; _ } as r) ] ->
+                    Result.map (fun p -> Poisoned p) (poison_of_record r)
+                | rs -> Result.map (fun r -> Done r) (j.of_records rs)
+              in
+              Ok ((i, o) :: acc))
+          (Ok []) blocks
+      in
+      Ok (Some (config, List.rev prior, merged))
 
 let run_journaled ?(jobs = 1) ?(retry = default_retry) ?(resume = false)
     ?(keep = fun _ -> true) ?(sharded = false)
@@ -334,26 +338,25 @@ let run_journaled ?(jobs = 1) ?(retry = default_retry) ?(resume = false)
     ?(should_stop = fun () -> false) ~journal:j ~cells f =
   (* a [Fresh] file — missing, empty, or an interrupted create — never
      received a cell, so resuming into it is starting over *)
+  let* resumed = if resume then load j ~cells else Ok None in
   let* j, prior, rewrite =
-    if resume && not (Journal.is_fresh ~path:j.path ~format:j.format) then begin
-      let* config, prior, merged = load j ~cells in
-      let j = { j with config } in
-      let kept = List.filter (fun (_, o) -> keep o) prior in
-      let dropped = List.length kept < List.length prior in
-      (* dropped cells leave gaps that sequential appends would fill out
-         of index order: rewrite them away now and finish sharded, whose
-         final rewrite is canonical *)
-      if dropped then
-        Journal.write_atomic ~path:j.path ~format:j.format
-          (config
-          :: List.concat_map (fun (i, o) -> records_of_outcome j i o) kept);
-      Ok (j, kept, merged || dropped)
-    end
-    else begin
-      Journal.remove_shards ~path:j.path;
-      Journal.create ~path:j.path ~format:j.format [ j.config ];
-      Ok (j, [], false)
-    end
+    match resumed with
+    | Some (config, prior, merged) ->
+        let j = { j with config } in
+        let kept = List.filter (fun (_, o) -> keep o) prior in
+        let dropped = List.length kept < List.length prior in
+        (* dropped cells leave gaps that sequential appends would fill out
+           of index order: rewrite them away now and finish sharded, whose
+           final rewrite is canonical *)
+        if dropped then
+          Journal.write_atomic ~path:j.path ~format:j.format
+            (config
+            :: List.concat_map (fun (i, o) -> records_of_outcome j i o) kept);
+        Ok (j, kept, merged || dropped)
+    | None ->
+        Journal.remove_shards ~path:j.path;
+        Journal.create ~path:j.path ~format:j.format [ j.config ];
+        Ok (j, [], false)
   in
   let results = Array.make (max cells 0) None in
   List.iter (fun (i, o) -> results.(i) <- Some o) prior;

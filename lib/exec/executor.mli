@@ -136,7 +136,7 @@ val run_journaled :
 (** {!run} with a checkpoint journal; the executor owns its whole life.
 
     {b Start.}  Without [resume], or when the file is
-    {{!Macs_util.Journal.inspect}[Fresh]}, the journal is created afresh
+    {{!Macs_util.Journal.recovery}[Fresh]}, the journal is created afresh
     with the header and [journal.config] (truncating any old file,
     deleting stale shards).
 

@@ -64,19 +64,20 @@ let entry_of_record (r : Journal.record) =
 let create ~path = Journal.create ~path ~format []
 
 let append ~path entry =
-  if Sys.file_exists path then (
-    (match Journal.repair ~path ~format with
-    | Ok () -> ()
-    | Error msg ->
-        Macs_util.Macs_error.raise_error
-          (Macs_util.Macs_error.parse_failure ~site:"Corpus.append" msg));
-    Journal.append ~path (record_of_entry entry))
-  else Journal.create ~path ~format [ record_of_entry entry ]
+  match Journal.recover ~path ~format with
+  | Ok Journal.Fresh -> Journal.create ~path ~format [ record_of_entry entry ]
+  | Ok (Journal.Intact _) -> Journal.append ~path (record_of_entry entry)
+  | Ok (Journal.Damaged msg) | Error msg ->
+      Macs_util.Macs_error.raise_error
+        (Macs_util.Macs_error.parse_failure ~site:"Corpus.append" msg)
 
 let load ~path =
-  match Journal.load ~path ~format with
-  | Error _ as e -> e
-  | Ok records ->
+  match Journal.recover ~path ~format with
+  | Error msg | Ok (Journal.Damaged msg) -> Error msg
+  | Ok Journal.Fresh ->
+      if Sys.file_exists path then Ok []
+      else Error (Printf.sprintf "journal %s does not exist" path)
+  | Ok (Journal.Intact records) ->
       let rec go acc = function
         | [] -> Ok (List.rev acc)
         | r :: rest -> (

@@ -41,10 +41,16 @@ val create : path:string -> unit
 (** Write an empty corpus (header only). *)
 
 val append : path:string -> entry -> unit
-(** Append one entry; creates the corpus (with header) if [path] does
-    not exist, repairs a torn tail if it does. *)
+(** Append one entry.  The corpus goes through
+    {!Macs_util.Journal.recover} first: a missing file or an interrupted
+    create is (re)created with the entry, a torn tail is cut off, and a
+    damaged header or interior corruption raises a [parse_failure]
+    instead of appending after it. *)
 
 val load : path:string -> (entry list, string) result
+(** The entries of an existing corpus, recovered as {!append} does (a
+    torn tail is cut off).  A missing file is an error; an interrupted
+    create holds no entries. *)
 
 val check_needs_sim : string -> bool
 (** Whether a check id can only be evaluated with the simulator running

@@ -95,5 +95,5 @@ val run :
     simulating.  The config record names the machine by its full spec,
     so two machines that share a display name never share entries.  A
     resume aimed at a [Fresh] journal (missing, empty, or an interrupted
-    create — see {!Macs_util.Journal.inspect}) starts over instead of
+    create — see {!Macs_util.Journal.recover}) starts over instead of
     failing. *)

@@ -34,34 +34,34 @@ let load_record t (r : J.record) =
   | _ -> ()
 
 let open_ path =
-  let t =
+  let session ~frames ~items =
     {
       path;
       mutex = Mutex.create ();
-      frames = Hashtbl.create 64;
-      items = Hashtbl.create 64;
+      frames = Hashtbl.create frames;
+      items = Hashtbl.create items;
     }
   in
-  match J.inspect ~path ~format with
-  | J.Damaged why ->
+  match J.recover ~path ~format with
+  | Error why -> Error why
+  | Ok (J.Damaged why) ->
       Error
         (Printf.sprintf
            "session journal %s is not a macs-serve session (%s); refusing to \
             overwrite it"
            path why)
-  | J.Fresh ->
+  | Ok J.Fresh ->
       J.create ~path ~format [ config_record ];
+      Ok (session ~frames:64 ~items:64)
+  | Ok (J.Intact records) ->
+      (* the previous server may have died holding a torn final line,
+         which [recover] has cut off *)
+      let count tag =
+        List.fold_left (fun n r -> if r.J.tag = tag then n + 1 else n) 0 records
+      in
+      let t = session ~frames:(count "frame") ~items:(count "item") in
+      List.iter (load_record t) records;
       Ok t
-  | J.Intact -> (
-      (* the previous server may have died holding a torn final line *)
-      match J.repair ~path ~format with
-      | Error why -> Error why
-      | Ok () -> (
-          match J.load ~path ~format with
-          | Error why -> Error why
-          | Ok records ->
-              List.iter (load_record t) records;
-              Ok t))
 
 let locked t f =
   Mutex.lock t.mutex;

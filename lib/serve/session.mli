@@ -7,8 +7,8 @@
     before the crash are replayed into the new reply instead of being
     recomputed, a frame journaled complete is replayed byte-for-byte,
     and nothing completed is ever executed twice.  The journal's torn
-    final line (the write the crash interrupted) is repaired away by
-    {!Macs_util.Journal.repair} on open.
+    final line (the write the crash interrupted) is cut off by
+    {!Macs_util.Journal.recover} on open, which reads the file once.
 
     Frames are keyed by {!frame_key} — a digest of the client id {e and}
     the raw payload bytes — so a retry with the same id but different
@@ -25,9 +25,10 @@ val frame_key : id:string -> payload:string -> string
     ({!Server.replay_of_span}), keyed by the line's bytes. *)
 
 val open_ : string -> (t, string) result
-(** Open (creating, or repairing and loading) the session journal at the
-    given path.  A [Damaged] file — a complete first line that is not a
-    session header — is refused, never clobbered. *)
+(** Open (creating, or recovering) the session journal at the given
+    path, with its tables sized from the journaled record counts.  A
+    [Damaged] file — a complete first line that is not a session header
+    — is refused, never clobbered. *)
 
 val lookup_frame : t -> key:string -> string option
 (** The completed reply line journaled for a frame, byte-for-byte. *)

@@ -23,29 +23,6 @@ let escape s =
   end
   else s
 
-let unescape s =
-  if not (String.contains s '%') then Ok s
-  else begin
-    let buf = Buffer.create (String.length s) in
-    let n = String.length s in
-    let rec go i =
-      if i >= n then Ok (Buffer.contents buf)
-      else if s.[i] = '%' then
-        if i + 2 >= n then Error "truncated %-escape"
-        else
-          match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
-          | Some code ->
-              Buffer.add_char buf (Char.chr code);
-              go (i + 3)
-          | None -> Error (Printf.sprintf "bad %%-escape %S" (String.sub s i 3))
-      else begin
-        Buffer.add_char buf s.[i];
-        go (i + 1)
-      end
-    in
-    go 0
-  end
-
 (* ---- record codec ---- *)
 
 let encode r =
@@ -55,26 +32,163 @@ let encode r =
 
 let ( let* ) = Result.bind
 
-let decode line =
-  match String.split_on_char '\t' line with
-  | [] | [ "" ] -> Error "empty journal line"
-  | tag :: rest ->
-      let* tag = unescape tag in
-      let* fields =
-        List.fold_left
-          (fun acc tok ->
-            let* acc = acc in
-            match String.index_opt tok '=' with
-            | None -> Error (Printf.sprintf "field %S has no '='" tok)
-            | Some i ->
-                let* k = unescape (String.sub tok 0 i) in
-                let* v =
-                  unescape (String.sub tok (i + 1) (String.length tok - i - 1))
-                in
-                Ok ((k, v) :: acc))
-          (Ok []) rest
-      in
-      Ok { tag; fields = List.rev fields }
+(* A line is decoded in one scan: [scan_piece] walks a piece (the tag, a
+   key or a value) to its end, counting its escapes and noting the first
+   bad one, and [piece] then copies it out once.  The errors and their
+   order are those of splitting on tabs, then on a field's first '=',
+   then unescaping each part: a field with no '=' is reported before a
+   bad escape in its key, and an escape cannot reach past its piece. *)
+
+let hex c =
+  match c with
+  | '0' .. '9' -> Char.code c - 48
+  | 'A' .. 'F' -> Char.code c - 55
+  | 'a' .. 'f' -> Char.code c - 87
+  | _ -> -1
+
+(* The byte an escape's digits stand for, or -1 where
+   [int_of_string_opt ("0x" ^ digits)] refuses them: the first must be a
+   hex digit, the second a hex digit or the '_' OCaml's integer syntax
+   skips (so [%F_] reads as ['\x0f']). *)
+let escape_code c1 c2 =
+  let h = hex c1 in
+  if h < 0 then -1
+  else if c2 = '_' then h
+  else
+    let l = hex c2 in
+    if l < 0 then -1 else (h lsl 4) lor l
+
+type cursor = {
+  mutable escapes : int;  (* escapes in the piece just scanned *)
+  mutable error : string option;  (* its first bad escape *)
+  mutable last : int;  (* where the line just decoded ended *)
+}
+
+let cursor () = { escapes = 0; error = None; last = 0 }
+
+(* Does a piece end at [j]?  Every piece ends at [stop] and at a tab, a
+   key also at '=', and with [nl] a line also at a newline. *)
+let ends s j stop ~key ~nl =
+  j >= stop
+  ||
+  match String.unsafe_get s j with
+  | '\t' -> true
+  | '=' -> key
+  | '\n' -> nl
+  | _ -> false
+
+(* Most of a journal is long values with no escape in them.  A tag or
+   value skips eight bytes at a time past words that hold no tab,
+   newline or '%' (SWAR: a byte of [x] equals [b] iff that byte of
+   [x lxor (b * 0x01..01)] is zero, and [(y - 0x01..01) land lnot y land
+   0x80..80] is non-zero iff some byte of [y] is). *)
+let ones = 0x0101010101010101L
+
+let[@inline] zero_byte y =
+  Int64.logand (Int64.logand (Int64.sub y ones) (Int64.lognot y))
+    0x8080808080808080L
+
+let rec skip_plain s i stop =
+  if i + 8 > stop then i
+  else
+    let x = String.get_int64_le s i in
+    if
+      Int64.logor
+        (zero_byte (Int64.logxor x 0x0909090909090909L))
+        (Int64.logor
+           (zero_byte (Int64.logxor x 0x0a0a0a0a0a0a0a0aL))
+           (zero_byte (Int64.logxor x 0x2525252525252525L)))
+      = 0L
+    then skip_plain s (i + 8) stop
+    else i
+
+let rec scan_piece s i stop ~key ~nl c =
+  let i = if key then i else skip_plain s i stop in
+  if i >= stop then i
+  else
+    match String.unsafe_get s i with
+    | '\t' -> i
+    | '=' when key -> i
+    | '\n' when nl -> i
+    | '%' when Option.is_none c.error ->
+        if ends s (i + 1) stop ~key ~nl || ends s (i + 2) stop ~key ~nl then begin
+          c.error <- Some "truncated %-escape";
+          scan_piece s (i + 1) stop ~key ~nl c
+        end
+        else if escape_code s.[i + 1] s.[i + 2] < 0 then begin
+          c.error <- Some (Printf.sprintf "bad %%-escape %S" (String.sub s i 3));
+          scan_piece s (i + 1) stop ~key ~nl c
+        end
+        else begin
+          c.escapes <- c.escapes + 1;
+          scan_piece s (i + 3) stop ~key ~nl c
+        end
+    | _ -> scan_piece s (i + 1) stop ~key ~nl c
+
+let scan s i stop ~key ~nl c =
+  c.escapes <- 0;
+  c.error <- None;
+  scan_piece s i stop ~key ~nl c
+
+(* [s.[a, b)] with its [k] valid escapes decoded *)
+let piece s a b k =
+  if k = 0 then String.sub s a (b - a)
+  else begin
+    let out = Bytes.create (b - a - (2 * k)) in
+    let rec go i o =
+      if i < b then
+        match String.unsafe_get s i with
+        | '%' ->
+            Bytes.unsafe_set out o
+              (Char.unsafe_chr (escape_code s.[i + 1] s.[i + 2]));
+            go (i + 3) (o + 1)
+        | ch ->
+            Bytes.unsafe_set out o ch;
+            go (i + 1) (o + 1)
+    in
+    go a 0;
+    Bytes.unsafe_to_string out
+  end
+
+(* Decode the record starting at [pos]; it ends at [stop] or, with [nl],
+   at the first newline.  On success [c.last] is where it ended. *)
+let decode_at ~nl s pos stop c =
+  let at_tab e = e < stop && String.unsafe_get s e = '\t' in
+  let e = scan s pos stop ~key:false ~nl c in
+  if e = pos && not (at_tab e) then Error "empty journal line"
+  else
+    match c.error with
+    | Some err -> Error err
+    | None ->
+        let tag = piece s pos e c.escapes in
+        let rec fields acc i =
+          let ke = scan s i stop ~key:true ~nl c in
+          if not (ke < stop && String.unsafe_get s ke = '=') then
+            Error (Printf.sprintf "field %S has no '='" (String.sub s i (ke - i)))
+          else
+            match c.error with
+            | Some err -> Error err
+            | None -> (
+                let key = piece s i ke c.escapes in
+                let ve = scan s (ke + 1) stop ~key:false ~nl c in
+                match c.error with
+                | Some err -> Error err
+                | None ->
+                    let acc = (key, piece s (ke + 1) ve c.escapes) :: acc in
+                    if at_tab ve then fields acc (ve + 1)
+                    else begin
+                      c.last <- ve;
+                      Ok (List.rev acc)
+                    end)
+        in
+        if at_tab e then
+          Result.map (fun fields -> { tag; fields }) (fields [] (e + 1))
+        else begin
+          c.last <- e;
+          Ok { tag; fields = [] }
+        end
+
+let decode line = decode_at ~nl:false line 0 (String.length line) (cursor ())
 
 let field r key = List.assoc_opt key r.fields
 
@@ -146,61 +260,7 @@ let append ~path r =
     (fun () ->
       Sink.write oc ~site:("journal-append:" ^ path) (encode r ^ "\n"))
 
-let repair ~path ~format =
-  if not (Sys.file_exists path) then
-    Error (Printf.sprintf "journal %s does not exist" path)
-  else begin
-    let ic = open_in_bin path in
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let n = String.length s in
-    (* end of the longest prefix of newline-terminated decodable lines *)
-    let rec prefix_end start =
-      if start >= n then start
-      else
-        match String.index_from_opt s start '\n' with
-        | None -> start
-        | Some nl -> (
-            match decode (String.sub s start (nl - start)) with
-            | Ok _ -> prefix_end (nl + 1)
-            | Error _ -> start)
-    in
-    (* a decodable line after the prefix means interior corruption, which
-       truncation would silently discard — leave it for [load] to report *)
-    let rec tail_has_good start =
-      if start >= n then false
-      else
-        match String.index_from_opt s start '\n' with
-        | None -> false
-        | Some nl -> (
-            match decode (String.sub s start (nl - start)) with
-            | Ok _ -> true
-            | Error _ -> tail_has_good (nl + 1))
-    in
-    if n = 0 then Error (Printf.sprintf "journal %s is empty" path)
-    else
-      match String.index_opt s '\n' with
-      | None -> Error (Printf.sprintf "journal %s has no complete header" path)
-      | Some nl -> (
-          match decode (String.sub s 0 nl) with
-          | Error e -> Error (Printf.sprintf "journal %s: bad header: %s" path e)
-          | Ok hd -> (
-              let* () = check_header ~format hd in
-              let keep = prefix_end 0 in
-              if keep >= n || tail_has_good keep then Ok ()
-              else begin
-                let oc = open_out_bin path in
-                Fun.protect
-                  ~finally:(fun () -> close_out oc)
-                  (fun () -> output_string oc (String.sub s 0 keep));
-                Ok ()
-              end))
-  end
-
-(* ---- crash triage ----
+(* ---- crash triage and recovery ----
 
    A journal is born in one [create] write of header + initial records,
    and a torn write can only leave a byte *prefix* — it can never
@@ -209,34 +269,70 @@ let repair ~path ~format =
    that never finished: nothing can have been appended to it, and it is
    safe to start over.  A complete first line that is not a matching
    header is genuine damage (or somebody else's file) and must not be
-   clobbered. *)
+   clobbered.
 
-type inspection = Fresh | Intact | Damaged of string
+   [recover] reads the file once and decodes each line once, in place.
+   The records kept are the longest prefix of newline-terminated
+   decodable lines; anything after it is a torn tail, cut off in place
+   with [Unix.truncate] (the inode and the kept bytes never move, so a
+   kill mid-repair cannot shorten the journal below that prefix) —
+   unless a decodable line follows the bad one, which is interior
+   corruption: truncating would silently discard valid records, so it
+   is reported and the file left as it is. *)
 
-let inspect ~path ~format =
-  if not (Sys.file_exists path) then Fresh
+type recovery = Fresh | Damaged of string | Intact of record list
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let recover ~path ~format =
+  if not (Sys.file_exists path) then Ok Fresh
   else begin
-    let ic = open_in_bin path in
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+    let s = read_file path in
+    let n = String.length s in
+    let c = cursor () in
+    let decode_line i = decode_at ~nl:true s i n c in
+    (* is a complete line at or after [i] decodable? *)
+    let rec tail_has_good i =
+      match decode_line i with
+      | Ok _ -> c.last < n
+      | Error _ -> (
+          match String.index_from_opt s i '\n' with
+          | Some nl -> tail_has_good (nl + 1)
+          | None -> false)
     in
-    match String.index_opt s '\n' with
-    | None -> Fresh
-    | Some nl -> (
-        match decode (String.sub s 0 nl) with
-        | Error e ->
-            Damaged (Printf.sprintf "journal %s: undecodable first line: %s" path e)
-        | Ok hd -> (
-            match check_header ~format hd with
-            | Error e -> Damaged (Printf.sprintf "journal %s: %s" path e)
-            | Ok () ->
-                if String.index_from_opt s (nl + 1) '\n' = None then Fresh
-                else Intact))
+    let torn_tail ~keep records =
+      Unix.truncate path keep;
+      Ok (Intact (List.rev records))
+    in
+    (* [i] starts a line; every line before it decoded *)
+    let rec rows ~first records i =
+      if i >= n then Ok (if first then Fresh else Intact (List.rev records))
+      else
+        match decode_line i with
+        | Ok r when c.last < n -> rows ~first:false (r :: records) (c.last + 1)
+        | Ok _ -> if first then Ok Fresh else torn_tail ~keep:i records
+        | Error e -> (
+            match String.index_from_opt s i '\n' with
+            | None -> if first then Ok Fresh else torn_tail ~keep:i records
+            | Some nl ->
+                if tail_has_good (nl + 1) then
+                  Error (Printf.sprintf "corrupt journal line: %s" e)
+                else torn_tail ~keep:i records)
+    in
+    match decode_line 0 with
+    | Ok _ when c.last >= n -> Ok Fresh
+    | Error _ when not (String.contains s '\n') -> Ok Fresh
+    | Error e ->
+        Ok (Damaged (Printf.sprintf "journal %s: undecodable first line: %s" path e))
+    | Ok hd -> (
+        match check_header ~format hd with
+        | Error e -> Ok (Damaged (Printf.sprintf "journal %s: %s" path e))
+        | Ok () -> rows ~first:true [] (c.last + 1))
   end
-
-let is_fresh ~path ~format = inspect ~path ~format = Fresh
 
 let write_atomic ~path ~format records =
   let tmp = path ^ ".tmp" in
@@ -307,51 +403,15 @@ let shard_unwrap r =
 let shard_append ~path ~shard ~index ~seq r =
   append ~path:(shard_path ~path shard) (shard_wrap ~index ~seq r)
 
-let load ~path ~format =
-  if not (Sys.file_exists path) then
-    Error (Printf.sprintf "journal %s does not exist" path)
-  else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> ());
-        (* a run killed mid-write can leave a torn final line: drop any
-           trailing line that fails to decode rather than rejecting the
-           whole journal *)
-        match List.rev !lines with
-        | [] -> Error (Printf.sprintf "journal %s is empty" path)
-        | first :: rest ->
-            let* hd = decode first in
-            let* () = check_header ~format hd in
-            let rec decode_rows acc = function
-              | [] -> Ok (List.rev acc)
-              | [ last ] -> (
-                  match decode last with
-                  | Ok r -> Ok (List.rev (r :: acc))
-                  | Error _ -> Ok (List.rev acc))
-              | line :: rest -> (
-                  match decode line with
-                  | Ok r -> decode_rows (r :: acc) rest
-                  | Error e ->
-                      Error (Printf.sprintf "corrupt journal line: %s" e))
-            in
-            decode_rows [] rest)
-  end
-
 (* ---- merge-on-resume ---- *)
 
 let merge_shards ~path ~format ~config_ok ~index_of =
-  let* () = repair ~path ~format in
-  let* records = load ~path ~format in
-  match records with
-  | [] -> Error (Printf.sprintf "journal %s holds no config record" path)
-  | config :: body ->
+  match recover ~path ~format with
+  | Error e -> Error e
+  | Ok Fresh -> Ok None
+  | Ok (Damaged why) -> Error why
+  | Ok (Intact []) -> Error (Printf.sprintf "journal %s holds no config record" path)
+  | Ok (Intact (config :: body)) ->
       let* () = config_ok config in
       (* Group the main journal's records into per-cell blocks: every
          record up to and including the next closer ([index_of] = [Some i])
@@ -368,20 +428,17 @@ let merge_shards ~path ~format ~config_ok ~index_of =
         go [] [] body
       in
       let shard_files = shards ~path in
-      (* a worker killed inside [shard_start] leaves a shard with a torn
-         or absent header: no cell can have landed in it, so it merges as
-         empty (and is still swept away below) *)
-      let usable =
-        List.filter
-          (fun (_, file) -> inspect ~path:file ~format <> Fresh)
-          shard_files
-      in
       let load_shard (_, file) =
-        let* () = repair ~path:file ~format in
-        let* records = load ~path:file ~format in
-        match records with
-        | [] -> Error (Printf.sprintf "shard %s holds no config record" file)
-        | cfg :: body ->
+        match recover ~path:file ~format with
+        | Error e -> Error e
+        (* a worker killed inside [shard_start] leaves a shard with a torn
+           or absent header: no cell can have landed in it, so it merges
+           as empty (and is still swept away below) *)
+        | Ok Fresh -> Ok []
+        | Ok (Damaged why) -> Error why
+        | Ok (Intact []) ->
+            Error (Printf.sprintf "shard %s holds no config record" file)
+        | Ok (Intact (cfg :: body)) ->
             let* () =
               match config_ok cfg with
               | Ok () -> Ok ()
@@ -404,7 +461,7 @@ let merge_shards ~path ~format ~config_ok ~index_of =
             let* acc = acc in
             let* cells = load_shard sf in
             Ok (List.rev_append cells acc))
-          (Ok []) usable
+          (Ok []) shard_files
       in
       let sorted =
         List.sort (fun (i, n, _) (j, m, _) -> compare (i, n) (j, m)) triples
@@ -428,4 +485,4 @@ let merge_shards ~path ~format ~config_ok ~index_of =
         write_atomic ~path ~format (config :: List.concat_map snd cells);
         List.iter (fun (_, file) -> Sys.remove file) shard_files
       end;
-      Ok (config, cells)
+      Ok (Some (config, cells))

@@ -14,8 +14,8 @@
       finite double round-trips exactly (the resume guarantee rests on
       this);
     - a process killed mid-write leaves at most one torn final line, which
-      {!load} silently drops; any earlier undecodable line is corruption
-      and fails the load. *)
+      {!recover} cuts off; an undecodable line with a decodable one after
+      it is corruption and fails the recovery. *)
 
 type record = { tag : string; fields : (string * string) list }
 
@@ -26,6 +26,9 @@ val encode : record -> string
 (** One line, no trailing newline. *)
 
 val decode : string -> (record, string) result
+(** Decode one line in a single scan: each tag, key and value is found
+    and copied once.  A [%XX] escape is accepted exactly where
+    [int_of_string_opt ("0x" ^ XX)] is, so [%F_] reads as ['\x0f']. *)
 
 val field : record -> string -> string option
 val field_err : record -> string -> (string, string) result
@@ -54,36 +57,34 @@ val append : path:string -> record -> unit
 (** Append one record and flush (one {!Sink} write boundary).  The file
     must already carry a header (see {!create}). *)
 
-val repair : path:string -> format:string -> (unit, string) result
-(** Truncate a torn tail in place: everything after the longest prefix of
-    complete, decodable lines is removed, so a subsequent {!append}
-    starts a fresh record instead of concatenating onto torn bytes.
-    Refuses to touch interior corruption (garbage followed by decodable
-    lines) — that is left for {!load} to report rather than silently
-    discarding valid records.  Call before appending to a journal a
-    previous writer may have died holding. *)
-
-val load : path:string -> format:string -> (record list, string) result
-(** Read every record after the header, verifying magic, version and
-    format.  A torn final line (interrupted writer) is dropped; earlier
-    corruption is an error. *)
-
-type inspection =
+type recovery =
   | Fresh  (** missing, empty, or an interrupted {!create}: safe to recreate *)
-  | Intact  (** header plus at least one complete record *)
   | Damaged of string  (** a complete first line that is not a matching header *)
+  | Intact of record list  (** the records after the header *)
 
-val inspect : path:string -> format:string -> inspection
-(** Crash triage for resume paths.  Because {!create} is one write and a
-    torn write can only leave a byte prefix (it cannot manufacture a
-    newline), a file with no complete first line — or a matching header
-    with no complete record after it — is an interrupted create: nothing
-    was ever appended to it, and recreating it loses no data.  A
-    complete first line that fails to decode as a matching header is
-    [Damaged] and must not be clobbered. *)
+val recover : path:string -> format:string -> (recovery, string) result
+(** Open an existing journal for reuse, reading it once and decoding
+    each line once.
 
-val is_fresh : path:string -> format:string -> bool
-(** [inspect ~path ~format = Fresh]. *)
+    - Crash triage: because {!create} is one write and a torn write can
+      only leave a byte prefix (it cannot manufacture a newline), a file
+      with no complete first line — or a matching header with no
+      complete record after it — is an interrupted create: nothing was
+      ever appended to it, and recreating it loses no data, so it is
+      [Fresh].  A complete first line that fails to decode as a
+      matching header is [Damaged] and must not be clobbered.
+    - Repair: the records kept are the longest prefix of complete,
+      decodable lines.  Anything after it is a torn tail, truncated in
+      place ([Unix.truncate]: same inode, the kept prefix never
+      rewritten, so a kill mid-repair cannot shorten the journal), so a
+      later {!append} starts a fresh record instead of concatenating
+      onto torn bytes.
+    - Interior corruption — an undecodable line followed by a decodable
+      one — is an [Error "corrupt journal line: …"], and the file is
+      left untouched rather than silently discarding valid records.
+
+    Call before appending to a journal a previous writer may have died
+    holding. *)
 
 val write_atomic : path:string -> format:string -> record list -> unit
 (** Like {!create}, but two-phase: writes a temporary file, fsyncs it,
@@ -131,16 +132,18 @@ val merge_shards :
   format:string ->
   config_ok:(record -> (unit, string) result) ->
   index_of:(record -> int option) ->
-  (record * (int * record list) list, string) result
-(** Merge-on-resume.  Repairs and loads the main journal at [path],
-    checks its config record (the first record after the header) with
-    [config_ok], and groups the remaining records into per-cell blocks:
-    a record with [index_of r = Some i] closes the block for cell [i],
-    records mapped to [None] belong to the next closer (a trailing block
-    with no closer is a torn cell and is dropped).  Then loads every
-    shard file beside [path] — refusing if a shard's config record fails
-    [config_ok] — and merges its cells in.  When a cell somehow appears
-    both in the main journal and in a shard, the main journal wins.
+  ((record * (int * record list) list) option, string) result
+(** Merge-on-resume.  Recovers the main journal at [path] ([None] when
+    it is {!Fresh}, an error when it is {!Damaged}), checks its config
+    record (the first record after the header) with [config_ok], and
+    groups the remaining records into per-cell blocks: a record with
+    [index_of r = Some i] closes the block for cell [i], records mapped
+    to [None] belong to the next closer (a trailing block with no closer
+    is a torn cell and is dropped).  Then recovers every shard file
+    beside [path] — a {!Fresh} shard merges as empty, and a shard whose
+    config record fails [config_ok] is refused — and merges its cells
+    in.  When a cell somehow appears both in the main journal and in a
+    shard, the main journal wins.
 
     If any shards were present, the main journal is atomically rewritten
     as header, config, then every cell's records in ascending cell-index

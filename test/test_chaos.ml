@@ -436,8 +436,9 @@ let test_campaign_shard_resume_loses_nothing () =
   let (_ : Campaign.t) = run_ok cfg in
   let full = read_file j in
   let records =
-    match Macs_util.Journal.load ~path:j ~format:Campaign.format with
-    | Ok rs -> rs
+    match Macs_util.Journal.recover ~path:j ~format:Campaign.format with
+    | Ok (Macs_util.Journal.Intact rs) -> rs
+    | Ok _ -> Alcotest.fail "journal not intact"
     | Error e -> Alcotest.failf "journal load: %s" e
   in
   let config, cells =

@@ -353,8 +353,8 @@ let prop_shard_merge_canonical =
       done;
       let ok =
         match Journal.merge_shards ~path ~format ~config_ok ~index_of with
-        | Error _ -> false
-        | Ok (_, got) ->
+        | Error _ | Ok None -> false
+        | Ok (Some (_, got)) ->
             List.length got = cells
             && read_file path = read_file canonical
             && Journal.shards ~path = []

@@ -43,6 +43,13 @@ let prop_float_roundtrip =
       | Some g -> Int64.bits_of_float g = Int64.bits_of_float f
       | None -> false)
 
+(* [Journal.recover] as the list of records a caller resumes from *)
+let load_records ~path ~format =
+  match Journal.recover ~path ~format with
+  | Ok (Journal.Intact rows) -> Ok rows
+  | Ok Journal.Fresh -> Ok []
+  | Ok (Journal.Damaged e) | Error e -> Error e
+
 let test_journal_torn_line () =
   let path = tmp_journal "torn" in
   Journal.create ~path ~format:"t"
@@ -51,7 +58,7 @@ let test_journal_torn_line () =
   let oc = open_out_gen [ Open_append ] 0o644 path in
   output_string oc "row\tk=2\tgar%ZZbage";
   close_out oc;
-  (match Journal.load ~path ~format:"t" with
+  (match load_records ~path ~format:"t" with
   | Ok rows -> Alcotest.(check int) "torn line dropped" 1 (List.length rows)
   | Error e -> Alcotest.failf "load failed: %s" e);
   Sys.remove path
@@ -59,10 +66,285 @@ let test_journal_torn_line () =
 let test_journal_rejects_wrong_format () =
   let path = tmp_journal "fmt" in
   Journal.create ~path ~format:"schema-a" [];
-  (match Journal.load ~path ~format:"schema-b" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "format mismatch must fail the load");
+  (match Journal.recover ~path ~format:"schema-b" with
+  | Ok (Journal.Damaged _) -> ()
+  | _ -> Alcotest.fail "format mismatch must fail the load");
   Sys.remove path
+
+(* A torn tail (here an undecodable complete line, then a partial one)
+   is cut off in place: the file keeps its inode, and its bytes are the
+   kept prefix. *)
+let test_journal_repair_in_place () =
+  let path = tmp_journal "inplace" in
+  let rows =
+    List.init 3 (fun i ->
+        { Journal.tag = "row"; fields = [ ("k", string_of_int i) ] })
+  in
+  Journal.create ~path ~format:"t" rows;
+  let prefix = read_file path in
+  let oc = open_out_gen [ Open_append ] 0o644 path in
+  output_string oc "row\tk=%4\nro";
+  close_out oc;
+  let inode () = (Unix.stat path).Unix.st_ino in
+  let before = inode () in
+  (match Journal.recover ~path ~format:"t" with
+  | Ok (Journal.Intact got) ->
+      Alcotest.(check bool) "the complete records" true (got = rows)
+  | _ -> Alcotest.fail "a torn tail must recover as intact");
+  Alcotest.(check int) "same inode" before (inode ());
+  Alcotest.(check string) "the prefix" prefix (read_file path);
+  Sys.remove path
+
+(* ---- reference model ----
+
+   The journal codec and recovery as they were before the single-scan
+   decoder and [Journal.recover]: split on tabs, then on a field's
+   first '=', then unescape each part; recovery as [inspect], then
+   [repair], then [load], three reads of the file. *)
+
+module Ref = struct
+  let ( let* ) = Result.bind
+
+  let unescape s =
+    if not (String.contains s '%') then Ok s
+    else begin
+      let buf = Buffer.create (String.length s) in
+      let n = String.length s in
+      let rec go i =
+        if i >= n then Ok (Buffer.contents buf)
+        else if s.[i] = '%' then
+          if i + 2 >= n then Error "truncated %-escape"
+          else
+            match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
+            | Some code ->
+                Buffer.add_char buf (Char.chr code);
+                go (i + 3)
+            | None -> Error (Printf.sprintf "bad %%-escape %S" (String.sub s i 3))
+        else begin
+          Buffer.add_char buf s.[i];
+          go (i + 1)
+        end
+      in
+      go 0
+    end
+
+  let decode line =
+    match String.split_on_char '\t' line with
+    | [] | [ "" ] -> Error "empty journal line"
+    | tag :: rest ->
+        let* tag = unescape tag in
+        let* fields =
+          List.fold_left
+            (fun acc tok ->
+              let* acc = acc in
+              match String.index_opt tok '=' with
+              | None -> Error (Printf.sprintf "field %S has no '='" tok)
+              | Some i ->
+                  let* k = unescape (String.sub tok 0 i) in
+                  let* v =
+                    unescape (String.sub tok (i + 1) (String.length tok - i - 1))
+                  in
+                  Ok ((k, v) :: acc))
+            (Ok []) rest
+        in
+        Ok { Journal.tag; fields = List.rev fields }
+
+  let check_header ~format (r : Journal.record) =
+    if r.tag <> "macs-journal" then
+      Error (Printf.sprintf "not a journal: leading tag %S" r.tag)
+    else
+      let* v = Journal.field_err r "version" in
+      let* f = Journal.field_err r "format" in
+      if v <> string_of_int Journal.version then
+        Error
+          (Printf.sprintf "unsupported journal version %s (want %d)" v
+             Journal.version)
+      else if f <> format then
+        Error (Printf.sprintf "journal format %S, expected %S" f format)
+      else Ok ()
+
+  type inspection = Fresh | Intact | Damaged of string
+
+  let inspect ~path ~format =
+    if not (Sys.file_exists path) then Fresh
+    else
+      let s = read_file path in
+      match String.index_opt s '\n' with
+      | None -> Fresh
+      | Some nl -> (
+          match decode (String.sub s 0 nl) with
+          | Error e ->
+              Damaged (Printf.sprintf "journal %s: undecodable first line: %s" path e)
+          | Ok hd -> (
+              match check_header ~format hd with
+              | Error e -> Damaged (Printf.sprintf "journal %s: %s" path e)
+              | Ok () ->
+                  if String.index_from_opt s (nl + 1) '\n' = None then Fresh
+                  else Intact))
+
+  let repair ~path ~format =
+    let s = read_file path in
+    let n = String.length s in
+    let rec prefix_end start =
+      if start >= n then start
+      else
+        match String.index_from_opt s start '\n' with
+        | None -> start
+        | Some nl -> (
+            match decode (String.sub s start (nl - start)) with
+            | Ok _ -> prefix_end (nl + 1)
+            | Error _ -> start)
+    in
+    let rec tail_has_good start =
+      if start >= n then false
+      else
+        match String.index_from_opt s start '\n' with
+        | None -> false
+        | Some nl -> (
+            match decode (String.sub s start (nl - start)) with
+            | Ok _ -> true
+            | Error _ -> tail_has_good (nl + 1))
+    in
+    if n = 0 then Error (Printf.sprintf "journal %s is empty" path)
+    else
+      match String.index_opt s '\n' with
+      | None -> Error (Printf.sprintf "journal %s has no complete header" path)
+      | Some nl -> (
+          match decode (String.sub s 0 nl) with
+          | Error e -> Error (Printf.sprintf "journal %s: bad header: %s" path e)
+          | Ok hd ->
+              let* () = check_header ~format hd in
+              let keep = prefix_end 0 in
+              if keep >= n || tail_has_good keep then Ok ()
+              else begin
+                let oc = open_out_bin path in
+                output_string oc (String.sub s 0 keep);
+                close_out oc;
+                Ok ()
+              end)
+
+  let load ~path ~format =
+    let lines = String.split_on_char '\n' (read_file path) in
+    (* [input_line] yields no empty line after a final newline *)
+    let lines =
+      match List.rev lines with "" :: rest -> List.rev rest | _ -> lines
+    in
+    match lines with
+    | [] -> Error (Printf.sprintf "journal %s is empty" path)
+    | first :: rest ->
+        let* hd = decode first in
+        let* () = check_header ~format hd in
+        let rec decode_rows acc = function
+          | [] -> Ok (List.rev acc)
+          | [ last ] -> (
+              match decode last with
+              | Ok r -> Ok (List.rev (r :: acc))
+              | Error _ -> Ok (List.rev acc))
+          | line :: rest -> (
+              match decode line with
+              | Ok r -> decode_rows (r :: acc) rest
+              | Error e -> Error (Printf.sprintf "corrupt journal line: %s" e))
+        in
+        decode_rows [] rest
+
+  (* the three calls a resume made, as [Journal.recover]'s outcome *)
+  let recover ~path ~format =
+    match inspect ~path ~format with
+    | Fresh -> Ok Journal.Fresh
+    | Damaged why -> Ok (Journal.Damaged why)
+    | Intact -> (
+        let* () = repair ~path ~format in
+        match load ~path ~format with
+        | Ok rows -> Ok (Journal.Intact rows)
+        | Error e -> Error e)
+end
+
+(* lines over the bytes that matter to the codec: escapes (hex, non-hex,
+   '_', truncated), '=', tabs, newlines, and empty tokens *)
+let codec_line_gen =
+  let open QCheck.Gen in
+  let piece =
+    oneof
+      [
+        oneofl [ "%"; "="; "\t"; "\n"; "%4"; "%0a"; "%3D"; "%F_"; "%_F"; "%ZZ"; "%%" ];
+        map (String.make 1) (oneofl [ '0'; '9'; 'a'; 'F'; 'g'; '_'; 'x'; '-'; ' ' ]);
+        (* plain runs, so an escape, '=' or tab lands at every offset of
+           the decoder's eight-byte words *)
+        map (fun n -> String.make n 'q') (int_range 1 20);
+        map
+          (fun (tag, fields) -> Journal.encode { Journal.tag; fields })
+          (pair (string_size ~gen:char (int_range 0 4))
+             (small_list
+                (pair (string_size ~gen:char (int_range 0 4))
+                   (string_size ~gen:char (int_range 0 4)))));
+      ]
+  in
+  map (String.concat "") (list_size (int_range 0 12) piece)
+
+let prop_decode_matches_reference =
+  QCheck.Test.make ~count:3000 ~name:"single-scan decode equals the split decoder"
+    (QCheck.make ~print:(Printf.sprintf "%S") codec_line_gen)
+    (fun line -> Journal.decode line = Ref.decode line)
+
+(* Journals as a crash can leave them: a header (matching, foreign, or
+   undecodable), records with undecodable lines anywhere among them, the
+   whole cut at any byte (a torn create or a torn tail), or no file. *)
+let journal_gen =
+  let open QCheck.Gen in
+  let good =
+    map
+      (fun (k, v) -> Journal.encode { Journal.tag = "row"; fields = [ (k, v) ] })
+      (pair (string_size ~gen:printable (int_range 0 3))
+         (string_size ~gen:char (int_range 0 20)))
+  in
+  let bad = oneofl [ ""; "row\tnoeq"; "row\tk=%Z1"; "%"; "r%4" ] in
+  let header =
+    frequency
+      [
+        (6, return "macs-journal\tversion=1\tformat=t");
+        (1, return "macs-journal\tversion=1\tformat=other");
+        (1, return "macs-journal\tversion=2\tformat=t");
+        (1, oneofl [ "row\tk=1"; "junk%"; "" ]);
+      ]
+  in
+  let* missing = frequency [ (1, return true); (12, return false) ] in
+  let* hd = header in
+  let* lines = list_size (int_range 0 6) (frequency [ (4, good); (1, bad) ]) in
+  let full = String.concat "" (List.map (fun l -> l ^ "\n") (hd :: lines)) in
+  let* cut = frequency [ (2, return None); (1, map Option.some (int_range 0 (String.length full))) ] in
+  let* trail = frequency [ (3, return ""); (1, good); (1, bad) ] in
+  let body =
+    match cut with
+    | Some k -> String.sub full 0 k
+    | None -> full ^ trail
+  in
+  return (if missing then None else Some body)
+
+let prop_recover_matches_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"recover equals inspect, repair and load"
+    (QCheck.make
+       ~print:(function None -> "missing" | Some s -> Printf.sprintf "%S" s)
+       journal_gen)
+    (fun body ->
+      let path = tmp_journal "recover" in
+      let lay () =
+        match body with
+        | None -> (try Sys.remove path with Sys_error _ -> ())
+        | Some s ->
+            let oc = open_out_bin path in
+            output_string oc s;
+            close_out oc
+      in
+      let after () = if Sys.file_exists path then Some (read_file path) else None in
+      lay ();
+      let want = Ref.recover ~path ~format:"t" in
+      let want_bytes = after () in
+      lay ();
+      let got = Journal.recover ~path ~format:"t" in
+      let got_bytes = after () in
+      (try Sys.remove path with Sys_error _ -> ());
+      got = want && got_bytes = want_bytes)
 
 (* ---- suite journal row codec ---- *)
 
@@ -511,7 +793,7 @@ let test_supervisor_shard_resume_loses_nothing () =
   ignore (run full);
   let format = Macs_report.Suite_journal.format in
   let config, body =
-    match Journal.load ~path:full ~format with
+    match load_records ~path:full ~format with
     | Ok (c :: rest) -> (c, rest)
     | Ok [] -> Alcotest.fail "journal holds no config"
     | Error e -> Alcotest.failf "journal load: %s" e
@@ -618,7 +900,12 @@ let test_oracle_check_row_flags_impossible_speed () =
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_record_roundtrip; prop_float_roundtrip ]
+    [
+      prop_record_roundtrip;
+      prop_float_roundtrip;
+      prop_decode_matches_reference;
+      prop_recover_matches_reference;
+    ]
 
 let () =
   Alcotest.run "harness"
@@ -630,6 +917,8 @@ let () =
             test_journal_torn_line;
           Alcotest.test_case "format mismatch rejected" `Quick
             test_journal_rejects_wrong_format;
+          Alcotest.test_case "torn tail cut in place" `Quick
+            test_journal_repair_in_place;
           Alcotest.test_case "measured row codec" `Quick
             test_suite_journal_measured_row;
           Alcotest.test_case "diagnostic row codecs" `Quick
