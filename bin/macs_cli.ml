@@ -701,7 +701,14 @@ let fuzz_cmd =
         Printf.eprintf "fuzz: %d/%d cases\n" i count;
         flush stderr)
     in
-    let summary = Convex_fuzz.Driver.run ~progress cfg in
+    let summary =
+      (* a corpus the run cannot append to is refused before any case *)
+      match Convex_fuzz.Driver.run ~progress cfg with
+      | s -> s
+      | exception Macs_util.Macs_error.Error e ->
+          prerr_endline ("macs_cli fuzz: " ^ Macs_util.Macs_error.to_string e);
+          exit 1
+    in
     report_cache_counters ~json:stats_json
       summary.Convex_fuzz.Driver.cache_counters;
     print_endline (Convex_fuzz.Driver.render_summary summary);

@@ -18,10 +18,6 @@ type t
 type counters = { hits : int; misses : int; stores : int; quarantined : int }
 (** Per-process counters since {!open_dir} or {!reset_counters}. *)
 
-val format_version : int
-(** Entry/key format version; folded into every digest, so bumping it
-    invalidates the whole cache rather than misreading old entries. *)
-
 val open_dir : string -> t
 (** Open (creating if needed) a cache rooted at the given directory:
     [objects/<2-hex fan-out>/<key>], [quarantine/], [cache.log]. *)
@@ -112,7 +108,3 @@ val gc : ?max_bytes:int -> t -> gc_report
 
 val entry_path : t -> string -> string
 (** On-disk path of the entry for a key. *)
-
-val parse_entry : key:string -> string -> (string, string) result
-(** Verify raw entry-file bytes against [key]; [Ok payload] or
-    [Error reason]. *)

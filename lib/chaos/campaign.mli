@@ -63,10 +63,6 @@ val default_config : config
 
 type cell = { index : int; kernel : Lfk.Kernel.t; plan : Fault.t }
 
-val cell_of_index : config -> int -> cell
-(** Deterministic: the cell any campaign with this config runs at
-    [index]. *)
-
 type verdict =
   | Pass
   | Degraded of { kind : string; detail : string }

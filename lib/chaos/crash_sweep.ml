@@ -108,9 +108,9 @@ let pick_points ~boundaries ~stride =
   let pts = if List.mem boundaries pts then pts else boundaries :: pts in
   List.rev pts
 
-let sweep ?(modes = [ Sink.Before; Sink.Torn; Sink.After ]) ?(cross = false)
-    ?(stride = 1) ~dir scenario =
-  let modes = if modes = [] then [ Sink.Before ] else modes in
+let modes = [ Sink.Before; Sink.Torn; Sink.After ]
+
+let sweep ?(cross = false) ?(stride = 1) ~dir scenario =
   mkdir_p dir;
   (* golden pass: disarmed, count the boundaries, capture the artifacts *)
   Sink.reset ();
@@ -334,12 +334,13 @@ let scenario_fuzz ?(count = 6) () =
 
 (* ---- canned scenario: the corpus file ----
 
-   Corpus appends are journal appends with a repair-before-append
-   contract; recovery models a restarted fuzzer that knows the full set
-   of counterexamples: load whatever survived (a torn tail drops), then
-   append only the missing entries — nothing lost, nothing duplicated. *)
+   Corpus appends are journal appends through an appender that repairs
+   the file once when it opens; recovery models a restarted fuzzer that
+   knows the full set of counterexamples: load whatever survived (a torn
+   tail drops), then append only the missing entries — nothing lost,
+   nothing duplicated. *)
 
-let scenario_corpus ?(entries = 4) () =
+let scenario_corpus () =
   let entry i =
     {
       Corpus.kind = (if i mod 2 = 0 then Corpus.Kernel_case else Corpus.Asm_case);
@@ -351,7 +352,7 @@ let scenario_corpus ?(entries = 4) () =
       payload = Printf.sprintf "payload %d\nline two of %d" i i;
     }
   in
-  let all = List.init entries entry in
+  let all = List.init 4 entry in
   let prepare ~dir =
     let path = Filename.concat dir "corpus.journal" in
     let append_missing () =
@@ -363,8 +364,9 @@ let scenario_corpus ?(entries = 4) () =
             (try Sys.remove path with Sys_error _ -> ());
             []
       in
+      let corpus = Corpus.appender ~path in
       List.iter
-        (fun e -> if not (List.mem e existing) then Corpus.append ~path e)
+        (fun e -> if not (List.mem e existing) then Corpus.add corpus e)
         all
     in
     { run = append_missing; recover = append_missing; artifacts = [ path ] }
@@ -414,6 +416,12 @@ let serve_frames =
     {|{"id":"f5","op":"simulate","kernel":1,"machine":"no-such-preset"}|};
   ]
 
+(* A scripted [macs_serve] session against a session journal and reply
+   cache.  Every session append and cache publish is a {!Sink} boundary;
+   recovery restarts a server on the same session file and re-sends every
+   frame, so completed items must replay from the journal instead of
+   re-executing.  Artifacts: the session journal and the reply log, both
+   byte-identical to an uninterrupted session. *)
 let scenario_serve () =
   let prepare ~dir =
     let session = Filename.concat dir "session.journal" in
@@ -508,20 +516,20 @@ let scenario_serve_net () =
   in
   { name = "serve-net"; prepare }
 
-let scenarios ?cells ?count ?entries () =
+let scenarios ?cells ?count () =
   [
     scenario_exec_shards ?cells ();
-    scenario_corpus ?entries ();
+    scenario_corpus ();
     scenario_chaos ?cells ();
     scenario_fuzz ?count ();
     scenario_serve ();
     scenario_serve_net ();
   ]
 
-let scenario_of_name ?cells ?count ?entries name =
+let scenario_of_name ?cells ?count name =
   match name with
   | "exec-shards" -> Some (scenario_exec_shards ?cells ())
-  | "corpus" -> Some (scenario_corpus ?entries ())
+  | "corpus" -> Some (scenario_corpus ())
   | "chaos" -> Some (scenario_chaos ?cells ())
   | "fuzz-warm" -> Some (scenario_fuzz ?count ())
   | "serve" -> Some (scenario_serve ())

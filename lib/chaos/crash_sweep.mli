@@ -42,17 +42,16 @@ val ok : report -> bool
 val render : report -> string
 
 val sweep :
-  ?modes:Sink.mode list ->
   ?cross:bool ->
   ?stride:int ->
   dir:string ->
   scenario ->
   report
 (** Run the sweep under [dir] (created; one subdirectory per injection
-    point, removed again unless that point failed).  [modes] defaults to
-    all three; with [cross = false] (the default) the modes rotate across
-    the points so every boundary is hit once, with [cross = true] every
-    (point, mode) pair runs.  [stride] arms every [stride]'th boundary
+    point, removed again unless that point failed).  With [cross = false]
+    (the default) the three crash modes rotate across the points so every
+    boundary is hit once; with [cross = true] every (point, mode) pair
+    runs.  [stride] arms every [stride]'th boundary
     (the first and last always included).  Never raises on a failing
     point — failures are collected in the report. *)
 
@@ -72,43 +71,18 @@ val scenario_fuzz : ?count:int -> unit -> scenario
     so every case the crashed run stored must replay byte-identically
     (the artifact is a wall-clock-free summary digest). *)
 
-val scenario_corpus : ?entries:int -> unit -> scenario
+val scenario_corpus : unit -> scenario
 (** Direct {!Convex_fuzz.Corpus} appends; recovery loads the survivors
     and appends only the missing entries — nothing lost, nothing
     duplicated. *)
 
-val scenario_suite : unit -> scenario
-(** The supervised Livermore suite with journal and cache; recovery is
-    [~resume].  Expensive — meant for strided sweeps from the CLI. *)
-
-val scenario_serve : unit -> scenario
-(** A scripted [macs_serve] session against a session journal and reply
-    cache: healthy simulate/hierarchy frames (one on a what-if DSL
-    machine), a malformed frame, an over-budget frame that degrades to
-    an estimate-tier answer, and an unknown preset.  Every session
-    append and cache publish is a {!Sink} boundary; recovery restarts a
-    server on the same session file and re-sends every frame, so
-    completed items must replay from the journal instead of
-    re-executing.  Artifacts: the session journal and the reply log,
-    both byte-identical to an uninterrupted session. *)
-
-val scenario_serve_net : unit -> scenario
-(** [scenario_serve] pushed through the wire: the same frames travel a
-    real (socketpair) connection under the
-    {!Convex_serve.Supervisor}, so deadline reads, the reply
-    sequencer, and the connection close path sit between the crash
-    points and the client — and the drive ends with the graceful-drain
-    journal compaction, arming {!Macs_util.Journal.write_atomic}'s
-    two-phase publish.  A crash mid-compaction must leave the old
-    journal or the new one, never a torn file. *)
-
 val scenarios :
-  ?cells:int -> ?count:int -> ?entries:int -> unit -> scenario list
+  ?cells:int -> ?count:int -> unit -> scenario list
 (** The default sweep set: exec-shards, corpus, chaos, fuzz-warm, serve,
     serve-net (the suite scenario is opt-in by name). *)
 
 val scenario_of_name :
-  ?cells:int -> ?count:int -> ?entries:int -> string -> scenario option
+  ?cells:int -> ?count:int -> string -> scenario option
 (** ["exec-shards"], ["corpus"], ["chaos"], ["fuzz-warm"], ["serve"],
     ["suite"]. *)
 

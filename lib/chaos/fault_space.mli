@@ -12,20 +12,6 @@ module Fault = Convex_fault.Fault
     [to_spec]/[parse] round trip byte-for-byte — the property the
     campaign journal's resume guarantee is built on. *)
 
-val max_window_close : int
-(** Upper bound on a sampled transient window's closing cycle, kept far
-    below the faulted progress guard so a recovery probe can sit out the
-    whole window without stalling out. *)
-
-val base_plans : Fault.t list
-(** {!Fault.none} plus every stock preset. *)
-
-val random_clause : Random.State.t -> Fault.clause
-val random_plan : Random.State.t -> Fault.t
-
-val mutate : Random.State.t -> Fault.t -> Fault.t
-(** Add a clause, intensify one clause, or reseed the plan. *)
-
 val transient : Random.State.t -> Fault.t -> Fault.t
 (** Attach a random finite activation window. *)
 

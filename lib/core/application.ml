@@ -64,7 +64,7 @@ let analyze ?(machine = Machine.c240) mix =
     mflops = machine.clock_mhz *. total_flops /. total_time;
   }
 
-let advise ?(threshold = 0.005) t =
+let advise t =
   t.components
   |> List.concat_map (fun c ->
          List.map
@@ -75,7 +75,7 @@ let advise ?(threshold = 0.005) t =
                application_gain = s.Advisor.gain *. c.share;
              })
            (Advisor.advise ~machine:t.machine c.kernel))
-  |> List.filter (fun ws -> ws.application_gain > threshold)
+  |> List.filter (fun ws -> ws.application_gain > 0.005)
   |> List.sort (fun a b ->
          Float.compare b.application_gain a.application_gain)
 

@@ -38,9 +38,9 @@ val analyze :
 (** [(kernel, invocations)] pairs; raises [Invalid_argument] on an empty
     mix or nonpositive weights. *)
 
-val advise : ?threshold:float -> t -> weighted_suggestion list
-(** Application-level advice, sorted by [application_gain] (default
-    threshold 0.005 of total time). *)
+val advise : t -> weighted_suggestion list
+(** Application-level advice gaining more than 0.005 of total time,
+    sorted by [application_gain]. *)
 
 val render : t -> string
 (** Profile table plus the top application-level advice. *)

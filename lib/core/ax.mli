@@ -1,4 +1,3 @@
-open Convex_isa
 open Convex_vpsim
 
 (** A/X performance measurement codes (paper §3.6).
@@ -20,9 +19,6 @@ val a_process : Job.t -> Job.t
 
 val x_process : Job.t -> Job.t
 (** Remove vector memory operations everywhere. *)
-
-val strip_fp : Instr.t list -> Instr.t list
-val strip_memory : Instr.t list -> Instr.t list
 
 val prime_registers : Job.t -> (int * float) list
 (** Safe initial scalar-register values for running an X-process: each

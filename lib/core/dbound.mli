@@ -36,11 +36,6 @@ val stream_rate : machine:Machine.t -> stride:int -> float
     stride; [stride = 0] (a scalar reference) counts as unit rate.
     Always in (0; 1]. *)
 
-val memory_cycles_per_iteration : machine:Machine.t -> Instr.t list -> float
-(** [t_m^D]: vector memory operations weighted by their stream's
-    reciprocal rate — the D-refined replacement for the MAC model's
-    [loads + stores]. *)
-
 type t = {
   t_m_d : float;  (** stride-weighted memory bound, CPL *)
   t_f : int;  (** unchanged FP bound, CPL *)

@@ -9,10 +9,9 @@ type t = {
   samples : (int * float) list;
 }
 
-let default_lengths = [ 8; 16; 24; 32; 48; 64; 96; 128 ]
+let lengths = [ 8; 16; 24; 32; 48; 64; 96; 128 ]
 
-let measure ?(machine = Machine.c240) ?(lengths = default_lengths)
-    (k : Lfk.Kernel.t) =
+let measure ?(machine = Machine.c240) (k : Lfk.Kernel.t) =
   List.iter
     (fun n ->
       if n < 1 || n > machine.Machine.max_vl then

@@ -22,10 +22,10 @@ type t = {
   samples : (int * float) list;  (** (n, total cycles) measured *)
 }
 
-val measure :
-  ?machine:Machine.t -> ?lengths:int list -> Lfk.Kernel.t -> t
-(** Fit over the given lengths (default 8, 16, 24, …, 128; all must be in
-    [1; max VL]).  The kernel's first segment supplies the address
+val measure : ?machine:Machine.t -> Lfk.Kernel.t -> t
+(** Fit over the lengths 8, 16, 24, …, 128, which must all be in
+    [1; max VL]: raises [Invalid_argument] on a machine whose max VL is
+    below 128.  The kernel's first segment supplies the address
     shifts; multi-segment structure is ignored for the sweep (this is a
     single-inner-loop characterization). *)
 

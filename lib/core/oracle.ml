@@ -70,8 +70,8 @@ let check_hierarchy ?(tol = default_tol) (h : Hierarchy.t) =
 (* Cheap per-row variant for suite supervision: bounds need no simulation,
    so a successful measured row is cross-checked for the cost of a chime
    partition. *)
-let check_row ?(tol = default_tol) ~machine (c : Fcc.Compiler.t) ~measured_cpl
-    =
+let check_row ~machine (c : Fcc.Compiler.t) ~measured_cpl =
+  let tol = default_tol in
   let subject = c.Fcc.Compiler.kernel.Lfk.Kernel.name in
   let body = Program.body c.Fcc.Compiler.program in
   match c.Fcc.Compiler.mode with

@@ -30,19 +30,15 @@ val default_tol : float
 val t_m : machine:Machine.t -> flops:int -> float
 (** The machine-only M bound in CPL: flops over peak FP issue rate. *)
 
-val check_hierarchy : ?tol:float -> Hierarchy.t -> violation list
-(** Full chain [M <= MA <= MAC <= MACS <= measured] plus eq. 18 on an
-    analyzed kernel. *)
-
 val check_row :
-  ?tol:float ->
   machine:Machine.t ->
   Fcc.Compiler.t ->
   measured_cpl:float ->
   violation list
 (** Simulation-free variant for per-suite-row supervision: recomputes the
     bounds from the compilation result and checks them against one
-    measured CPL.  Scalar-mode rows check [scalar-bound <= measured].
+    measured CPL at {!default_tol}.  Scalar-mode rows check
+    [scalar-bound <= measured].
     The [MACS <= measured] link is checked only on memory-paced loops
     ({!Macs_bound.memory_paced}); elsewhere the chime-serialized bound
     legitimately exceeds the chained machine and only the model-internal

@@ -33,8 +33,6 @@ type t = {
 val ridge_intensity : machine:Machine.t -> float
 (** The AI at which the two roofs meet (0.25 flops/byte on the C-240). *)
 
-val of_counts : machine:Machine.t -> flops:int -> Counts.t -> t
-
 val of_kernel : ?machine:Machine.t -> Lfk.Kernel.t -> t
 (** From the kernel's MA workload. *)
 

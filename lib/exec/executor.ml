@@ -332,7 +332,7 @@ let load j ~cells =
       in
       Ok (Some (config, List.rev prior, merged))
 
-let run_journaled ?(jobs = 1) ?(retry = default_retry) ?(resume = false)
+let run_journaled ?(jobs = 1) ?(resume = false)
     ?(keep = fun _ -> true) ?(sharded = false)
     ?(context = fun i -> Printf.sprintf "cell %d" i) ?(progress = fun _ -> ())
     ?(should_stop = fun () -> false) ~journal:j ~cells f =
@@ -361,5 +361,6 @@ let run_journaled ?(jobs = 1) ?(retry = default_retry) ?(resume = false)
   let results = Array.make (max cells 0) None in
   List.iter (fun (i, o) -> results.(i) <- Some o) prior;
   Ok
-    (execute ~jobs ~retry ~journal:(Some j) ~sharded:(sharded || rewrite)
-       ~context ~progress ~should_stop ~cells ~results f)
+    (execute ~jobs ~retry:default_retry ~journal:(Some j)
+       ~sharded:(sharded || rewrite) ~context ~progress ~should_stop ~cells
+       ~results f)

@@ -122,7 +122,6 @@ val run :
 
 val run_journaled :
   ?jobs:int ->
-  ?retry:retry ->
   ?resume:bool ->
   ?keep:('r outcome -> bool) ->
   ?sharded:bool ->

@@ -164,7 +164,6 @@ type clause =
   | Jitter of int
   | Slow_pipe of pipe_slow
   | Port_spike of port_spike
-[@@deriving eq]
 
 let clauses t =
   List.map (fun d -> Degrade d) (List.rev t.degraded)

@@ -72,13 +72,6 @@ val is_none : t -> bool
 
 (* ---- structural equality (derived per clause type) ---- *)
 
-val equal_bank_degrade : bank_degrade -> bank_degrade -> bool
-val equal_bank_stuck : bank_stuck -> bank_stuck -> bool
-val equal_scrub : scrub -> scrub -> bool
-val equal_pipe_slow : pipe_slow -> pipe_slow -> bool
-val equal_port_spike : port_spike -> port_spike -> bool
-val equal_window : window -> window -> bool
-
 val equal_behaviour : t -> t -> bool
 (** Structural equality ignoring [name] — two plans injecting the same
     faults are behaviourally interchangeable.  Built from the per-clause
@@ -86,10 +79,6 @@ val equal_behaviour : t -> t -> bool
     [parse]/[to_spec] round-trip property is stated with this equality. *)
 
 (* ---- queries consumed by the injection hooks ---- *)
-
-val active_at : t -> cycle:int -> bool
-(** Whether the plan injects at [cycle]: always true for permanent plans,
-    the window test for transient ones. *)
 
 val quiescent : t -> lo:int -> hi:int -> bool
 (** [quiescent t ~lo ~hi] is a {e proof} that no query at any cycle in
@@ -144,8 +133,6 @@ type clause =
       (** One injection clause of a plan, as written in the spec syntax.
           The global [seed] and [window] are plan-level fields, not
           clauses. *)
-
-val equal_clause : clause -> clause -> bool
 
 val clauses : t -> clause list
 (** The plan's injection clauses in spec order. *)

@@ -63,13 +63,25 @@ let entry_of_record (r : Journal.record) =
 
 let create ~path = Journal.create ~path ~format []
 
-let append ~path entry =
+(* [fresh]: the file holds no entry yet, so the first [add] (re)creates
+   it; afterwards every [add] appends at the tail [appender] recovered. *)
+type appender = { path : string; mutable fresh : bool }
+
+let appender ~path =
   match Journal.recover ~path ~format with
-  | Ok Journal.Fresh -> Journal.create ~path ~format [ record_of_entry entry ]
-  | Ok (Journal.Intact _) -> Journal.append ~path (record_of_entry entry)
+  | Ok Journal.Fresh -> { path; fresh = true }
+  | Ok (Journal.Intact _) -> { path; fresh = false }
   | Ok (Journal.Damaged msg) | Error msg ->
       Macs_util.Macs_error.raise_error
-        (Macs_util.Macs_error.parse_failure ~site:"Corpus.append" msg)
+        (Macs_util.Macs_error.parse_failure ~site:"Corpus.appender" msg)
+
+let add a entry =
+  let r = record_of_entry entry in
+  if a.fresh then begin
+    Journal.create ~path:a.path ~format [ r ];
+    a.fresh <- false
+  end
+  else Journal.append ~path:a.path r
 
 let load ~path =
   match Journal.recover ~path ~format with

@@ -40,15 +40,26 @@ val format : string
 val create : path:string -> unit
 (** Write an empty corpus (header only). *)
 
-val append : path:string -> entry -> unit
-(** Append one entry.  The corpus goes through
-    {!Macs_util.Journal.recover} first: a missing file or an interrupted
-    create is (re)created with the entry, a torn tail is cut off, and a
-    damaged header or interior corruption raises a [parse_failure]
-    instead of appending after it. *)
+type appender
+(** A corpus open for appending: recovered once, then written at its
+    tail. *)
+
+val appender : path:string -> appender
+(** Open [path] for appending, reading it once through
+    {!Macs_util.Journal.recover}.  This is the only time the file is
+    checked: a torn tail is cut off here, and a damaged header or
+    interior corruption raises a [parse_failure] here, before any entry
+    is written.  A missing file or an interrupted create is left alone
+    until the first {!add}, which (re)creates it.  Each {!add} after
+    that appends one record without reading the file again, so a run
+    that adds n entries decodes the corpus once, not n times; the
+    appender assumes no other writer touches the file meanwhile. *)
+
+val add : appender -> entry -> unit
+(** Append one entry (one {!Macs_util.Sink} write boundary). *)
 
 val load : path:string -> (entry list, string) result
-(** The entries of an existing corpus, recovered as {!append} does (a
+(** The entries of an existing corpus, recovered as {!appender} does (a
     torn tail is cut off).  A missing file is an error; an interrupted
     create holds no entries. *)
 
@@ -64,13 +75,6 @@ type replay = {
   ok : bool;
   detail : string;  (** what happened, for the failure message *)
 }
-
-val replay_entry :
-  ?sim:bool -> entry -> replay
-(** Re-run one entry's oracle stack on its recorded machine and compare
-    against its expectation.  [sim] defaults to [true]; kernels whose
-    expectation concerns only functional checks replay with [sim:false]
-    cheaply. *)
 
 val replay : ?sim:bool -> path:string -> unit -> (replay list, string) result
 (** Load and replay a whole corpus file. *)

@@ -144,11 +144,11 @@ let asm_case ~index ~jobs tally p =
 
 (* ---- the campaign ---- *)
 
-let persist cfg v =
-  match cfg.corpus with
+let persist cfg corpus v =
+  match corpus with
   | None -> ()
-  | Some path ->
-      Corpus.append ~path
+  | Some corpus ->
+      Corpus.add corpus
         {
           Corpus.kind = v.kind;
           machine = Convex_dsl.Machine_dsl.label cfg.machine;
@@ -282,6 +282,7 @@ let run ?(progress = fun _ -> ()) cfg =
     | Some cap -> Clock.elapsed ~since:started > cap
   in
   let cache = Option.map Cache.open_dir cfg.cache in
+  let corpus = Option.map (fun path -> Corpus.appender ~path) cfg.corpus in
   let compute index =
     let tally = { passed = 0; skipped = 0 } in
     let rand = Random.State.make [| cfg.seed; index |] in
@@ -321,7 +322,7 @@ let run ?(progress = fun _ -> ()) cfg =
        a parallel run defers to the index-ordered pass below so the
        corpus bytes come out identical *)
     (match o.violation with
-    | Some v when cfg.jobs <= 1 -> persist cfg v
+    | Some v when cfg.jobs <= 1 -> persist cfg corpus v
     | _ -> ());
     o
   in
@@ -347,7 +348,7 @@ let run ?(progress = fun _ -> ()) cfg =
           tally.skipped <- tally.skipped + o.skipped;
           Option.iter
             (fun v ->
-              if cfg.jobs > 1 then persist cfg v;
+              if cfg.jobs > 1 then persist cfg corpus v;
               violations := v :: !violations)
             o.violation
       | Some (Exec.Poisoned p) ->

@@ -192,8 +192,12 @@ let kernel_arbitrary =
 (* Fuzzer-grade kernels                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Unit, small primes and powers of two up to 32: the strides that alias
+   memory banks and defeat tailgating. *)
 let adversarial_strides = [ 1; 1; 1; 1; 2; 3; 4; 5; 7; 8; 16; 32 ]
 
+(* Clustered around the strip-mine boundaries (1..4, 31..33, 63..65,
+   127..130, 255..257), plus a long tail. *)
 let edge_lengths =
   [ 1; 2; 3; 4; 31; 32; 33; 63; 64; 65; 127; 128; 129; 130; 255; 256; 257;
     300 ]
@@ -618,6 +622,8 @@ let fuzz_kernel_arbitrary profile =
 (* Assembly round-trip fuzz input                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Names that stress the listing grammar: spaces, commas, semicolons,
+   percent signs, and the empty name. *)
 let adversarial_sop_names =
   [
     "add.a"; "lt.s"; "outer"; ""; "add a"; "a,b"; "x;y"; "100%"; "%20";

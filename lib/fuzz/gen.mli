@@ -18,38 +18,18 @@ open Convex_isa
     scatters through IDX-prefixed index arrays, reductions, and
     element-wise selects. *)
 
-(** {1 Instruction-level generators (shared with the test suites)} *)
+(** {1 Instruction-level generators} *)
 
-val vreg_gen : Reg.v QCheck.Gen.t
-val sreg_gen : Reg.s QCheck.Gen.t
-val mem_gen : Instr.mem QCheck.Gen.t
-val vsrc_gen : Instr.vsrc QCheck.Gen.t
-val vbinop_gen : Instr.vbinop QCheck.Gen.t
-val vector_instr_gen : Instr.t QCheck.Gen.t
-val scalar_instr_gen : Instr.t QCheck.Gen.t
-val instr_gen : Instr.t QCheck.Gen.t
-val body_gen : Instr.t list QCheck.Gen.t
-val vector_body_gen : Instr.t list QCheck.Gen.t
 val instr_arbitrary : Instr.t QCheck.arbitrary
 val body_arbitrary : Instr.t list QCheck.arbitrary
 val vector_body_arbitrary : Instr.t list QCheck.arbitrary
 
 (** {1 Simple kernel generator (compiler round-trip tests)} *)
 
-val expr_gen : depth:int -> Lfk.Ir.expr QCheck.Gen.t
-val has_load : Lfk.Ir.expr -> bool
 val kernel_gen : Lfk.Kernel.t QCheck.Gen.t
 val kernel_arbitrary : Lfk.Kernel.t QCheck.arbitrary
 
 (** {1 Fuzzer-grade kernel generators} *)
-
-val adversarial_strides : int list
-(** Stride pool: unit, small primes, and powers of two up to 32 — the
-    strides that alias memory banks and defeat tailgating. *)
-
-val edge_lengths : int list
-(** Segment-length pool clustered around the strip-mine boundaries
-    (1..4, 31..33, 63..65, 127..130, 255..257) plus a long tail. *)
 
 type profile =
   | Vector_profile
@@ -76,11 +56,7 @@ val min_array_sizes : Lfk.Kernel.t -> (string * int) list
 
 (** {1 Assembly round-trip fuzzing} *)
 
-val adversarial_sop_names : string list
-(** [sop] names that stress the listing grammar: spaces, commas,
-    semicolons, percent signs, and the empty name. *)
-
 val program_gen : Program.t QCheck.Gen.t
-(** Random programs whose [sop] names draw from
-    {!adversarial_sop_names} — the printer/parser round-trip fuzz
-    input. *)
+(** Random programs whose [sop] names stress the listing grammar
+    (spaces, commas, semicolons, percent signs, the empty name) — the
+    printer/parser round-trip fuzz input. *)

@@ -64,13 +64,6 @@ val run :
     round-trip) — the cheap mode test properties use.  [budget] caps
     each simulation through a fresh {!Convex_harness.Budget.watchdog}. *)
 
-val fidelity_diff_check :
-  machine:Convex_machine.Machine.t ->
-  faults:Convex_fault.Fault.t ->
-  Fcc.Compiler.t ->
-  check
-(** The cycle-vs-tiered bit-identity rung alone, on a compiled kernel. *)
-
 val check_program : Convex_isa.Program.t -> check
 (** The assembly round-trip check alone, on an arbitrary program — the
     printer/parser fuzz entry. *)

@@ -102,19 +102,18 @@ let measured = function
       true
   | _ -> false
 
-let cell_key config ~budget ~oracle_tol k =
+let cell_key config ~budget k =
   Cache.key ~kind:"suite-cell"
     [
       ("config", J.encode (Suite_journal.config_record config));
       ("budget", Budget.to_string budget);
-      ("tol", J.put_float oracle_tol);
+      ("tol", J.put_float Macs.Oracle.default_tol);
       ("kernel", Lfk.Codec.to_string k);
     ]
 
 let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
-    ?(faults = Fault.none) ?guard ?(budget = Budget.none)
-    ?(oracle_tol = Macs.Oracle.default_tol) ?(jobs = 1) ?journal
-    ?(resume = false) ?(retry_failed = false) ?cache () =
+    ?(faults = Fault.none) ?guard ?(budget = Budget.none) ?(jobs = 1)
+    ?journal ?(resume = false) ?(retry_failed = false) ?cache () =
   let guard =
     match guard with
     | Some g -> g
@@ -142,7 +141,7 @@ let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
     | Ok p ->
         (* cross-check every measured row against the bounds hierarchy *)
         let vs =
-          Macs.Oracle.check_row ~tol:oracle_tol ~machine
+          Macs.Oracle.check_row ~machine
             (Fcc.Compiler.compile ~opt k)
             ~measured_cpl:p.Suite.cpl
         in
@@ -162,7 +161,7 @@ let run ?(machine = Machine.c240) ?(opt = Fcc.Opt_level.v61)
       match cache with
       | None -> compute_cell i
       | Some c ->
-          Cache.memo c ~key:(cell_key config ~budget ~oracle_tol karr.(i))
+          Cache.memo c ~key:(cell_key config ~budget karr.(i))
             ~encode:Suite_journal.records_of_cell
             ~decode:Suite_journal.cell_of_records
             (fun () -> compute_cell i)

@@ -56,7 +56,6 @@ type outcome = {
 val cell_key :
   Macs_report.Suite_journal.config ->
   budget:Budget.t ->
-  oracle_tol:float ->
   Lfk.Kernel.t ->
   string
 (** A suite cell's result-cache key: the run's config record (machine
@@ -69,7 +68,6 @@ val run :
   ?faults:Convex_fault.Fault.t ->
   ?guard:int ->
   ?budget:Budget.t ->
-  ?oracle_tol:float ->
   ?jobs:int ->
   ?journal:string ->
   ?resume:bool ->

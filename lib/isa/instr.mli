@@ -17,26 +17,13 @@
     [offset + k0 * stride]. *)
 type mem = { array : string; offset : int; stride : int }
 
-val pp_mem : Format.formatter -> mem -> unit
-val show_mem : mem -> string
-val equal_mem : mem -> mem -> bool
-
 (** Source operand of a vector arithmetic instruction: either a vector
     register or a scalar register broadcast across all elements. *)
 type vsrc = Vr of Reg.v | Sr of Reg.s
 
-val pp_vsrc : Format.formatter -> vsrc -> unit
-val equal_vsrc : vsrc -> vsrc -> bool
-
 type vbinop = Add | Sub | Mul | Div
 
-val pp_vbinop : Format.formatter -> vbinop -> unit
-val equal_vbinop : vbinop -> vbinop -> bool
-
 type cmpop = Lt | Le | Eq | Ne
-
-val pp_cmpop : Format.formatter -> cmpop -> unit
-val equal_cmpop : cmpop -> cmpop -> bool
 
 type t =
   | Vld of { dst : Reg.v; src : mem }

@@ -30,15 +30,10 @@ let a_index r = r
 (* {v0,v4} {v1,v5} {v2,v6} {v3,v7}: the pair id is the index modulo 4. *)
 let pair_id r = r mod pair_count
 let all_v = List.init vector_count Fun.id
-let all_s = List.init scalar_count Fun.id
-let all_a = List.init address_count Fun.id
 let pp_v fmt r = Format.fprintf fmt "v%d" r
 let pp_s fmt r = Format.fprintf fmt "s%d" r
-let pp_a fmt r = Format.fprintf fmt "a%d" r
 let equal_v = Int.equal
 let equal_s = Int.equal
-let equal_a = Int.equal
-let compare_v = Int.compare
 let show_v r = Printf.sprintf "v%d" r
 let show_s r = Printf.sprintf "s%d" r
 let show_a r = Printf.sprintf "a%d" r

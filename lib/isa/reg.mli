@@ -20,7 +20,6 @@ val vector_count : int
 (** Number of vector registers (8). *)
 
 val scalar_count : int
-val address_count : int
 
 val v : int -> v
 (** [v i] is vector register [i]; raises [Invalid_argument] unless
@@ -43,19 +42,12 @@ val pair_count : int
 val all_v : v list
 (** [v0; ...; v7] in index order. *)
 
-val all_s : s list
-val all_a : a list
+(** Printers and equalities called by [Instr]'s derived [show]/[equal]. *)
 
 val pp_v : Format.formatter -> v -> unit
-(** Prints ["v3"] style. *)
-
 val pp_s : Format.formatter -> s -> unit
-val pp_a : Format.formatter -> a -> unit
-
 val equal_v : v -> v -> bool
 val equal_s : s -> s -> bool
-val equal_a : a -> a -> bool
-val compare_v : v -> v -> int
 val show_v : v -> string
 val show_s : s -> string
 val show_a : a -> string

@@ -7,9 +7,6 @@
 
     Ids are 101 and up, outside the Livermore range. *)
 
-val daxpy : Kernel.t
-(** [y(i) = a*x(i) + y(i)] — the BLAS level-1 classic. *)
-
 val dot : Kernel.t
 (** [s = sum x(i)*y(i)] — reduction into a stored scalar. *)
 
@@ -20,10 +17,6 @@ val stencil5 : Kernel.t
 (** [a(i) = w*(b(i-2)+b(i-1)+b(i)+b(i+1)+b(i+2))] — one reuse stream the
     V6.1-style compiler reloads five times. *)
 
-val jacobi_row : Kernel.t
-(** [r(i) = 0.25*(u(i-1) + u(i+1) + un(i) + us(i))] — one row of a 2-D
-    Jacobi sweep. *)
-
 val gather16 : Kernel.t
 (** [b(i) = q*a(16*i)] — a stride-16 stream that halves the sustainable
     memory rate (the D-bound demonstration). *)
@@ -31,10 +24,6 @@ val gather16 : Kernel.t
 val rcp_update : Kernel.t
 (** [y(i) = y(i) + x(i)/z(i)] — exercises the long-latency divide and its
     masking rule. *)
-
-val norm2 : Kernel.t
-(** [y(i) = sqrt(x(i)² + z(i)²)] — exercises the multiply pipe's
-    iterative square-root unit. *)
 
 val permute : Kernel.t
 (** [y(i) = a(idx(i)) + y(i)] — a data-dependent gather whose random bank

@@ -1,7 +1,7 @@
-type cmp = CLt | CLe | CEq | CNe [@@deriving show, eq]
+type cmp = CLt | CLe | CEq | CNe [@@deriving show]
 
 type ref_ = { array : string; scale : int; offset : int }
-[@@deriving show, eq, ord]
+[@@deriving show, eq]
 
 type expr =
   | Load of ref_
@@ -15,14 +15,14 @@ type expr =
   | Sqrt of expr
   | Gather of { array : string; offset : int; index : expr }
   | Select of { op : cmp; a : expr; b : expr; if_true : expr; if_false : expr }
-[@@deriving show, eq]
+[@@deriving show]
 
 type stmt =
   | Let of string * expr
   | Store of ref_ * expr
   | Scatter of { array : string; offset : int; index : expr; value : expr }
   | Reduce of { neg : bool; rhs : expr }
-[@@deriving show, eq]
+[@@deriving show]
 
 let rec expr_ops (fa, fm) = function
   | Load _ | Scalar _ | Temp _ -> (fa, fm)

@@ -10,15 +10,10 @@
 
 type cmp = CLt | CLe | CEq | CNe
 
-val pp_cmp : Format.formatter -> cmp -> unit
-val equal_cmp : cmp -> cmp -> bool
-
 type ref_ = { array : string; scale : int; offset : int }
 
 val pp_ref_ : Format.formatter -> ref_ -> unit
-val show_ref_ : ref_ -> string
 val equal_ref_ : ref_ -> ref_ -> bool
-val compare_ref_ : ref_ -> ref_ -> int
 
 type expr =
   | Load of ref_
@@ -38,10 +33,6 @@ type expr =
           to a compare into the vector merge register followed by a
           merge (vector edit). *)
 
-val pp_expr : Format.formatter -> expr -> unit
-val show_expr : expr -> string
-val equal_expr : expr -> expr -> bool
-
 type stmt =
   | Let of string * expr
   | Store of ref_ * expr
@@ -52,9 +43,7 @@ type stmt =
       (** [acc := acc + sum_k rhs] ([acc := acc - ...] when [neg]); the
           accumulator itself is declared by the kernel. *)
 
-val pp_stmt : Format.formatter -> stmt -> unit
 val show_stmt : stmt -> string
-val equal_stmt : stmt -> stmt -> bool
 
 (** {1 Static analysis: the MA workload counts (paper §3.1)} *)
 

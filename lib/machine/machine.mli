@@ -10,9 +10,6 @@
 type pipe_config = { load_store : int; add_unit : int; multiply_unit : int }
 (** Number of function units of each kind.  The C-240 has one of each. *)
 
-val pp_pipe_config : Format.formatter -> pipe_config -> unit
-val equal_pipe_config : pipe_config -> pipe_config -> bool
-
 type t = {
   name : string;
   clock_mhz : float;  (** 25 MHz: a 40 ns effective clock period. *)

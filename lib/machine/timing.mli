@@ -11,10 +11,6 @@ open Convex_isa
 
 type params = { x : int; y : int; z : float; b : int }
 
-val pp_params : Format.formatter -> params -> unit
-val show_params : params -> string
-val equal_params : params -> params -> bool
-
 type table
 (** Timing parameters for every vector instruction class. *)
 

@@ -2,7 +2,10 @@ open Convex_isa
 
 type t = { table : (string, int * int) Hashtbl.t; order : string list }
 
-let build ?(base = 0) ?(pad = 1) arrays =
+(* Words between consecutive arrays. *)
+let pad = 1
+
+let build ?(base = 0) arrays =
   let table = Hashtbl.create 16 in
   let next = ref base in
   let order =
@@ -19,8 +22,7 @@ let build ?(base = 0) ?(pad = 1) arrays =
   in
   { table; order }
 
-let of_program ?(size_words = 4096) p =
-  build (List.map (fun a -> (a, size_words)) (Program.arrays p))
+let of_program p = build (List.map (fun a -> (a, 4096)) (Program.arrays p))
 
 let alias t ~existing name =
   match Hashtbl.find_opt t.table existing with

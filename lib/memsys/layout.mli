@@ -4,22 +4,20 @@ open Convex_isa
 
     The simulator needs concrete addresses to model bank conflicts, so each
     array named by a program is placed at a base word address.  Bases are
-    assigned sequentially with configurable padding; with the default
-    padding of one word, distinct unit-stride arrays start in different
-    banks, which is the benign layout the paper assumes ("most memory
-    accesses are unit stride"). *)
+    assigned sequentially with one word of padding, so distinct
+    unit-stride arrays start in different banks, which is the benign
+    layout the paper assumes ("most memory accesses are unit stride"). *)
 
 type t
 
-val build : ?base:int -> ?pad:int -> (string * int) list -> t
-(** [build arrays] places each [(name, size_words)] in order.  [base]
-    defaults to 0, [pad] (words inserted between arrays) to 1.  Raises
+val build : ?base:int -> (string * int) list -> t
+(** [build arrays] places each [(name, size_words)] in order, one word of
+    padding between arrays.  [base] defaults to 0.  Raises
     [Invalid_argument] on duplicate names or nonpositive sizes. *)
 
-val of_program : ?size_words:int -> Program.t -> t
-(** Place every array referenced by the program, each [size_words] words
-    (default 4096 — room for the longest standard Livermore loop with
-    offsets). *)
+val of_program : Program.t -> t
+(** Place every array referenced by the program, each 4096 words — room
+    for the longest standard Livermore loop with offsets. *)
 
 val alias : t -> existing:string -> string -> unit
 (** [alias t ~existing name] makes [name] address the same storage as

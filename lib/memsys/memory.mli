@@ -35,8 +35,6 @@ val release : t -> unit
 
 val refresh_active : t -> cycle:int -> bool
 
-val port_stolen : t -> cycle:int -> bool
-
 val try_access : t -> cycle:int -> word:int -> bool
 (** Attempt a one-word access at [cycle].  Succeeds iff no refresh is in
     progress, the port is not stolen, and the addressed bank is idle; on

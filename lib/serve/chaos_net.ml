@@ -56,16 +56,14 @@ let now = Unix.gettimeofday
 (* Lock-step on an already-open socket: send each line, wait for its
    reply.  Does not close the socket. *)
 let exchange_on fd lines =
-  let r = Conn_io.reader fd in
+  let r = Conn_io.reader ~idle_timeout_s:20.0 ~now ~limit:(1 lsl 20) fd in
   let w = Conn_io.writer fd in
   List.map
     (fun line ->
       match Conn_io.write_line ~write_timeout_s:10.0 ~now w line with
       | Error _ -> Error "write failed"
       | Ok () -> (
-          match
-            Conn_io.read_line ~idle_timeout_s:20.0 ~now ~limit:(1 lsl 20) r
-          with
+          match Conn_io.read_line r with
           | Conn_io.Line reply -> Ok reply
           | Conn_io.Eof -> Error "eof before reply"
           | Conn_io.Idle_timeout -> Error "no reply within 20s"
@@ -82,9 +80,9 @@ let exchange ~port lines =
    that do not care what they get back, only that the server answers
    and eventually hangs up). *)
 let drain_replies fd =
-  let r = Conn_io.reader fd in
+  let r = Conn_io.reader ~idle_timeout_s:10.0 ~now ~limit:(1 lsl 20) fd in
   let rec go n =
-    match Conn_io.read_line ~idle_timeout_s:10.0 ~now ~limit:(1 lsl 20) r with
+    match Conn_io.read_line r with
     | Conn_io.Line _ -> go (n + 1)
     | _ -> n
   in
@@ -436,11 +434,11 @@ let run ?(seed = 0) ?(frames = 6) ~dir () =
                  ~finally:(fun () ->
                    try Unix.close fd with Unix.Unix_error _ -> ())
                  (fun () ->
-                   let r = Conn_io.reader fd in
-                   match
-                     Conn_io.read_line ~idle_timeout_s:5.0 ~now
-                       ~limit:(1 lsl 20) r
-                   with
+                   let r =
+                     Conn_io.reader ~idle_timeout_s:5.0 ~now ~limit:(1 lsl 20)
+                       fd
+                   in
+                   match Conn_io.read_line r with
                    | Conn_io.Line reply -> Some reply
                    | _ -> None)
              in

@@ -20,25 +20,49 @@
    in the connection's scratch buffer and sends it with one [write]
    call. *)
 
+(* The current call's caps, [now]-clock values.  An all-float record is
+   stored flat, so setting a deadline allocates nothing. *)
+type deadlines = { mutable idle : float; mutable frame : float }
+
 type reader = {
   fd : Unix.file_descr;
+  idle_timeout_s : float option;
+  frame_timeout_s : float option;
+  stop : unit -> bool;
+  lookup : Bytes.t -> pos:int -> len:int -> string option;
+  now : unit -> float;
+  limit : int;
   rbuf : Bytes.t;
   mutable rpos : int;  (* next unread byte in rbuf *)
   mutable rlen : int;  (* valid bytes in rbuf *)
   line : Buffer.t;
   mutable over : int;  (* bytes discarded past the frame cap *)
   mutable at_eof : bool;
+  deadline : deadlines;
 }
 
-let reader fd =
+let far_future = Float.max_float
+
+(* [idle = nan]: the idle cap starts at the call's first wait. *)
+let pending = Float.nan
+
+let reader ?idle_timeout_s ?frame_timeout_s ?(stop = fun () -> false)
+    ?(lookup = fun _ ~pos:_ ~len:_ -> None) ~now ~limit fd =
   {
     fd;
+    idle_timeout_s;
+    frame_timeout_s;
+    stop;
+    lookup;
+    now;
+    limit;
     rbuf = Bytes.create 8192;
     rpos = 0;
     rlen = 0;
     line = Buffer.create 256;
     over = 0;
     at_eof = false;
+    deadline = { idle = pending; frame = far_future };
   }
 
 type read_event =
@@ -74,103 +98,114 @@ let rec wait_readable ~now ~stop fd ~deadline =
         wait_readable ~now ~stop fd ~deadline
     | _ :: _, _, _ -> `Ready
 
-let far_future = Float.max_float
+(* The reading steps below are top-level functions of the reader alone,
+   so a call that finds its frame in the buffer allocates nothing but
+   its answer. *)
 
-(* Read the next frame.  [idle_timeout_s] caps the silence before its
-   first byte; [frame_timeout_s] caps first byte to newline; [limit]
-   caps retained bytes (the excess is discarded as it streams in).
-   Partial-frame state persists across calls, so a frame delivered in
-   many small reads accumulates — but never outlives its deadline. *)
-let read_line ?idle_timeout_s ?frame_timeout_s ?(stop = fun () -> false)
-    ?(lookup = fun _ ~pos:_ ~len:_ -> None) ~now ~limit r =
-  let deadline_of = function
-    | None -> far_future
-    | Some s -> now () +. s
-  in
-  let partial () = Buffer.length r.line + r.over in
-  let started = partial () > 0 in
-  let frame_deadline = ref (if started then deadline_of frame_timeout_s else far_future) in
-  let idle_deadline = ref (if started then far_future else deadline_of idle_timeout_s) in
-  (* append rbuf[rpos, upto) to the partial frame: up to [limit] bytes
-     retained, the rest only counted *)
-  let take upto =
-    let len = upto - r.rpos in
-    let keep = min len (max 0 (limit - Buffer.length r.line)) in
-    Buffer.add_subbytes r.line r.rbuf r.rpos keep;
-    r.over <- r.over + (len - keep);
-    r.rpos <- upto
-  in
-  let finish_line () =
-    let n = partial () in
-    let line = Buffer.contents r.line in
+let deadline_of r = function None -> far_future | Some s -> r.now () +. s
+let partial r = Buffer.length r.line + r.over
+
+(* append rbuf[rpos, upto) to the partial frame: up to [limit] bytes
+   retained, the rest only counted *)
+let take r upto =
+  let len = upto - r.rpos in
+  let keep = min len (max 0 (r.limit - Buffer.length r.line)) in
+  Buffer.add_subbytes r.line r.rbuf r.rpos keep;
+  r.over <- r.over + (len - keep);
+  r.rpos <- upto
+
+let finish_line r =
+  let n = partial r in
+  let line = Buffer.contents r.line in
+  Buffer.clear r.line;
+  let over = r.over in
+  r.over <- 0;
+  if over > 0 then Oversized n else Line line
+
+(* The first newline at or after [i], or -1; bounded by [rlen], not the
+   buffer's length: bytes past it are stale. *)
+let rec newline r i =
+  if i >= r.rlen then -1
+  else if Bytes.unsafe_get r.rbuf i = '\n' then i
+  else newline r (i + 1)
+
+let at_eof r =
+  if partial r > 0 then begin
+    let n = partial r in
     Buffer.clear r.line;
-    let over = r.over in
     r.over <- 0;
-    if over > 0 then Oversized n else Line line
-  in
-  (* bounded by [rlen], not the buffer's length: bytes past it are stale *)
-  let rec newline i =
-    if i >= r.rlen then None
-    else if Bytes.unsafe_get r.rbuf i = '\n' then Some i
-    else newline (i + 1)
-  in
-  let rec drain_buffer () =
-    if r.rpos >= r.rlen then refill ()
-    else
-      match newline r.rpos with
-      | Some nl when partial () = 0 && nl - r.rpos <= limit -> (
-          let pos = r.rpos and len = nl - r.rpos in
-          r.rpos <- nl + 1;
-          match lookup r.rbuf ~pos ~len with
-          | Some reply -> Replay { reply; length = len }
-          | None -> Line (Bytes.sub_string r.rbuf pos len))
-      | Some nl ->
-          take nl;
-          r.rpos <- nl + 1;
-          finish_line ()
-      | None ->
-          (* first bytes of a frame: switch from the idle cap to the
-             frame cap *)
-          if partial () = 0 then begin
-            frame_deadline := deadline_of frame_timeout_s;
-            idle_deadline := far_future
-          end;
-          take r.rlen;
-          refill ()
-  and refill () =
-    if r.at_eof then at_eof ()
-    else
-      let deadline = Float.min !idle_deadline !frame_deadline in
-      match wait_readable ~now ~stop r.fd ~deadline with
-      | `Stopped -> Stopped
-      | `Timeout ->
-          if partial () > 0 then Frame_timeout (partial ()) else Idle_timeout
-      | `Ready -> (
-          match Unix.read r.fd r.rbuf 0 (Bytes.length r.rbuf) with
-          | 0 ->
-              r.at_eof <- true;
-              at_eof ()
-          | n ->
-              r.rpos <- 0;
-              r.rlen <- n;
-              drain_buffer ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> refill ()
-          | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)
-            ->
-              r.at_eof <- true;
-              at_eof ()
-          | exception Unix.Unix_error (e, _, _) ->
-              Read_error (Unix.error_message e))
-  and at_eof () =
-    if partial () > 0 then begin
-      let n = partial () in
-      Buffer.clear r.line;
-      r.over <- 0;
-      Torn n
+    Torn n
+  end
+  else Eof
+
+let rec drain_buffer r =
+  if r.rpos >= r.rlen then refill r
+  else
+    let nl = newline r r.rpos in
+    if nl >= 0 && partial r = 0 && nl - r.rpos <= r.limit then begin
+      let pos = r.rpos and len = nl - r.rpos in
+      r.rpos <- nl + 1;
+      match r.lookup r.rbuf ~pos ~len with
+      | Some reply -> Replay { reply; length = len }
+      | None -> Line (Bytes.sub_string r.rbuf pos len)
     end
-    else Eof
-  in
-  drain_buffer ()
+    else if nl >= 0 then begin
+      take r nl;
+      r.rpos <- nl + 1;
+      finish_line r
+    end
+    else begin
+      (* first bytes of a frame: switch from the idle cap to the frame
+         cap *)
+      if partial r = 0 then begin
+        r.deadline.frame <- deadline_of r r.frame_timeout_s;
+        r.deadline.idle <- far_future
+      end;
+      take r r.rlen;
+      refill r
+    end
+
+and refill r =
+  if r.at_eof then at_eof r
+  else begin
+    if Float.is_nan r.deadline.idle then
+      r.deadline.idle <- deadline_of r r.idle_timeout_s;
+    let deadline = Float.min r.deadline.idle r.deadline.frame in
+    match wait_readable ~now:r.now ~stop:r.stop r.fd ~deadline with
+    | `Stopped -> Stopped
+    | `Timeout ->
+        if partial r > 0 then Frame_timeout (partial r) else Idle_timeout
+    | `Ready -> (
+        match Unix.read r.fd r.rbuf 0 (Bytes.length r.rbuf) with
+        | 0 ->
+            r.at_eof <- true;
+            at_eof r
+        | n ->
+            r.rpos <- 0;
+            r.rlen <- n;
+            drain_buffer r
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> refill r
+        | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)
+          ->
+            r.at_eof <- true;
+            at_eof r
+        | exception Unix.Unix_error (e, _, _) ->
+            Read_error (Unix.error_message e))
+  end
+
+(* Read the next frame.  Partial-frame state persists across calls, so a
+   frame delivered in many small reads accumulates — but never outlives
+   its deadline, which restarts with each call. *)
+let read_line r =
+  if partial r > 0 then begin
+    r.deadline.frame <- deadline_of r r.frame_timeout_s;
+    r.deadline.idle <- far_future
+  end
+  else begin
+    r.deadline.frame <- far_future;
+    r.deadline.idle <- pending
+  end;
+  drain_buffer r
 
 (* ---- writes ---- *)
 

@@ -9,10 +9,6 @@
 
 type reader
 
-val reader : Unix.file_descr -> reader
-(** Partial-frame state (a started line, discarded-overflow count)
-    lives in the reader and persists across {!read_line} calls. *)
-
 type read_event =
   | Line of string  (** a complete frame, newline stripped *)
   | Replay of { reply : string; length : int }
@@ -26,16 +22,17 @@ type read_event =
   | Stopped  (** [stop] turned true while waiting for bytes *)
   | Read_error of string
 
-val read_line :
+val reader :
   ?idle_timeout_s:float ->
   ?frame_timeout_s:float ->
   ?stop:(unit -> bool) ->
   ?lookup:(Bytes.t -> pos:int -> len:int -> string option) ->
   now:(unit -> float) ->
   limit:int ->
-  reader ->
-  read_event
-(** Read the next frame.  [idle_timeout_s] caps silence before the
+  Unix.file_descr ->
+  reader
+(** The input side of one connection, with the caps every
+    {!read_line} on it applies.  [idle_timeout_s] caps silence before a
     frame's first byte; [frame_timeout_s] caps first byte to newline
     (the slow-loris defense: a client trickling one byte per tick is
     never idle but still misses this); [limit] caps retained bytes —
@@ -50,7 +47,15 @@ val read_line :
     in one read, as a span of the read buffer, before the frame is
     copied out; a [Some reply] consumes the frame as {!Replay} with no
     copy made.  The span is valid only during the call.  A frame split
-    across reads is accumulated and returned as {!Line}. *)
+    across reads is accumulated and returned as {!Line}.
+
+    Partial-frame state (a started line, discarded-overflow count)
+    lives in the reader and persists across {!read_line} calls. *)
+
+val read_line : reader -> read_event
+(** Read the next frame.  A frame found whole in the read buffer
+    allocates nothing beyond the returned event and what [lookup]
+    allocates. *)
 
 type write_error =
   | Peer_closed  (** EPIPE / ECONNRESET: the client hung up mid-reply *)

@@ -77,7 +77,7 @@ let to_string v =
 
 exception Bad of string
 
-(* The nesting cap: [parse]'s default, and the only one [scan] knows. *)
+(* The nesting cap of [parse] and [scan]. *)
 let max_depth = 64
 
 (* Parse the bytes [s.[first] .. s.[stop - 1]] as one document.  Error
@@ -319,7 +319,7 @@ let parse_range ~max_depth s first stop =
   | v -> Ok v
   | exception Bad msg -> Error msg
 
-let parse ?(max_depth = max_depth) s = parse_range ~max_depth s 0 (String.length s)
+let parse s = parse_range ~max_depth s 0 (String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* Scanner                                                            *)

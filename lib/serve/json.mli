@@ -4,7 +4,7 @@
     deliberately hostile-input-proof: the parser is a depth-capped
     recursive descent that returns a typed error on any malformed byte —
     it never raises, never loops, and its recursion is bounded by
-    [max_depth], so no frame can crash or hang the server at the codec
+    a nesting cap, so no frame can crash or hang the server at the codec
     layer.  The printer emits one line (no raw newlines ever escape into
     a frame) and renders non-finite numbers as [null], so every reply is
     valid JSON by construction. *)
@@ -17,10 +17,10 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-val parse : ?max_depth:int -> string -> (t, string) result
-(** Parse a complete JSON document ([max_depth] defaults to 64 nesting
-    levels); trailing non-whitespace is an error.  Error messages carry
-    the byte offset. *)
+val parse : string -> (t, string) result
+(** Parse a complete JSON document, at most 64 nesting levels deep;
+    trailing non-whitespace is an error.  Error messages carry the byte
+    offset. *)
 
 val to_string : t -> string
 (** Canonical one-line rendering.  Integral numbers within 2^53 print

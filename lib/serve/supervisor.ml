@@ -283,7 +283,16 @@ let handle_connection t ?output ?handle fd =
       t.counters.accepted <- t.counters.accepted + 1;
       Hashtbl.replace t.conns conn output);
   let net = t.net in
-  let reader = Conn_io.reader fd in
+  let lookup = Server.replay_of_span t.server in
+  let reader =
+    Conn_io.reader
+      ?idle_timeout_s:(ms_to_s net.idle_timeout_ms)
+      ?frame_timeout_s:(ms_to_s net.read_timeout_ms)
+      ~stop:(fun () -> Atomic.get t.drain_requested)
+      ~lookup ~now:t.now
+      ~limit:(Server.max_frame_bytes_of t.server)
+      fd
+  in
   let limiter = Limiter.make ~config:net.limits ~now:t.now () in
   let writer = Conn_io.writer output in
   let write line =
@@ -292,7 +301,6 @@ let handle_connection t ?output ?handle fd =
       ~now:t.now writer line
   in
   let seqr = Sequencer.create ~write in
-  let lookup = Server.replay_of_span t.server in
   let seq = ref 0 in
   let frames = ref 0 in
   let throttled = ref 0 in
@@ -383,15 +391,7 @@ let handle_connection t ?output ?handle fd =
     check_crash t;
     if Atomic.get t.drain_requested then Drained
     else
-      match
-        Conn_io.read_line
-          ?idle_timeout_s:(ms_to_s net.idle_timeout_ms)
-          ?frame_timeout_s:(ms_to_s net.read_timeout_ms)
-          ~stop:(fun () -> Atomic.get t.drain_requested)
-          ~lookup ~now:t.now
-          ~limit:(Server.max_frame_bytes_of t.server)
-          reader
-      with
+      match Conn_io.read_line reader with
       | Conn_io.Eof -> Closed
       | Conn_io.Torn n -> Hung_up n
       | Conn_io.Stopped -> Drained

@@ -155,9 +155,6 @@ val counters_snapshot : t -> counters
 val reports : t -> report list
 (** Most recent first, bounded to 256. *)
 
-val check_crash : t -> unit
-(** Re-raise the latched crash, if any. *)
-
 (** Accept-failure policy, exposed for tests. *)
 type accept_failure = Retry | Backoff | Fatal
 

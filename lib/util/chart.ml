@@ -1,7 +1,9 @@
 type series = { label : string; glyph : char; values : float array }
 
-let render ?(width = 50) ?(value_fmt = fun v -> Printf.sprintf "%.3f" v)
-    ~categories series =
+(* The largest bar's length in characters. *)
+let width = 50
+
+let render ~categories series =
   if series = [] then invalid_arg "Chart.render: no series";
   let ncat = List.length categories in
   List.iter
@@ -43,7 +45,7 @@ let render ?(width = 50) ?(value_fmt = fun v -> Printf.sprintf "%.3f" v)
           Buffer.add_string buf " |";
           Buffer.add_string buf (String.make (scale v) s.glyph);
           Buffer.add_char buf ' ';
-          Buffer.add_string buf (value_fmt v);
+          Buffer.add_string buf (Printf.sprintf "%.3f" v);
           Buffer.add_char buf '\n')
         series)
     categories;

@@ -5,15 +5,13 @@ type series = { label : string; glyph : char; values : float array }
 (** One bar series.  All series in a chart must have the same length. *)
 
 val render :
-  ?width:int ->
-  ?value_fmt:(float -> string) ->
   categories:string list ->
   series list ->
   string
 (** [render ~categories series] draws one horizontal bar per
     (category, series) pair, grouped by category, scaled so that the largest
-    value spans [width] characters (default 50).  Each bar is annotated with
-    its numeric value via [value_fmt] (default 3 decimals).
+    value spans 50 characters.  Each bar is annotated with
+    its numeric value to 3 decimals.
 
     Raises [Invalid_argument] if lengths disagree, the series list is empty,
     or any value is negative. *)

@@ -233,9 +233,10 @@ let check_header ~format r =
 (* All journal bytes pass through [Sink] as explicit write boundaries so
    the crash-sweep harness can kill a simulated process at any of them.
    [create] is a single boundary (header + initial records in one write):
-   a torn create leaves a byte prefix, never interleaved lines. *)
+   a torn create leaves a byte prefix, never interleaved lines.  Only the
+   two-phase [write_atomic] fsyncs the bytes before the channel closes. *)
 
-let create ?(sync = false) ~path ~format records =
+let write_fresh ~sync ~path ~format records =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (encode (header ~format));
   Buffer.add_char buf '\n';
@@ -250,6 +251,8 @@ let create ?(sync = false) ~path ~format records =
     (fun () ->
       Sink.write oc ~site:("journal-create:" ^ path) (Buffer.contents buf);
       if sync then Sink.fsync_out oc)
+
+let create = write_fresh ~sync:false
 
 let append ~path r =
   let oc =
@@ -339,7 +342,7 @@ let write_atomic ~path ~format records =
   (* two-phase publish: the tmp bytes are forced to disk *before* the
      rename, and the directory entry after it, so a power cut right
      after publish cannot surface an empty or torn main journal *)
-  create ~sync:true ~path:tmp ~format records;
+  write_fresh ~sync:true ~path:tmp ~format records;
   Sink.rename ~site:("journal-publish:" ^ path) tmp path;
   Sink.fsync_dir (Filename.dirname path)
 

@@ -47,11 +47,10 @@ val get_bool : string -> bool option
 
 (** {1 File operations} *)
 
-val create : ?sync:bool -> path:string -> format:string -> record list -> unit
+val create : path:string -> format:string -> record list -> unit
 (** Write a fresh journal: header then [records], as a single {!Sink}
     write boundary (a torn create leaves a byte prefix, never
-    interleaved lines).  Truncates any existing file at [path].  With
-    [~sync:true] the bytes are fsynced before the channel closes. *)
+    interleaved lines).  Truncates any existing file at [path]. *)
 
 val append : path:string -> record -> unit
 (** Append one record and flush (one {!Sink} write boundary).  The file
@@ -104,9 +103,6 @@ val write_atomic : path:string -> format:string -> record list -> unit
     cell-index order, reconstructing the byte-identical sequential
     journal. *)
 
-val shard_path : path:string -> int -> string
-(** [shard_path ~path k] is ["<path>.shard<K>"]. *)
-
 val shards : path:string -> (int * string) list
 (** Shard files currently present beside [path], sorted by shard index.
     Empty when the directory cannot be read. *)
@@ -123,9 +119,6 @@ val shard_start :
 val shard_append :
   path:string -> shard:int -> index:int -> seq:int -> record -> unit
 (** Append inner record number [seq] of cell [index] to shard [shard]. *)
-
-val shard_unwrap : record -> (int * int * record, string) result
-(** Decode a [shard-cell] wrapper back to [(index, seq, inner record)]. *)
 
 val merge_shards :
   path:string ->

@@ -56,10 +56,8 @@ let reset () =
       st.fired <- 0)
 
 let arm ~at ~mode = locked (fun () -> st.armed <- Some (at, mode))
-let disarm () = locked (fun () -> st.armed <- None)
 let boundaries () = locked (fun () -> st.counter)
 let crashed () = locked (fun () -> st.dead)
-let fired_at () = locked (fun () -> if st.dead then Some st.fired else None)
 
 (* One boundary: decide under the lock, do at most the permitted I/O,
    release, then raise if the process just "died".  [bytes] is what this

@@ -35,18 +35,12 @@ val arm : at:int -> mode:mode -> unit
 (** Crash at boundary number [at] (1-based, counted from the last
     {!reset}) with the given mode. *)
 
-val disarm : unit -> unit
-(** Stop injecting; does not clear the dead latch or the counter. *)
-
 val boundaries : unit -> int
 (** Boundaries seen since the last {!reset}.  Run once disarmed to learn
     how many injection points a workload has, then sweep [1..n]. *)
 
 val crashed : unit -> bool
 (** Whether the dead latch is set. *)
-
-val fired_at : unit -> int option
-(** The boundary the latched crash fired at, if any. *)
 
 val write : out_channel -> site:string -> string -> unit
 (** One write boundary: output the string and flush, subject to the

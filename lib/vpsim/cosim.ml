@@ -27,8 +27,11 @@ let stream_of_job ?(machine = Machine.c240) ?faults ~name job =
    CPU's bank footprint with a per-CPU odd word offset. *)
 let cpu_word_offset i = i * 509
 
-let replay ?(machine = Machine.c240) ?(stagger = 3) ?(equalize = true)
-    ?(faults = Fault.none) streams =
+(* CPU [i] starts [i * stagger] cycles late: processes never start on the
+   same cycle. *)
+let stagger = 3
+
+let replay ?(machine = Machine.c240) ?(faults = Fault.none) streams =
   if streams = [] then invalid_arg "Cosim.replay: no streams";
   if List.length streams > 4 then
     invalid_arg "Cosim.replay: the C-240 has four CPUs";
@@ -44,10 +47,7 @@ let replay ?(machine = Machine.c240) ?(stagger = 3) ?(equalize = true)
   let repeats =
     Array.map
       (fun s ->
-        if equalize then
-          max 1
-            (int_of_float (Float.round (longest /. Float.max 1.0 s.solo_cycles)))
-        else 1)
+        max 1 (int_of_float (Float.round (longest /. Float.max 1.0 s.solo_cycles))))
       cpus
   in
   let pending =
@@ -143,17 +143,17 @@ let replay ?(machine = Machine.c240) ?(stagger = 3) ?(equalize = true)
       in
       Ok { cpus = outcomes; average_slowdown }
 
-let run ?machine ?stagger ?faults workloads =
+let run ?machine ?faults workloads =
   match
     List.map
       (fun (job, name) -> stream_of_job ?machine ?faults ~name job)
       workloads
   with
   | exception Macs_error.Error e -> Error e
-  | streams -> replay ?machine ?stagger ?faults streams
+  | streams -> replay ?machine ?faults streams
 
-let run_exn ?machine ?stagger ?faults workloads =
-  Macs_error.of_result (run ?machine ?stagger ?faults workloads)
+let run_exn ?machine ?faults workloads =
+  Macs_error.of_result (run ?machine ?faults workloads)
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>co-simulated %d CPUs, average slowdown %.2fx"

@@ -47,16 +47,14 @@ val stream_of_job :
 
 val replay :
   ?machine:Machine.t ->
-  ?stagger:int ->
-  ?equalize:bool ->
   ?faults:Convex_fault.Fault.t ->
   stream list ->
   (t, Macs_util.Macs_error.t) Stdlib.result
-(** Replay up to four streams against shared banks.  [stagger] offsets
-    CPU [i]'s start by [i * stagger] cycles (default 3 — processes never
-    start on the same cycle).  [equalize] (default true) repeats shorter
-    streams until they cover the longest, modeling a machine that stays
-    loaded; per-CPU slip is then averaged back to one repetition.
+(** Replay up to four streams against shared banks.  CPU [i] starts
+    [3 * i] cycles late (processes never start on the same cycle), and
+    shorter streams repeat until they cover the longest, modeling a
+    machine that stays loaded; per-CPU slip is then averaged back to one
+    repetition.
     [faults] injects bank degradation, stuck/scrubbed banks and port
     spikes into the shared-bank replay; a plan that blocks some access
     forever yields [Error (Stall_out _)] once the progress guard trips.
@@ -65,7 +63,6 @@ val replay :
 
 val run :
   ?machine:Machine.t ->
-  ?stagger:int ->
   ?faults:Convex_fault.Fault.t ->
   (Job.t * string) list ->
   (t, Macs_util.Macs_error.t) Stdlib.result
@@ -75,7 +72,6 @@ val run :
 
 val run_exn :
   ?machine:Machine.t ->
-  ?stagger:int ->
   ?faults:Convex_fault.Fault.t ->
   (Job.t * string) list ->
   t

@@ -103,7 +103,6 @@ type refusal =
   | Over_slip  (** an element would wait past the slip bound *)
   | Contention  (** a contention model could steal port cycles *)
 
-val refusals : refusal list
 val refusal_name : refusal -> string
 
 type coverage = {

@@ -23,18 +23,14 @@ let interference = 0.07
 let lockstep_factor = 0.45
 let steal_cap = 0.38
 
-let run ?(machine = Machine.c240) ?lockstep ?(faults = Fault.none) workloads =
+let run ?(machine = Machine.c240) ?(faults = Fault.none) workloads =
   if workloads = [] then invalid_arg "Parallel.run: no workloads";
   if List.length workloads > 4 then
     invalid_arg "Parallel.run: the C-240 has four CPUs";
+  (* lockstep: every CPU runs the same executable *)
   let lockstep =
-    match lockstep with
-    | Some b -> b
-    | None -> (
-        match workloads with
-        | (j0, _) :: rest ->
-            List.for_all (fun (j, _) -> j.Job.name = j0.Job.name) rest
-        | [] -> false)
+    let j0, _ = List.hd workloads in
+    List.for_all (fun (j, _) -> j.Job.name = j0.Job.name) workloads
   in
   let simulate () =
     let solo =
@@ -93,8 +89,8 @@ let run ?(machine = Machine.c240) ?lockstep ?(faults = Fault.none) workloads =
   | exception Macs_error.Error e -> Error e
   | t -> Ok t
 
-let run_exn ?machine ?lockstep ?faults workloads =
-  Macs_error.of_result (run ?machine ?lockstep ?faults workloads)
+let run_exn ?machine ?faults workloads =
+  Macs_error.of_result (run ?machine ?faults workloads)
 
 let replicate w p = List.init p (fun _ -> w)
 

@@ -32,12 +32,11 @@ type t = {
 
 val run :
   ?machine:Machine.t ->
-  ?lockstep:bool ->
   ?faults:Convex_fault.Fault.t ->
   (Job.t * int) list ->
   (t, Macs_util.Macs_error.t) Stdlib.result
 (** [run workloads] simulates each [(job, flops)] on its own CPU.
-    [lockstep] defaults to detecting it: true iff all jobs share a name.
+    The run is [lockstep] iff all jobs share a name.
     [faults] applies to the contended pass only (the solo pass stays
     healthy so slowdowns are measured against a clean baseline); a
     port-steal plan additionally raises the effective steal probability.
@@ -47,7 +46,6 @@ val run :
 
 val run_exn :
   ?machine:Machine.t ->
-  ?lockstep:bool ->
   ?faults:Convex_fault.Fault.t ->
   (Job.t * int) list ->
   t

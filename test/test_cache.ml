@@ -311,7 +311,7 @@ let suite_key (k, plan) =
     (Macs_report.Suite_journal.config_of_run
        ~machine:Convex_machine.Machine.c240 ~opt:Fcc.Opt_level.v61 ~faults:plan
        ~guard:Convex_vpsim.Sim.default_guard)
-    ~budget:Convex_harness.Budget.none ~oracle_tol:Macs.Oracle.default_tol k
+    ~budget:Convex_harness.Budget.none k
 
 let chaos_key (k, plan) =
   Campaign.cell_key Campaign.default_config { Campaign.index = 0; kernel = k; plan }

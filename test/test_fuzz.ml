@@ -160,8 +160,9 @@ let test_corpus_append_load () =
     }
   in
   Sys.remove path;
-  Corpus.append ~path e1;
-  Corpus.append ~path e2;
+  let corpus = Corpus.appender ~path in
+  Corpus.add corpus e1;
+  Corpus.add corpus e2;
   let loaded =
     match Corpus.load ~path with
     | Ok es -> es
@@ -169,6 +170,46 @@ let test_corpus_append_load () =
   in
   Sys.remove path;
   Alcotest.(check (list entry_testable)) "entries survive" [ e1; e2 ] loaded
+
+(* The appender checks the file once, when it opens: a missing corpus is
+   left alone until the first entry, a torn tail is cut off before the
+   first append, and interior corruption is refused before anything is
+   written. *)
+let test_corpus_appender_checks_at_open () =
+  let entry seed =
+    { Corpus.kind = Corpus.Asm_case; machine = "c240"; seed;
+      expect = Corpus.Clean; payload = "  sbr\n" }
+  in
+  let path = Filename.temp_file "fuzz_appender" ".corpus" in
+  Sys.remove path;
+  let corpus = Corpus.appender ~path in
+  Alcotest.(check bool) "no file before the first entry" false
+    (Sys.file_exists path);
+  Corpus.add corpus (entry 1);
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  let write s = Out_channel.with_open_bin path (fun oc -> output_string oc s) in
+  let one_entry = read () in
+  write (one_entry ^ "case\tkind=as");
+  let corpus = Corpus.appender ~path in
+  Alcotest.(check string) "torn tail cut at open" one_entry (read ());
+  Corpus.add corpus (entry 2);
+  Corpus.add corpus (entry 3);
+  (match Corpus.load ~path with
+  | Ok es ->
+      Alcotest.(check (list int)) "entries" [ 1; 2; 3 ]
+        (List.map (fun (e : Corpus.entry) -> e.seed) es)
+  | Error msg -> Alcotest.fail ("load: " ^ msg));
+  let lines = String.split_on_char '\n' (read ()) in
+  let corrupt =
+    String.concat "\n"
+      (List.mapi (fun i l -> if i = 1 then "case\tkind=%zz" else l) lines)
+  in
+  write corrupt;
+  (match Corpus.appender ~path with
+  | _ -> Alcotest.fail "an interior-corrupt corpus opened"
+  | exception Macs_util.Macs_error.Error _ -> ());
+  Alcotest.(check string) "refused corpus untouched" corrupt (read ());
+  Sys.remove path
 
 (* ---- the committed corpus ---- *)
 
@@ -290,6 +331,8 @@ let () =
         [
           Alcotest.test_case "append/load round trip" `Quick
             test_corpus_append_load;
+          Alcotest.test_case "appender checks at open" `Quick
+            test_corpus_appender_checks_at_open;
           Alcotest.test_case "committed corpus replays" `Quick corpus_replay;
           Alcotest.test_case "entries name the machine that ran" `Quick
             test_corpus_names_machine_that_ran;

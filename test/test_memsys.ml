@@ -7,7 +7,7 @@ open Convex_memsys
 (* ---- Layout ---- *)
 
 let test_layout_bases () =
-  let l = Layout.build ~base:0 ~pad:1 [ ("A", 10); ("B", 5) ] in
+  let l = Layout.build ~base:0 [ ("A", 10); ("B", 5) ] in
   Alcotest.(check int) "A base" 0 (Layout.base_of l "A");
   Alcotest.(check int) "B base" 11 (Layout.base_of l "B");
   Alcotest.(check int) "A size" 10 (Layout.size_of l "A");
@@ -56,8 +56,8 @@ let test_layout_of_program () =
     ]
   in
   let p = Convex_isa.Program.make ~name:"p" body in
-  let l = Layout.of_program ~size_words:100 p in
-  Alcotest.(check int) "size" 100 (Layout.size_of l "Z")
+  let l = Layout.of_program p in
+  Alcotest.(check int) "size" 4096 (Layout.size_of l "Z")
 
 (* ---- Contention ---- *)
 

@@ -528,7 +528,10 @@ let test_hockney_guards () =
   Alcotest.check_raises "length range"
     (Invalid_argument "Hockney.measure: length out of [1; max VL]")
     (fun () ->
-      ignore (Macs.Hockney.measure ~lengths:[ 0 ] (Lfk.Kernels.find 1)))
+      ignore
+        (Macs.Hockney.measure
+           ~machine:{ Convex_machine.Machine.c240 with max_vl = 64 }
+           (Lfk.Kernels.find 1)))
 
 let test_hockney_scalar_kernels_no_startup () =
   (* scalar loops have no vector pipeline to fill: n_half near zero *)

@@ -150,7 +150,7 @@ let test_cells () =
 
 let test_chart_render () =
   let s =
-    Chart.render ~width:10 ~categories:[ "k1"; "k2" ]
+    Chart.render ~categories:[ "k1"; "k2" ]
       [ { Chart.label = "a"; glyph = '#'; values = [| 1.0; 2.0 |] } ]
   in
   Alcotest.(check bool) "contains k1" true
@@ -158,9 +158,8 @@ let test_chart_render () =
   (* largest value spans the full width *)
   let lines = String.split_on_char '\n' s in
   let k2bar = List.nth lines 3 in
-  Alcotest.(check bool) "full width" true
-    (String.length (String.concat ""
-       (String.split_on_char ' ' k2bar)) > 10)
+  let glyphs = String.fold_left (fun n c -> if c = '#' then n + 1 else n) 0 in
+  Alcotest.(check int) "full width" 50 (glyphs k2bar)
 
 let test_chart_mismatch () =
   Alcotest.check_raises "length"
