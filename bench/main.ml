@@ -180,6 +180,29 @@ let run_chaos_cached cache =
   | Ok _ -> ()
   | Error e -> failwith ("bench chaos/cache: " ^ e)
 
+(* The store's own cost per operation, on a fresh directory: [n] stores
+   of a 2.5 KB payload (a served reply's size), a find of each (hits),
+   and finds of keys never stored (misses), in microseconds. *)
+let run_cache_ops dir =
+  let module Cache = Convex_cache.Cache in
+  let n = 300 in
+  let t = Cache.open_dir dir in
+  let payload = String.make 2560 'r' in
+  let key i = Cache.key ~kind:"bench-op" [ ("i", string_of_int i) ] in
+  let stored = Array.init n key
+  and absent = Array.init n (fun i -> key (n + i)) in
+  let us_per_op keys f =
+    wall (fun () -> Array.iter f keys) /. float_of_int n *. 1e6
+  in
+  let store = us_per_op stored (fun key -> Cache.store t ~key payload) in
+  let hit = us_per_op stored (fun key -> ignore (Cache.find t ~key)) in
+  let miss = us_per_op absent (fun key -> ignore (Cache.find t ~key)) in
+  Printf.printf
+    "  per op   store %8.1f us   find hit %6.1f us   find miss %6.2f us   \
+     (2.5 KB payload, %d each)\n"
+    store hit miss n;
+  [ ("store", store); ("find-hit", hit); ("find-miss", miss) ]
+
 let run_cache_bench () =
   let root =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -205,8 +228,9 @@ let run_cache_bench () =
         [ (name, "cold", cold); (name, "warm", warm) ])
       tasks
   in
+  let ops = run_cache_ops (Filename.concat root "ops") in
   rm_rf root;
-  rows
+  (rows, ops)
 
 (* ------------------------------------------------------------------ *)
 (* Tiered-fidelity pass: cycle vs tiered simulation, per LFK kernel    *)
@@ -425,7 +449,8 @@ let run_vpsim_pass () =
   | Some f ->
       Printf.printf "perf gate: geomean %.2fx >= floor %.2fx\n" geomean f
 
-let write_bench_json path ~stage_rows ~exec_rows ~cache_rows =
+let write_bench_json path ~stage_rows ~exec_rows
+    ~cache_rows:(cache_rows, op_rows) =
   let oc = open_out path in
   let json_row (name, jobs, s) =
     Printf.sprintf "    { \"task\": %S, \"jobs\": %d, \"wall_s\": %.6f }" name
@@ -438,15 +463,20 @@ let write_bench_json path ~stage_rows ~exec_rows ~cache_rows =
     Printf.sprintf "    { \"task\": %S, \"phase\": %S, \"wall_s\": %.6f }"
       name phase s
   in
+  let json_op (op, us) =
+    Printf.sprintf "    { \"op\": %S, \"us_per_op\": %.3f }" op us
+  in
   Printf.fprintf oc
     "{\n\
     \  \"schema\": \"macs-bench-exec/2\",\n\
     \  \"exec\": [\n%s\n  ],\n\
     \  \"cache\": [\n%s\n  ],\n\
+    \  \"cache_ops\": [\n%s\n  ],\n\
     \  \"stages\": [\n%s\n  ]\n\
      }\n"
     (String.concat ",\n" (List.map json_row exec_rows))
     (String.concat ",\n" (List.map json_cache cache_rows))
+    (String.concat ",\n" (List.map json_op op_rows))
     (String.concat ",\n" (List.map json_stage stage_rows));
   close_out oc;
   Printf.printf "wrote %s\n" path

@@ -839,10 +839,12 @@ let cache_cmd =
       let t = Cache.open_dir dir in
       let s = Cache.stat t in
       Printf.printf
-        "%s: %d entr%s, %d bytes, %d quarantined file%s\n%d logged run%s \
-         (total: %s)\n"
+        "%s: %d entr%s in %d pack%s, %d bytes, %d quarantined file%s\n\
+         %d logged run%s (total: %s)\n"
         dir s.Cache.entries
         (if s.Cache.entries = 1 then "y" else "ies")
+        s.Cache.packs
+        (if s.Cache.packs = 1 then "" else "s")
         s.Cache.bytes s.Cache.quarantine
         (if s.Cache.quarantine = 1 then "" else "s")
         s.Cache.runs
@@ -857,9 +859,12 @@ let cache_cmd =
     let run dir =
       let t = Cache.open_dir dir in
       let r = Cache.verify t in
-      Printf.printf "%s: %d entries checked, %d ok, %d quarantined\n" dir
+      Printf.printf
+        "%s: %d entries checked, %d ok, %d bad, %d pack%s quarantined\n" dir
         r.Cache.checked r.Cache.ok
-        (List.length r.Cache.bad);
+        (List.length r.Cache.bad)
+        r.Cache.quarantined_packs
+        (if r.Cache.quarantined_packs = 1 then "" else "s");
       List.iter
         (fun (key, reason) -> Printf.printf "  %s: %s\n" key reason)
         r.Cache.bad;
@@ -868,8 +873,8 @@ let cache_cmd =
     Cmd.v
       (Cmd.info "verify"
          ~doc:
-           "Re-verify every entry's checksum; corrupt entries are moved to \
-            quarantine/ (exit 1 if any were)")
+           "Re-verify every entry's checksum; a pack holding a corrupt \
+            entry is moved to quarantine/ whole (exit 1 if any was)")
       Term.(const run $ dir_arg)
   in
   let gc_cmd =
@@ -879,24 +884,23 @@ let cache_cmd =
         & opt (some int) None
         & info [ "max-bytes" ] ~docv:"N"
             ~doc:
-              "Evict oldest entries until the object store fits $(docv) \
-               bytes.")
+              "Evict the oldest packs until the rest fit $(docv) bytes.")
     in
     let run dir max_bytes =
       let t = Cache.open_dir dir in
       let r = Cache.gc ?max_bytes t in
       Printf.printf
         "%s: kept %d, evicted %d (%d bytes freed), purged %d quarantined \
-         and %d orphaned tmp file%s\n"
+         file%s\n"
         dir r.Cache.kept r.Cache.evicted r.Cache.freed_bytes
-        r.Cache.purged_quarantine r.Cache.purged_tmp
-        (if r.Cache.purged_tmp = 1 then "" else "s")
+        r.Cache.purged_quarantine
+        (if r.Cache.purged_quarantine = 1 then "" else "s")
     in
     Cmd.v
       (Cmd.info "gc"
          ~doc:
-           "Purge quarantined and orphaned tmp files; with --max-bytes, \
-            also evict oldest entries to fit the budget")
+           "Purge quarantined files; with --max-bytes, also evict the \
+            oldest packs (each a run's appended entries) to fit the budget")
       Term.(const run $ dir_arg $ max_bytes)
   in
   Cmd.group

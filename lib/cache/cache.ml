@@ -2,15 +2,22 @@
 
    An entry is keyed by the MD5 of a canonical journal-encoded record of
    everything that determines the result (kernel spec, machine, fault
-   plan, harness config, cache format version) and lives at
-   [objects/<k0k1>/<key>].  The file is self-verifying: a header line
-   carrying the format version, its own key, the payload length and the
-   payload MD5, followed by the raw payload bytes.  Publication is
-   two-phase — write a private tmp file, fsync, rename into place, fsync
-   the directory — so a reader can never observe a torn entry under the
-   final name.  Any entry that fails verification (truncated, bit-flipped,
-   wrong key) is moved to [quarantine/] and reported as a miss: the cache
-   may lose work, never invent it. *)
+   plan, harness config, cache format version).  It is stored as one
+   self-verifying record: a header line carrying the format version, its
+   own key, the payload length and the payload MD5, followed by the raw
+   payload bytes.
+
+   Records live in append-only packs, [packs/<pid>-<n>.pack].  A handle
+   creates a pack of its own on its first store (the one directory fsync
+   it pays) and appends every later record to it, so publishing an entry
+   is one write and one fsync.  Only that handle ever appends to the
+   pack, so a record torn by a crash can only be a pack's last: nothing
+   is written after it, and nothing truncates a file another process may
+   still be writing.  A handle's index (key -> pack, offset, length) is
+   built on its first find or store by walking every pack's headers.
+   Any record that fails verification on a read moves its whole pack to
+   [quarantine/] and is reported as a miss: the cache may lose work,
+   never invent it. *)
 
 module Journal = Macs_util.Journal
 module Sink = Macs_util.Sink
@@ -19,8 +26,18 @@ let format_version = 2
 let entry_tag = "macs-cache-entry"
 let log_format = "macs-cache-log"
 
+(* where a record lives: its pack's file name, its offset and length *)
+type loc = { pack : string; off : int; len : int }
+
+(* the pack a handle appends to, and its length so far *)
+type writer = { name : string; mutable size : int }
+
 type t = {
   dir : string;
+  lock : Mutex.t;  (** guards [index] and [writer]: domains share a handle *)
+  mutable index : (string, loc) Hashtbl.t option;
+      (** [None] until the first find or store *)
+  mutable writer : writer option;
   hits : int Atomic.t;
   misses : int Atomic.t;
   stores : int Atomic.t;
@@ -38,7 +55,8 @@ let mkdir_p dir =
   in
   go dir
 
-let objects_dir t = Filename.concat t.dir "objects"
+let packs_dir t = Filename.concat t.dir "packs"
+let pack_path t name = Filename.concat (packs_dir t) name
 let quarantine_dir t = Filename.concat t.dir "quarantine"
 let log_path t = Filename.concat t.dir "cache.log"
 
@@ -46,13 +64,16 @@ let open_dir dir =
   let t =
     {
       dir;
+      lock = Mutex.create ();
+      index = None;
+      writer = None;
       hits = Atomic.make 0;
       misses = Atomic.make 0;
       stores = Atomic.make 0;
       quarantined = Atomic.make 0;
     }
   in
-  mkdir_p (objects_dir t);
+  mkdir_p (packs_dir t);
   mkdir_p (quarantine_dir t);
   t
 
@@ -84,12 +105,7 @@ let key ~kind parts =
   in
   Digest.to_hex (Digest.string (Journal.encode r))
 
-let entry_path t key =
-  Filename.concat
-    (Filename.concat (objects_dir t) (String.sub key 0 2))
-    key
-
-(* ---- entry codec ---- *)
+(* ---- record codec ---- *)
 
 let entry_header ~key payload =
   {
@@ -135,63 +151,228 @@ let parse_entry ~key s =
                 Error "payload checksum mismatch"
               else Ok payload)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* The key and payload length a header line names.  A key is what
+   {!key} makes, 32 lowercase hex digits. *)
+let header_of_line line =
+  match Journal.decode line with
+  | Error e -> Error ("undecodable header: " ^ e)
+  | Ok r when r.Journal.tag <> entry_tag ->
+      Error (Printf.sprintf "wrong header tag %S" r.Journal.tag)
+  | Ok r -> (
+      let is_key k =
+        String.length k = 32
+        && String.for_all
+             (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
+             k
+      in
+      match
+        ( Journal.field r "key",
+          Option.bind (Journal.field r "len") int_of_string_opt )
+      with
+      | Some k, Some n when is_key k && n >= 0 -> Ok (k, n)
+      | _ -> Error "header names no key and length")
 
-(* ---- quarantine ---- *)
+(* ---- packs ---- *)
 
-let quarantine_move (t : t) ~key path =
+(* Walk a pack by its headers alone: each header line that decodes, and
+   whose payload fits in the file, gives one record; payloads are
+   skipped, never read or hashed.  The walk stops at the end of the file,
+   at a strict prefix of a record (what a crash mid-append leaves), or at
+   a whole header line that does not decode, whose reason it returns. *)
+let scan_pack ~name ic =
+  let size = in_channel_length ic in
+  let rec go off acc =
+    if off >= size then (List.rev acc, None)
+    else begin
+      seek_in ic off;
+      let line = input_line ic in
+      let body = off + String.length line + 1 in
+      if body > size then (List.rev acc, None)
+      else
+        match header_of_line line with
+        | Error e -> (List.rev acc, Some e)
+        | Ok (key, n) ->
+            if body + n > size then (List.rev acc, None)
+            else
+              go (body + n)
+                ((key, { pack = name; off; len = body + n - off }) :: acc)
+    end
+  in
+  go 0 []
+
+let list_packs t =
+  match Sys.readdir (packs_dir t) with
+  | exception Sys_error _ -> []
+  | names ->
+      Array.to_list names
+      |> List.filter (fun n -> Filename.check_suffix n ".pack")
+      |> List.sort compare
+
+(* [f ic] over a pack opened for reading; [None] if it is gone. *)
+let with_pack t name f =
+  match open_in_bin (pack_path t name) with
+  | exception Sys_error _ -> None
+  | ic ->
+      Some (Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic))
+
+(* The index, built on first use; the first record of a key wins.  The
+   caller holds the lock. *)
+let index t =
+  match t.index with
+  | Some ix -> ix
+  | None ->
+      let ix = Hashtbl.create 256 in
+      List.iter
+        (fun name ->
+          Option.iter
+            (fun (records, _) ->
+              List.iter
+                (fun (key, loc) ->
+                  if not (Hashtbl.mem ix key) then Hashtbl.add ix key loc)
+                records)
+            (with_pack t name (scan_pack ~name)))
+        (list_packs t);
+      t.index <- Some ix;
+      ix
+
+(* Drop a pack's records from the index, and stop appending to it if it
+   is the handle's own.  The caller holds the lock. *)
+let forget t name =
+  Option.iter
+    (Hashtbl.filter_map_inplace (fun _ loc ->
+         if loc.pack = name then None else Some loc))
+    t.index;
+  match t.writer with
+  | Some w when w.name = name -> t.writer <- None
+  | _ -> ()
+
+(* Move a whole pack aside.  Only a move this handle made is counted: a
+   pack already gone was quarantined or evicted by someone else. *)
+let quarantine t name =
   let rec free n =
-    let q = Filename.concat (quarantine_dir t) (Printf.sprintf "%s.%d" key n) in
+    let q =
+      Filename.concat (quarantine_dir t) (Printf.sprintf "%s.%d" name n)
+    in
     if Sys.file_exists q then free (n + 1) else q
   in
-  (try Sys.rename path (free 0) with Sys_error _ -> ());
-  Atomic.incr t.quarantined
+  (match Sys.rename (pack_path t name) (free 0) with
+  | () -> Atomic.incr t.quarantined
+  | exception Sys_error _ -> ());
+  forget t name
 
 (* ---- store / find ---- *)
 
-let store (t : t) ~key payload =
-  let path = entry_path t key in
-  if Sys.file_exists path then ()
-  else begin
-    mkdir_p (Filename.dirname path);
-    (* tmp name is private to this domain so concurrent stores of the
-       same (deterministic) entry cannot interleave *)
-    let tmp =
-      Printf.sprintf "%s.tmp.%d" path (Domain.self () :> int)
-    in
-    let bytes = Journal.encode (entry_header ~key payload) ^ "\n" ^ payload in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Sink.write oc ~site:("cache-store:" ^ key) bytes;
-        Sink.fsync_out oc);
-    Sink.rename ~site:("cache-publish:" ^ key) tmp path;
-    Sink.fsync_dir (Filename.dirname path);
-    Atomic.incr t.stores
-  end
+let pack_seq = Atomic.make 0
 
-(* An entry that fails verification or [decode] is quarantined and
-   counted as a miss, so the caller's recompute can re-store it. *)
+(* A new, empty pack of this process, created with [O_EXCL]; the
+   directory fsync makes its name durable once, for all its records. *)
+let new_pack t =
+  let rec create () =
+    let name =
+      Printf.sprintf "%d-%d.pack" (Unix.getpid ())
+        (Atomic.fetch_and_add pack_seq 1)
+    in
+    match
+      Unix.openfile (pack_path t name)
+        [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL; Unix.O_CLOEXEC ]
+        0o644
+    with
+    | fd ->
+        Unix.close fd;
+        name
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> create ()
+  in
+  let w = { name = create (); size = 0 } in
+  Sink.fsync_dir (packs_dir t);
+  t.writer <- Some w;
+  w
+
+(* Append one record to the handle's pack: one write boundary, one
+   fsync.  A pack that vanished (quarantined or evicted) is replaced.  On
+   any failure the pack is given up, so a torn record stays its last. *)
+let append t record =
+  let rec go () =
+    let w = match t.writer with Some w -> w | None -> new_pack t in
+    match
+      Unix.openfile (pack_path t w.name)
+        [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CLOEXEC ]
+        0
+    with
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) ->
+        forget t w.name;
+        go ()
+    | fd ->
+        let oc = Unix.out_channel_of_descr fd in
+        (match
+           Sink.write oc ~site:("cache-store:" ^ w.name) record;
+           Sink.fsync_out oc
+         with
+        | () -> close_out oc
+        | exception e ->
+            (* closing flushes whatever prefix the write got out *)
+            close_out_noerr oc;
+            t.writer <- None;
+            raise e);
+        let off = w.size in
+        w.size <- off + String.length record;
+        { pack = w.name; off; len = String.length record }
+  in
+  go ()
+
+let store (t : t) ~key payload =
+  let record = Journal.encode (entry_header ~key payload) ^ "\n" ^ payload in
+  Mutex.protect t.lock (fun () ->
+      let ix = index t in
+      if not (Hashtbl.mem ix key) then begin
+        Hashtbl.replace ix key (append t record);
+        Atomic.incr t.stores
+      end)
+
+(* A record's bytes, read exactly (a channel would fill its whole buffer
+   from the pack); [Error] when the pack is shorter than the index says,
+   [None] when the pack is gone. *)
+let read_record t loc =
+  match
+    Unix.openfile (pack_path t loc.pack) [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
+  with
+  | exception Unix.Unix_error _ -> None
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let buf = Bytes.create loc.len in
+          let rec fill k =
+            match Unix.read fd buf k (loc.len - k) with
+            | 0 -> k
+            | n -> if k + n = loc.len then loc.len else fill (k + n)
+          in
+          ignore (Unix.lseek fd loc.off Unix.SEEK_SET : int);
+          Some
+            (if fill 0 = loc.len then Ok (Bytes.unsafe_to_string buf)
+             else Error "record truncated"))
+
+(* An entry that fails verification or [decode] quarantines its pack and
+   counts as a miss, so the caller's recompute can re-store it. *)
 let find_decoded (t : t) ~key decode =
-  let path = entry_path t key in
   let miss () =
     Atomic.incr t.misses;
     None
   in
-  if not (Sys.file_exists path) then miss ()
-  else
-    match Result.bind (parse_entry ~key (read_file path)) decode with
-    | Ok v ->
-        Atomic.incr t.hits;
-        Some v
-    | Error _reason ->
-        quarantine_move t ~key path;
-        miss ()
+  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt (index t) key) with
+  | None -> miss ()
+  | Some loc -> (
+      match read_record t loc with
+      | None ->
+          Mutex.protect t.lock (fun () -> forget t loc.pack);
+          miss ()
+      | Some bytes -> (
+          match Result.bind (Result.bind bytes (parse_entry ~key)) decode with
+          | Ok v ->
+              Atomic.incr t.hits;
+              Some v
+          | Error _reason ->
+              Mutex.protect t.lock (fun () -> quarantine t loc.pack);
+              miss ()))
 
 let find t ~key = find_decoded t ~key Result.ok
 
@@ -255,71 +436,31 @@ let counters_json c =
 
 (* ---- maintenance: stat / verify / gc ---- *)
 
-let list_entries t =
-  let objects = objects_dir t in
-  match Sys.readdir objects with
-  | exception Sys_error _ -> []
-  | fans ->
-      Array.to_list fans
-      |> List.sort compare
-      |> List.concat_map (fun fan ->
-             let fan_dir = Filename.concat objects fan in
-             if not (Sys.is_directory fan_dir) then []
-             else
-               match Sys.readdir fan_dir with
-               | exception Sys_error _ -> []
-               | names ->
-                   Array.to_list names |> List.sort compare
-                   |> List.filter_map (fun name ->
-                          (* skip orphaned tmp files from crashed stores *)
-                          if String.length name = 32
-                             && String.for_all
-                                  (function
-                                    | '0' .. '9' | 'a' .. 'f' -> true
-                                    | _ -> false)
-                                  name
-                          then Some (name, Filename.concat fan_dir name)
-                          else None))
+(* Every pack's name, size and records; a pack gone meanwhile is left
+   out. *)
+let walk_packs t =
+  List.filter_map
+    (fun name ->
+      with_pack t name (fun ic ->
+          (name, in_channel_length ic, fst (scan_pack ~name ic))))
+    (list_packs t)
 
 let list_quarantine t =
   match Sys.readdir (quarantine_dir t) with
   | exception Sys_error _ -> []
   | names -> Array.to_list names |> List.sort compare
 
-let list_tmp t =
-  let objects = objects_dir t in
-  match Sys.readdir objects with
-  | exception Sys_error _ -> []
-  | fans ->
-      Array.to_list fans
-      |> List.concat_map (fun fan ->
-             let fan_dir = Filename.concat objects fan in
-             if not (Sys.is_directory fan_dir) then []
-             else
-               match Sys.readdir fan_dir with
-               | exception Sys_error _ -> []
-               | names ->
-                   Array.to_list names
-                   |> List.filter_map (fun name ->
-                          (* <32-hex>.tmp.<domain id> *)
-                          if String.length name > 37
-                             && String.sub name 32 5 = ".tmp."
-                          then Some (Filename.concat fan_dir name)
-                          else None))
-
 type stat = {
   entries : int;
+  packs : int;
   bytes : int;
   quarantine : int;
   runs : int;
   total : counters;
 }
 
-let file_size path = try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0
-
 let stat t =
-  let entries = list_entries t in
-  let bytes = List.fold_left (fun a (_, p) -> a + file_size p) 0 entries in
+  let packs = walk_packs t in
   let runs, total =
     match Journal.recover ~path:(log_path t) ~format:log_format with
     | Error _ | Ok (Journal.Fresh | Journal.Damaged _) ->
@@ -344,8 +485,9 @@ let stat t =
           records
   in
   {
-    entries = List.length entries;
-    bytes;
+    entries = List.fold_left (fun a (_, _, rs) -> a + List.length rs) 0 packs;
+    packs = List.length packs;
+    bytes = List.fold_left (fun a (_, size, _) -> a + size) 0 packs;
     quarantine = List.length (list_quarantine t);
     runs;
     total;
@@ -354,28 +496,53 @@ let stat t =
 type verify_report = {
   checked : int;
   ok : int;
-  bad : (string * string) list;  (** key, reason — already quarantined *)
+  bad : (string * string) list;
+  quarantined_packs : int;
 }
 
-let verify t =
-  let entries = list_entries t in
-  let ok = ref 0 and bad = ref [] in
-  List.iter
-    (fun (key, path) ->
-      match parse_entry ~key (read_file path) with
-      | Ok _ -> incr ok
-      | Error reason ->
-          quarantine_move t ~key path;
-          bad := (key, reason) :: !bad)
-    entries;
-  { checked = List.length entries; ok = !ok; bad = List.rev !bad }
+(* Re-hash every record of one pack; the failures, each named by its key
+   (or, for a header that does not decode, by the pack). *)
+let verify_pack t name =
+  with_pack t name (fun ic ->
+      let records, bad_header = scan_pack ~name ic in
+      let checked, failures =
+        List.fold_left
+          (fun (n, acc) (key, loc) ->
+            seek_in ic loc.off;
+            match parse_entry ~key (really_input_string ic loc.len) with
+            | Ok _ -> (n + 1, acc)
+            | Error e -> (n + 1, (key, e) :: acc))
+          (0, []) records
+      in
+      match bad_header with
+      | Some e -> (checked + 1, List.rev ((name, e) :: failures))
+      | None -> (checked, List.rev failures))
+  |> Option.value ~default:(0, [])
+
+let verify (t : t) =
+  let moved_before = Atomic.get t.quarantined in
+  let checked, bad =
+    List.fold_left
+      (fun (checked, bad) name ->
+        match verify_pack t name with
+        | n, [] -> (checked + n, bad)
+        | n, failures ->
+            Mutex.protect t.lock (fun () -> quarantine t name);
+            (checked + n, bad @ failures))
+      (0, []) (list_packs t)
+  in
+  {
+    checked;
+    ok = checked - List.length bad;
+    bad;
+    quarantined_packs = Atomic.get t.quarantined - moved_before;
+  }
 
 type gc_report = {
   kept : int;
   evicted : int;
   freed_bytes : int;
   purged_quarantine : int;
-  purged_tmp : int;
 }
 
 let gc ?max_bytes t =
@@ -387,61 +554,36 @@ let gc ?max_bytes t =
         | exception Sys_error _ -> n)
       0 (list_quarantine t)
   in
-  let purged_tmp =
-    List.fold_left
-      (fun n path ->
-        match Sys.remove path with
-        | () -> n + 1
-        | exception Sys_error _ -> n)
-      0 (list_tmp t)
-  in
-  let entries =
+  let packs =
     List.map
-      (fun (key, path) ->
-        let st =
-          try Some (Unix.stat path) with Unix.Unix_error _ -> None
+      (fun (name, size, records) ->
+        let mtime =
+          try (Unix.stat (pack_path t name)).Unix.st_mtime
+          with Unix.Unix_error _ -> 0.0
         in
-        ( key,
-          path,
-          (match st with Some s -> s.Unix.st_mtime | None -> 0.0),
-          match st with Some s -> s.Unix.st_size | None -> 0 ))
-      (list_entries t)
+        (mtime, name, size, List.length records))
+      (walk_packs t)
   in
-  let total = List.fold_left (fun a (_, _, _, sz) -> a + sz) 0 entries in
-  match max_bytes with
-  | None ->
-      {
-        kept = List.length entries;
-        evicted = 0;
-        freed_bytes = 0;
-        purged_quarantine = purged_q;
-        purged_tmp;
-      }
-  | Some budget ->
-      (* oldest first until under budget *)
-      let by_age =
-        List.sort (fun (_, _, a, _) (_, _, b, _) -> compare a b) entries
-      in
-      let rec evict remaining acc = function
-        | [] -> acc
-        | (_, path, _, sz) :: rest when remaining > budget ->
-            let removed =
-              match Sys.remove path with
-              | () -> true
-              | exception Sys_error _ -> false
-            in
-            if removed then
-              evict (remaining - sz) ((1, sz) :: acc) rest
-            else evict remaining acc rest
-        | _ -> acc
-      in
-      let evictions = evict total [] by_age in
-      let evicted = List.length evictions in
-      let freed = List.fold_left (fun a (_, sz) -> a + sz) 0 evictions in
-      {
-        kept = List.length entries - evicted;
-        evicted;
-        freed_bytes = freed;
-        purged_quarantine = purged_q;
-        purged_tmp;
-      }
+  let entries = List.fold_left (fun a (_, _, _, n) -> a + n) 0 packs in
+  let total = List.fold_left (fun a (_, _, sz, _) -> a + sz) 0 packs in
+  (* oldest packs first until the rest fit the budget *)
+  let rec evict budget remaining (evicted, freed) = function
+    | (_, name, sz, n) :: rest when remaining > budget -> (
+        match Sys.remove (pack_path t name) with
+        | () ->
+            Mutex.protect t.lock (fun () -> forget t name);
+            evict budget (remaining - sz) (evicted + n, freed + sz) rest
+        | exception Sys_error _ -> evict budget remaining (evicted, freed) rest)
+    | _ -> (evicted, freed)
+  in
+  let evicted, freed =
+    match max_bytes with
+    | None -> (0, 0)
+    | Some budget -> evict budget total (0, 0) (List.sort compare packs)
+  in
+  {
+    kept = entries - evicted;
+    evicted;
+    freed_bytes = freed;
+    purged_quarantine = purged_q;
+  }

@@ -1,17 +1,28 @@
 (** Crash-consistent content-addressed result store.
 
     Results of deterministic computations (suite cells, fuzz cases,
-    chaos cells) are memoised under an MD5 {!key} of everything that
-    determines them — kernel spec, machine, fault plan, harness config,
-    cache format version.  Entries are self-verifying (header line with
-    version, own key, payload length and payload MD5) and published in
-    two phases (private tmp file → fsync → rename → directory fsync), so
-    a reader can never observe a torn entry under its final name.  An
-    entry that fails verification is moved to [quarantine/] and treated
-    as a miss: the cache may lose work, never invent it.
+    chaos cells, served replies) are memoised under an MD5 {!key} of
+    everything that determines them — kernel spec, machine, fault plan,
+    harness config, cache format version.  Each entry is one
+    self-verifying record (header line with version, own key, payload
+    length and payload MD5, then the payload) in an append-only pack,
+    [packs/<pid>-<n>.pack].  A handle creates its own pack on its first
+    store and appends every record to it: publishing is one write and
+    one fsync, with the directory fsynced once, when the pack is made.
+    No other handle appends to that pack, so a record torn by a crash is
+    always a pack's last.
 
-    All writes are {!Macs_util.Sink} boundaries, so the crash-sweep
-    harness covers every store and publish step. *)
+    A handle indexes key → (pack, offset, length) on its first {!find}
+    or {!store}, by walking the packs' headers and skipping their
+    payloads; {!open_dir} reads no pack, and a key missing from the
+    index is a miss without touching the disk.  Records other handles
+    publish later are not seen by this handle: a miss, which the
+    contract allows.  A record that fails verification moves its whole
+    pack to [quarantine/] and counts as a miss: the cache may lose work,
+    never invent it.
+
+    All record writes are {!Macs_util.Sink} boundaries, so the
+    crash-sweep harness covers every store. *)
 
 type t
 
@@ -20,7 +31,7 @@ type counters = { hits : int; misses : int; stores : int; quarantined : int }
 
 val open_dir : string -> t
 (** Open (creating if needed) a cache rooted at the given directory:
-    [objects/<2-hex fan-out>/<key>], [quarantine/], [cache.log]. *)
+    [packs/], [quarantine/], [cache.log].  Reads no pack. *)
 
 val key : kind:string -> (string * string) list -> string
 (** Digest of the canonical journal encoding of [kind], the cache format
@@ -29,12 +40,14 @@ val key : kind:string -> (string * string) list -> string
 
 val find : t -> key:string -> string option
 (** The stored payload, byte-for-byte, or [None].  A present-but-corrupt
-    entry (truncated, bit-flipped, mislabelled) is quarantined and
-    reported as a miss — never served. *)
+    record (truncated, bit-flipped, mislabelled) quarantines its pack and
+    is reported as a miss — never served. *)
 
 val store : t -> key:string -> string -> unit
-(** Publish a payload under [key] (no-op if the entry already exists —
-    entries are deterministic, so first writer wins). *)
+(** Append a payload under [key] to this handle's pack and fsync it
+    before returning (no-op if the index already holds the key — entries
+    are deterministic, so first writer wins).  Stores from several
+    domains share the handle under one mutex. *)
 
 val memo :
   t ->
@@ -47,8 +60,8 @@ val memo :
     or [compute ()] stored there.  The payload is [encode]'s records as
     newline-separated {!Macs_util.Journal.encode} lines, so a hit
     replays the exact records a recompute would produce.  An entry that
-    verifies but does not [decode] is handled like a corrupt one:
-    quarantined, counted as a miss, recomputed and re-stored. *)
+    verifies but does not [decode] is handled like a corrupt one: its
+    pack quarantined, counted as a miss, recomputed and re-stored. *)
 
 val counters : t -> counters
 val reset_counters : t -> unit
@@ -70,8 +83,9 @@ val counters_json : counters -> string
 (** {1 Maintenance} *)
 
 type stat = {
-  entries : int;
-  bytes : int;
+  entries : int;  (** records whose headers walk, over all packs *)
+  packs : int;
+  bytes : int;  (** of all packs *)
   quarantine : int;  (** files currently quarantined *)
   runs : int;  (** [run] records in [cache.log] *)
   total : counters;  (** summed across all logged runs *)
@@ -85,26 +99,23 @@ val stat : t -> stat
 type verify_report = {
   checked : int;
   ok : int;
-  bad : (string * string) list;  (** key, reason — already quarantined *)
+  bad : (string * string) list;
+      (** key (or pack, for a header that does not decode), reason *)
+  quarantined_packs : int;  (** packs moved to [quarantine/] *)
 }
 
 val verify : t -> verify_report
-(** Re-verify every entry; corrupt ones are quarantined. *)
+(** Re-hash every record of every pack; a pack holding a bad record or a
+    whole header line that does not decode is quarantined.  A pack's
+    torn last record, which a crash mid-append leaves, is not bad. *)
 
 type gc_report = {
-  kept : int;
-  evicted : int;
+  kept : int;  (** entries in the packs kept *)
+  evicted : int;  (** entries in the packs evicted *)
   freed_bytes : int;
   purged_quarantine : int;
-  purged_tmp : int;
 }
 
 val gc : ?max_bytes:int -> t -> gc_report
-(** Purge quarantined files and orphaned tmp files from crashed stores;
-    with [max_bytes], additionally evict oldest entries until the object
-    store fits the budget. *)
-
-(** {1 Entry internals — exposed for tests and the verifier} *)
-
-val entry_path : t -> string -> string
-(** On-disk path of the entry for a key. *)
+(** Purge quarantined files; with [max_bytes], additionally evict the
+    oldest packs (by modification time) until the rest fit the budget. *)

@@ -196,7 +196,8 @@ let sweep ?(cross = false) ?(stride = 1) ~dir scenario =
 
 let exec_format = "macs-crash-exec"
 
-let scenario_exec_shards ?(cells = 6) () =
+let scenario_exec_shards () =
+  let cells = 6 in
   let config =
     { Journal.tag = "config"; fields = [ ("cells", Journal.put_int cells) ] }
   in
@@ -516,22 +517,12 @@ let scenario_serve_net () =
   in
   { name = "serve-net"; prepare }
 
-let scenarios ?cells ?count () =
-  [
-    scenario_exec_shards ?cells ();
-    scenario_corpus ();
-    scenario_chaos ?cells ();
-    scenario_fuzz ?count ();
-    scenario_serve ();
-    scenario_serve_net ();
-  ]
-
-let scenario_of_name ?cells ?count name =
+let scenario_of_name name =
   match name with
-  | "exec-shards" -> Some (scenario_exec_shards ?cells ())
+  | "exec-shards" -> Some (scenario_exec_shards ())
   | "corpus" -> Some (scenario_corpus ())
-  | "chaos" -> Some (scenario_chaos ?cells ())
-  | "fuzz-warm" -> Some (scenario_fuzz ?count ())
+  | "chaos" -> Some (scenario_chaos ())
+  | "fuzz-warm" -> Some (scenario_fuzz ())
   | "serve" -> Some (scenario_serve ())
   | "serve-net" -> Some (scenario_serve_net ())
   | "suite" -> Some (scenario_suite ())

@@ -57,9 +57,9 @@ val sweep :
 
 (** {1 Canned scenarios} *)
 
-val scenario_exec_shards : ?cells:int -> unit -> scenario
+val scenario_exec_shards : unit -> scenario
 (** Bare {!Convex_exec.Executor} with sharded journaling and a
-    pure-arithmetic cell body: shard create/appends, canonical-rewrite
+    pure-arithmetic six-cell body: shard create/appends, canonical-rewrite
     tmp create and publish rename.  Recovery merges surviving shards and
     replays. *)
 
@@ -76,15 +76,9 @@ val scenario_corpus : unit -> scenario
     and appends only the missing entries — nothing lost, nothing
     duplicated. *)
 
-val scenarios :
-  ?cells:int -> ?count:int -> unit -> scenario list
-(** The default sweep set: exec-shards, corpus, chaos, fuzz-warm, serve,
-    serve-net (the suite scenario is opt-in by name). *)
-
-val scenario_of_name :
-  ?cells:int -> ?count:int -> string -> scenario option
+val scenario_of_name : string -> scenario option
 (** ["exec-shards"], ["corpus"], ["chaos"], ["fuzz-warm"], ["serve"],
-    ["suite"]. *)
+    ["serve-net"], ["suite"], each at its default size. *)
 
 val cleanup : string -> unit
 (** Recursively delete a sweep workspace; missing paths are ignored. *)

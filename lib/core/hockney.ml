@@ -49,7 +49,8 @@ let measure ?(machine = Machine.c240) (k : Lfk.Kernel.t) =
     samples;
   }
 
-let macs_rate_mflops ?(machine = Machine.c240) k =
+let macs_rate_mflops k =
+  let machine = Machine.c240 in
   let c = Fcc.Compiler.compile k in
   let body = Convex_isa.Program.body c.program in
   match c.mode with
@@ -63,7 +64,7 @@ let macs_rate_mflops ?(machine = Machine.c240) k =
       machine.clock_mhz *. float_of_int c.flops_per_iteration
       /. bound.Macs_bound.cpl
 
-let render ?(machine = Machine.c240) kernels =
+let render kernels =
   let open Macs_util in
   let tbl =
     Table.create
@@ -73,12 +74,12 @@ let render ?(machine = Machine.c240) kernels =
   in
   List.iter
     (fun (k : Lfk.Kernel.t) ->
-      let h = measure ~machine k in
+      let h = measure k in
       Table.add_row tbl
         [
           k.name;
           Table.cell_float ~decimals:2 h.r_inf_mflops;
-          Table.cell_float ~decimals:2 (macs_rate_mflops ~machine k);
+          Table.cell_float ~decimals:2 (macs_rate_mflops k);
           Table.cell_float ~decimals:1 h.n_half;
           Table.cell_float ~decimals:1 h.startup_cycles;
         ])

@@ -29,8 +29,10 @@ val measure : ?machine:Machine.t -> Lfk.Kernel.t -> t
     shifts; multi-segment structure is ignored for the sweep (this is a
     single-inner-loop characterization). *)
 
-val macs_rate_mflops : ?machine:Machine.t -> Lfk.Kernel.t -> float
-(** The MACS bound's steady-state rate, for comparison with [r_inf]. *)
+val macs_rate_mflops : Lfk.Kernel.t -> float
+(** The MACS bound's steady-state rate on the C-240, for comparison with
+    [r_inf]. *)
 
-val render : ?machine:Machine.t -> Lfk.Kernel.t list -> string
-(** Table of r∞ / n½ per kernel against the MACS steady-state rate. *)
+val render : Lfk.Kernel.t list -> string
+(** Table of r∞ / n½ per kernel against the MACS steady-state rate, on
+    the C-240. *)

@@ -206,18 +206,18 @@ let compute_of_chimes ~machine ~vl instrs chimes =
   in
   { cycles; cpl = cycles /. float_of_int vl; vl; chimes = costs }
 
-let compute ?vl ~machine instrs =
-  let vl = Option.value ~default:machine.Machine.max_vl vl in
+let compute ~machine instrs =
+  let vl = machine.Machine.max_vl in
   if vl <= 0 then invalid_arg "Macs_bound.compute: nonpositive vl";
   let chimes = Chime.partition ~machine instrs in
   compute_of_chimes ~machine ~vl instrs chimes
 
-let f_only ?vl ~machine instrs =
-  compute ?vl ~machine
+let f_only ~machine instrs =
+  compute ~machine
     (List.filter (fun i -> not (Instr.is_vector_memory i)) instrs)
 
-let m_only ?vl ~machine instrs =
-  compute ?vl ~machine
+let m_only ~machine instrs =
+  compute ~machine
     (List.filter (fun i -> not (Instr.is_vector_fp i)) instrs)
 
 let pp fmt r =

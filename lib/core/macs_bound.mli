@@ -63,16 +63,16 @@ val memory_paced : machine:Machine.t -> Chime.t list -> bool
     by fuzzing: two negations in a row between loads run 4 chimes of
     model time in 3 chimes of machine time). *)
 
-val compute : ?vl:int -> machine:Machine.t -> Instr.t list -> result
-(** Bound for one iteration of the given loop body.  [vl] defaults to the
-    machine's maximum vector length.  A body with no vector instructions
-    yields a zero bound. *)
+val compute : machine:Machine.t -> Instr.t list -> result
+(** Bound for one iteration of the given loop body at the machine's
+    maximum vector length.  A body with no vector instructions yields a
+    zero bound. *)
 
-val f_only : ?vl:int -> machine:Machine.t -> Instr.t list -> result
+val f_only : machine:Machine.t -> Instr.t list -> result
 (** [t_MACS^f]: the bound recomputed with all vector memory operations
     deleted (paper §3.4). *)
 
-val m_only : ?vl:int -> machine:Machine.t -> Instr.t list -> result
+val m_only : machine:Machine.t -> Instr.t list -> result
 (** [t_MACS^m]: all vector floating-point operations deleted. *)
 
 val pp : Format.formatter -> result -> unit

@@ -51,7 +51,8 @@ let of_kernel ?(machine = Machine.c240) k =
 
 let ma_refines_roofline t = t.ma_mflops <= t.roofline_mflops +. 1e-9
 
-let render ?(machine = Machine.c240) entries =
+let render entries =
+  let machine = Machine.c240 in
   let open Macs_util in
   let tbl =
     Table.create

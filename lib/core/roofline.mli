@@ -40,6 +40,6 @@ val ma_refines_roofline : t -> bool
 (** [ma_mflops <= roofline_mflops] (up to rounding): the MA bound never
     exceeds the roofline bound because it models the pipe split. *)
 
-val render : ?machine:Machine.t -> (string * t) list -> string
+val render : (string * t) list -> string
 (** A small table of labeled rooflines: AI, roofline bound, MA bound, and
-    which roof binds. *)
+    which roof binds, under the C-240's roofs. *)

@@ -118,7 +118,7 @@ let describe_failures report =
          | _ -> c.id)
        (Oracle_stack.failures report))
 
-let replay_kernel ~sim (e : entry) =
+let replay_kernel (e : entry) =
   match Lfk.Codec.of_string e.payload with
   | Error msg -> { entry = e; ok = false; detail = "payload: " ^ msg }
   | Ok k -> (
@@ -126,12 +126,9 @@ let replay_kernel ~sim (e : entry) =
       | Error msg -> { entry = e; ok = false; detail = msg }
       | Ok machine -> (
           let sim =
-            match sim with
-            | Some s -> s
-            | None -> (
-                match e.expect with
-                | Clean -> true
-                | Violation id -> check_needs_sim id)
+            match e.expect with
+            | Clean -> true
+            | Violation id -> check_needs_sim id
           in
           let report = Oracle_stack.run ~machine ~sim k in
           match e.expect with
@@ -179,12 +176,12 @@ let replay_asm (e : entry) =
               detail = "round trip no longer fails — retire or flip to clean" }
           else { entry = e; ok = true; detail = "round trip still fails" })
 
-let replay_entry ?sim (e : entry) =
+let replay_entry (e : entry) =
   match e.kind with
-  | Kernel_case -> replay_kernel ~sim e
+  | Kernel_case -> replay_kernel e
   | Asm_case -> replay_asm e
 
-let replay ?sim ~path () =
+let replay ~path () =
   match load ~path with
   | Error _ as e -> e
-  | Ok entries -> Ok (List.map (replay_entry ?sim) entries)
+  | Ok entries -> Ok (List.map replay_entry entries)

@@ -76,5 +76,6 @@ type replay = {
   detail : string;  (** what happened, for the failure message *)
 }
 
-val replay : ?sim:bool -> path:string -> unit -> (replay list, string) result
-(** Load and replay a whole corpus file. *)
+val replay : path:string -> unit -> (replay list, string) result
+(** Load and replay a whole corpus file.  A clean entry runs the full
+    stack; a violation entry simulates only if its check needs it. *)

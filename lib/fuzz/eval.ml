@@ -11,7 +11,10 @@ let errorf fmt =
       raise (Fault (Macs_util.Macs_error.interp_fault ~site:"Eval.run" s)))
     fmt
 
-let run_raw ?(max_vl = 128) ~mode ~store (k : Kernel.t) =
+(* the C-240 vector length, as Convex_vpsim.Interp strip-mines *)
+let max_vl = 128
+
+let run_raw ~mode ~store (k : Kernel.t) =
   let scalar name =
     match List.assoc_opt name k.scalars with
     | Some v -> v
@@ -150,5 +153,5 @@ let run_raw ?(max_vl = 128) ~mode ~store (k : Kernel.t) =
   in
   List.iter exec_segment k.segments
 
-let run ?max_vl ~mode ~store k =
-  try Ok (run_raw ?max_vl ~mode ~store k) with Fault e -> Error e
+let run ~mode ~store k =
+  try Ok (run_raw ~mode ~store k) with Fault e -> Error e

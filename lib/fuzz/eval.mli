@@ -3,7 +3,7 @@
     Executes a kernel straight from its IR — no lowering, no register
     allocation, no scheduling — against a {!Convex_vpsim.Store.t},
     mirroring the machine's observable execution order exactly:
-    segments in order, each segment strip-mined into chunks of [max_vl]
+    segments in order, each segment strip-mined into chunks of 128
     elements (one element in scalar mode), statements in order over the
     whole strip, store and scatter value vectors computed in full before
     any element is written, reductions summed ascending per strip into a
@@ -26,13 +26,11 @@
     profile's recurrences). *)
 
 val run :
-  ?max_vl:int ->
   mode:Convex_vpsim.Job.mode ->
   store:Convex_vpsim.Store.t ->
   Lfk.Kernel.t ->
   (unit, Macs_util.Macs_error.t) result
-(** Evaluate the kernel, mutating [store] in place.  [max_vl] defaults
-    to 128, the C-240 vector length (and {!Convex_vpsim.Interp}'s
-    default).  Errors are typed: out-of-bounds references, unknown
-    arrays or scalars, and scalar-mode [Neg] report
-    [Macs_error.Interp_fault] with site ["Eval.run"]. *)
+(** Evaluate the kernel, mutating [store] in place, at the C-240 vector
+    length of 128 ({!Convex_vpsim.Interp}'s default).  Errors are typed:
+    out-of-bounds references, unknown arrays or scalars, and scalar-mode
+    [Neg] report [Macs_error.Interp_fault] with site ["Eval.run"]. *)

@@ -328,8 +328,7 @@ module Kernel_shrink = Make (struct
   let candidates = kernel_candidates
 end)
 
-let kernel ?max_steps ?jobs ~still_fails k =
-  Kernel_shrink.shrink ?max_steps ?jobs ~still_fails k
+let kernel ?jobs ~still_fails k = Kernel_shrink.shrink ?jobs ~still_fails k
 
 let program_candidates (p : Convex_isa.Program.t) =
   let body = Convex_isa.Program.body p in
@@ -353,5 +352,4 @@ module Program_shrink = Make (struct
   let candidates = program_candidates
 end)
 
-let program ?max_steps ?jobs ~still_fails p =
-  Program_shrink.shrink ?max_steps ?jobs ~still_fails p
+let program ?jobs ~still_fails p = Program_shrink.shrink ?jobs ~still_fails p

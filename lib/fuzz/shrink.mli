@@ -56,20 +56,18 @@ module Make (C : Case) : sig
 end
 
 val kernel :
-  ?max_steps:int ->
   ?jobs:int ->
   still_fails:(Lfk.Kernel.t -> bool) ->
   Lfk.Kernel.t ->
   Lfk.Kernel.t result
-(** [max_steps] defaults to 200.  Candidates failing
+(** At most 200 accepted rewrites.  Candidates failing
     {!Lfk.Kernel.validate} are discarded before the predicate runs, so
     the predicate only ever sees well-formed kernels. *)
 
 val program :
-  ?max_steps:int ->
   ?jobs:int ->
   still_fails:(Convex_isa.Program.t -> bool) ->
   Convex_isa.Program.t ->
   Convex_isa.Program.t result
 (** Instruction-list shrinking for assembly round-trip failures:
-    keep-one and drop-one rewrites over the body. *)
+    keep-one and drop-one rewrites over the body, at most 200 accepted. *)

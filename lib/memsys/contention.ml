@@ -12,7 +12,7 @@ let of_steal_probability ?(seed = 0x9e3779b9) steal =
     invalid_arg "Contention.of_steal_probability: out of [0;1)";
   { steal; seed }
 
-let of_load_average ?seed load =
+let of_load_average load =
   if load <= 1.0 then none
   else
     (* Each of the other CPUs competes for the crossbar slot.  With three
@@ -20,7 +20,7 @@ let of_load_average ?seed load =
        1.5-1.6 cycles, matching the paper's 56-64 ns observation. *)
     let competitors = Float.min 3.0 (load -. 1.0) in
     let per_competitor = 0.12 in
-    of_steal_probability ?seed (Float.min 0.38 (competitors *. per_competitor))
+    of_steal_probability (Float.min 0.38 (competitors *. per_competitor))
 
 let steal_probability t = t.steal
 

@@ -25,7 +25,7 @@ val is_none : t -> bool
 val of_steal_probability : ?seed:int -> float -> t
 (** Probability in [0;1) that a cycle's port slot is taken by another CPU. *)
 
-val of_load_average : ?seed:int -> float -> t
+val of_load_average : float -> t
 (** Heuristic mapping: load ≤ 1 gives no contention; the paper's load of
     5.1 maps to a steal probability near 1/3 (one access per ~1.5 cycles on
     a saturated stream). *)

@@ -79,15 +79,19 @@ module Index = struct
       done;
       !h
 
-    let equal x y =
-      let word i =
-        Bytes.get_int64_ne x.b (x.pos + i) = Bytes.get_int64_ne y.b (y.pos + i)
-      and byte i = Bytes.get x.b (x.pos + i) = Bytes.get y.b (y.pos + i) in
-      let rec go i =
-        if i + 8 <= x.len then word i && go (i + 8)
-        else i >= x.len || (byte i && go (i + 1))
-      in
-      x.len = y.len && go 0
+    (* eight bytes at a time, then the tail; one loop that closes over
+       nothing, so a compare allocates nothing *)
+    let rec equal_from x y i =
+      if i + 8 <= x.len then
+        (Bytes.get_int64_ne x.b (x.pos + i) : int64)
+        = Bytes.get_int64_ne y.b (y.pos + i)
+        && equal_from x y (i + 8)
+      else
+        i >= x.len
+        || Bytes.get x.b (x.pos + i) = Bytes.get y.b (y.pos + i)
+           && equal_from x y (i + 1)
+
+    let equal x y = x.len = y.len && equal_from x y 0
   end)
 
   type t = { mutex : Mutex.t; table : string Tbl.t }

@@ -25,13 +25,14 @@ let run_cycles machine body ~elements =
   in
   (Sim.run_exn ~machine job).stats.cycles
 
-let single_run_cycles ?(machine = Machine.c240) cls ~vl =
+let single_run_cycles cls ~vl =
+  let machine = Machine.c240 in
   if vl < 1 || vl > machine.max_vl then
     invalid_arg "Calibrate.single_run_cycles: vl out of range";
   run_cycles machine [ representative cls ] ~elements:vl
 
-let fit_class ?(machine = Machine.c240) cls =
-  let machine = Machine.no_refresh machine in
+let fit_class cls =
+  let machine = Machine.no_refresh Machine.c240 in
   let instr = representative cls in
   (* X + Y and Z from a VL sweep of isolated runs *)
   let sweep = [ 16; 32; 48; 64; 96; 128 ] in
@@ -53,9 +54,10 @@ let fit_class ?(machine = Machine.c240) cls =
   let b = per_rep -. (z *. float_of_int machine.max_vl) in
   { vclass = cls; startup; z; b }
 
-let fit_all ?machine () = List.map (fit_class ?machine) Instr.all_vclasses
+let fit_all () = List.map fit_class Instr.all_vclasses
 
-let chime_cycles ?(machine = Machine.c240) instrs =
+let chime_cycles instrs =
+  let machine = Machine.c240 in
   if instrs = [] then invalid_arg "Calibrate.chime_cycles: empty chime";
   let k1 = 24 and k2 = 32 in
   let c1 = run_cycles machine instrs ~elements:(machine.max_vl * k1) in

@@ -1,5 +1,4 @@
 open Convex_isa
-open Convex_machine
 
 (** Calibration loops (paper §3.2).
 
@@ -23,19 +22,20 @@ val representative : Instr.vclass -> Instr.t
 (** A canonical instruction of the class, suitable for a calibration
     loop. *)
 
-val single_run_cycles : ?machine:Machine.t -> Instr.vclass -> vl:int -> float
-(** Cycles to execute one isolated instruction of the class at [vl]. *)
+val single_run_cycles : Instr.vclass -> vl:int -> float
+(** Cycles to execute one isolated instruction of the class at [vl] on
+    the C-240, as every function here measures. *)
 
-val fit_class : ?machine:Machine.t -> Instr.vclass -> fit
+val fit_class : Instr.vclass -> fit
 (** Fit X+Y and Z from a VL sweep of isolated instructions, and B from the
     steady-state delta of a long back-to-back loop.  Uses a refresh-free
     machine variant so the fit is exact, as the paper's conservative
     parameter choices intend. *)
 
-val fit_all : ?machine:Machine.t -> unit -> fit list
+val fit_all : unit -> fit list
 (** One fit per vector instruction class, in {!Instr.all_vclasses} order. *)
 
-val chime_cycles : ?machine:Machine.t -> Instr.t list -> float
+val chime_cycles : Instr.t list -> float
 (** Steady-state cycles of one repetition of the given chime (the paper's
     per-chime calibration loops of §3.5: e.g. LFK1 chime 2 measures
     133.33).  Measured as the per-iteration delta of a long run with

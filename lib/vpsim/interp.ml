@@ -154,8 +154,10 @@ let run_raw ?(max_vl = 128) ?(sregs = []) ~store (job : Job.t) =
     job.segments;
   sr
 
-let run ?max_vl ?sregs ~store job =
+let run_result ?max_vl ?sregs ~store job =
   try Ok (run_raw ?max_vl ?sregs ~store job) with Fault e -> Error e
 
+let run ?sregs ~store job = run_result ?sregs ~store job
+
 let run_exn ?max_vl ?sregs ~store job =
-  Macs_util.Macs_error.of_result (run ?max_vl ?sregs ~store job)
+  Macs_util.Macs_error.of_result (run_result ?max_vl ?sregs ~store job)

@@ -16,14 +16,13 @@
     than a crash. *)
 
 val run :
-  ?max_vl:int ->
   ?sregs:(int * float) list ->
   store:Store.t ->
   Job.t ->
   (float array, Macs_util.Macs_error.t) result
-(** Run all segments and strips; returns the final scalar register file
-    (length {!Convex_isa.Reg.scalar_count}).  [max_vl] defaults to 128.
-    Raises [Invalid_argument] on an [sregs] index outside the register
+(** Run all segments and strips at a maximum vector length of 128;
+    returns the final scalar register file
+    (length {!Convex_isa.Reg.scalar_count}).  Raises [Invalid_argument] on an [sregs] index outside the register
     file — a caller bug, not a runtime outcome. *)
 
 val run_exn :
@@ -32,6 +31,7 @@ val run_exn :
   store:Store.t ->
   Job.t ->
   float array
-(** Like {!run}; raises {!Macs_util.Macs_error.Error} on failure.  The
+(** Like {!run}, at a maximum vector length of [max_vl] (default 128);
+    raises {!Macs_util.Macs_error.Error} on failure.  The
     convenience for contexts (suite verification, paper tables) where an
     interpreter fault is a programming error, not an outcome. *)

@@ -30,10 +30,10 @@ let run ?(machine = Machine.c240) ?layout ?contention ?faults ?guard ?watchdog
           stats = r.stats;
         }
 
-let run_exn ?machine ?layout ?contention ?faults ?guard ?watchdog ?fidelity
+let run_exn ?machine ?layout ?contention ?faults ?watchdog ?fidelity
     ~flops_per_iteration job =
   Macs_error.of_result
-    (run ?machine ?layout ?contention ?faults ?guard ?watchdog ?fidelity
+    (run ?machine ?layout ?contention ?faults ?watchdog ?fidelity
        ~flops_per_iteration job)
 
 let pp fmt m =

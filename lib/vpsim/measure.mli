@@ -36,12 +36,12 @@ val run_exn :
   ?layout:Layout.t ->
   ?contention:Contention.t ->
   ?faults:Convex_fault.Fault.t ->
-  ?guard:int ->
   ?watchdog:(cycle:float -> Macs_util.Macs_error.t option) ->
   ?fidelity:Fastpath.fidelity ->
   flops_per_iteration:int ->
   Job.t ->
   t
-(** Like {!run}; raises {!Macs_util.Macs_error.Error} on failure. *)
+(** Like {!run} at the default [guard]; raises
+    {!Macs_util.Macs_error.Error} on failure. *)
 
 val pp : Format.formatter -> t -> unit

@@ -661,11 +661,11 @@ let run ?(machine = Machine.c240) ?layout ?(contention = Contention.none)
   Memory.release memory;
   result
 
-let run_exn ?machine ?layout ?contention ?faults ?guard ?watchdog ?access_log
-    ?trace ?fidelity job =
+let run_exn ?machine ?layout ?contention ?faults ?watchdog ?access_log ?trace
+    ?fidelity job =
   Macs_error.of_result
-    (run ?machine ?layout ?contention ?faults ?guard ?watchdog ?access_log
-       ?trace ?fidelity job)
+    (run ?machine ?layout ?contention ?faults ?watchdog ?access_log ?trace
+       ?fidelity job)
 
 let cpl r = r.stats.cycles /. float_of_int r.stats.elements
 

@@ -100,16 +100,16 @@ val run_exn :
   ?layout:Layout.t ->
   ?contention:Contention.t ->
   ?faults:Convex_fault.Fault.t ->
-  ?guard:int ->
   ?watchdog:(cycle:float -> Macs_util.Macs_error.t option) ->
   ?access_log:(int * int) list ref ->
   ?trace:bool ->
   ?fidelity:Fastpath.fidelity ->
   Job.t ->
   result
-(** Like {!run}; raises {!Macs_util.Macs_error.Error} on failure.  The
-    convenience for contexts (calibration, paper tables on the healthy
-    machine) where a livelock is a programming error, not an outcome. *)
+(** Like {!run} at the default [guard]; raises
+    {!Macs_util.Macs_error.Error} on failure.  The convenience for
+    contexts (calibration, paper tables on the healthy machine) where a
+    livelock is a programming error, not an outcome. *)
 
 val cpl : result -> float
 (** Cycles per (original scalar) inner-loop iteration:

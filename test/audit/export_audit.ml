@@ -3,9 +3,11 @@
 
    The scan is textual and deliberately crude, the same word-boundary
    match as [grep -w]: a value counts as referenced when its name appears
-   as a whole word in some other source file, and an optional argument
-   [?arg] counts as set when some other implementation file spells [~arg]
-   or [?arg] (another interface declaring [?arg] is not a caller).  It
+   as a whole word in some other source file.  An optional argument
+   [?arg] of [f] counts as set when some other implementation file
+   applies [f] with [~arg] or [?arg] among the labels of that same
+   application (another interface declaring [?arg] is not a caller, and
+   neither is a [~arg] passed to some other function).  It
    over-approximates use (a shared name in an unrelated module is taken
    for a caller), so what it reports is certainly unreferenced by name.
 
@@ -18,16 +20,10 @@ let is_word_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
   | _ -> false
 
-(* A source's whole words (maximal runs of word characters), and those of
-   them spelled right after a '~' or a '?': a membership test is then
-   exactly [grep -w]. *)
-type words = {
-  all : (string, unit) Hashtbl.t;
-  labels : (string, unit) Hashtbl.t;
-}
-
+(* A source's whole words (maximal runs of word characters): a
+   membership test is then exactly [grep -w]. *)
 let words text =
-  let all = Hashtbl.create 1024 and labels = Hashtbl.create 64 in
+  let all = Hashtbl.create 1024 in
   let n = String.length text in
   let rec go i =
     if i < n then
@@ -35,20 +31,102 @@ let words text =
       else begin
         let j = ref i in
         while !j < n && is_word_char text.[!j] do incr j done;
-        let w = String.sub text i (!j - i) in
-        Hashtbl.replace all w ();
-        if i > 0 && (text.[i - 1] = '~' || text.[i - 1] = '?') then
-          Hashtbl.replace labels w ();
+        Hashtbl.replace all (String.sub text i (!j - i)) ();
         go !j
       end
   in
   go 0;
-  { all; labels }
+  all
 
 let take_ident s i =
   let j = ref i in
   while !j < String.length s && is_word_char s.[!j] do incr j done;
   String.sub s i (!j - i)
+
+(* Words that end an application's argument list, or that begin a
+   definition of the name before them rather than a use of it. *)
+let ends_application =
+  [ "in"; "let"; "and"; "then"; "else"; "with"; "do"; "done"; "match"; "if";
+    "fun"; "function"; "begin"; "end"; "of"; "when"; "to"; "downto"; "try";
+    "val"; "type"; "module"; "open"; "include"; "external"; "exception" ]
+
+let defines = [ "let"; "rec"; "and"; "val"; "external"; "method" ]
+
+(* The word that ends just before [i], skipping blanks. *)
+let word_before text i =
+  let j = ref (i - 1) in
+  while !j >= 0 && (text.[!j] = ' ' || text.[!j] = '\n') do decr j done;
+  let stop = !j + 1 in
+  while !j >= 0 && is_word_char text.[!j] do decr j done;
+  String.sub text (!j + 1) (stop - !j - 1)
+
+(* The labels ([~l] or [?l]) of the application starting at [i], just
+   after the applied name: everything up to a closing bracket it did not
+   open, or, outside brackets, up to a [;], [,], [:], an infix operator
+   or a keyword.  Labels inside brackets belong to inner applications.
+   Strings, character literals and comments are skipped. *)
+let labels_after text i =
+  let n = String.length text in
+  let rec go i depth acc =
+    if i >= n then acc
+    else
+      match text.[i] with
+      | ' ' | '\n' | '\t' | '\r' | '.' | '\'' | '!' | '#' ->
+          go (i + 1) depth acc
+      | '(' when i + 1 < n && text.[i + 1] = '*' ->
+          go (comment (i + 2) 1) depth acc
+      | '(' | '[' | '{' -> go (i + 1) (depth + 1) acc
+      | ')' | ']' | '}' -> if depth = 0 then acc else go (i + 1) (depth - 1) acc
+      | '"' -> go (string_end (i + 1)) depth acc
+      | ('~' | '?') when i + 1 < n && is_word_char text.[i + 1] ->
+          let l = take_ident text (i + 1) in
+          let j = i + 1 + String.length l in
+          (* the [:] of [~l:v] is part of the label *)
+          let j = if j < n && text.[j] = ':' then j + 1 else j in
+          go j depth (if depth = 0 then l :: acc else acc)
+      | c when is_word_char c ->
+          let w = take_ident text i in
+          if depth = 0 && List.mem w ends_application then acc
+          else go (i + String.length w) depth acc
+      | _ -> if depth = 0 then acc else go (i + 1) depth acc
+  and comment i nest =
+    if i + 1 >= n then n
+    else if text.[i] = '*' && text.[i + 1] = ')' then
+      if nest = 1 then i + 2 else comment (i + 2) (nest - 1)
+    else if text.[i] = '(' && text.[i + 1] = '*' then comment (i + 2) (nest + 1)
+    else comment (i + 1) nest
+  and string_end i =
+    if i >= n then n
+    else if text.[i] = '\\' then string_end (i + 2)
+    else if text.[i] = '"' then i + 1
+    else string_end (i + 1)
+  in
+  go i 0 []
+
+(* Whether some application of [name] in [text] carries label [arg]: a
+   whole-word [name] not being defined there, followed by [~arg] or
+   [?arg] among its own arguments. *)
+let applies_with text ~name ~arg =
+  let n = String.length text and k = String.length name in
+  let rec from i =
+    match String.index_from_opt text i name.[0] with
+    | None -> false
+    | Some j ->
+        let whole =
+          j + k <= n
+          && String.sub text j k = name
+          && (j = 0 || not (is_word_char text.[j - 1]))
+          && (j + k = n || not (is_word_char text.[j + k]))
+        in
+        if
+          whole
+          && (j > 0 && text.[j - 1] = '.'
+             || not (List.mem (word_before text j) defines))
+          && List.mem arg (labels_after text (j + k))
+        then true
+        else from (j + 1)
+  in
+  k > 0 && from 0
 
 (* The [?arg] of a line that a [:] follows, spaces allowed between. *)
 let optional_args line =
@@ -117,15 +195,16 @@ let scan sources =
           let found fmt =
             Printf.ksprintf (fun f -> findings := f :: !findings) fmt
           in
-          if not (List.exists (fun (_, w) -> Hashtbl.mem w.all value) others)
+          if not (List.exists (fun (_, w) -> Hashtbl.mem w value) others)
           then found "val %s %s" mli.path value;
           List.iter
             (fun arg ->
               let setters =
                 List.filter
                   (fun (s, w) ->
-                    Hashtbl.mem w.labels arg
-                    && not (Filename.check_suffix s.path ".mli"))
+                    Hashtbl.mem w value
+                    && (not (Filename.check_suffix s.path ".mli"))
+                    && applies_with s.text ~name:value ~arg)
                   others
               in
               if setters = [] then found "unset %s %s ?%s" mli.path value arg
@@ -229,4 +308,4 @@ let section ~heading doc =
 
 let missing_libraries ~inventory names =
   let w = words inventory in
-  List.filter (fun n -> not (Hashtbl.mem w.all n)) names
+  List.filter (fun n -> not (Hashtbl.mem w n)) names

@@ -1,7 +1,8 @@
 (* The interface audit on a tiny in-memory tree, so the gate cannot pass
    vacuously: a fixture interface exports a value nothing else names and
    an optional argument nothing else sets, and the scan must report both,
-   and nothing once a caller appears. *)
+   and nothing once a caller appears; an option counts as set only by an
+   application of its own function. *)
 
 open Export_audit
 
@@ -80,6 +81,28 @@ let test_test_only_option () =
             { path = "test/t.ml"; text = "let _ = Widget.lonely ~knob:3 ()\n" };
           ]))
 
+let test_setter_is_per_application () =
+  let with_main body = scan (tree [ main_ml body ]) in
+  let uses = "let () = print_int (Widget.used (Widget.lonely ()))\n" in
+  Alcotest.check findings "a ~knob passed to another function sets nothing"
+    [ "unset lib/fx/widget.mli lonely ?knob" ]
+    (with_main (uses ^ "let _ = Widget.other ~knob:2 ()\n"));
+  Alcotest.check findings "nor one inside a bracketed argument"
+    [ "unset lib/fx/widget.mli lonely ?knob" ]
+    (with_main (uses ^ "let _ = Widget.lonely (f ~knob:2) ()\n"));
+  Alcotest.check findings "nor one after the application ends"
+    [ "unset lib/fx/widget.mli lonely ?knob" ]
+    (with_main (uses ^ "let _ = Widget.lonely () |> g ~knob:2\n"));
+  Alcotest.check findings "nor a definition of the same name"
+    [ "unset lib/fx/widget.mli lonely ?knob" ]
+    (with_main (uses ^ "let lonely ?knob () = knob\n"));
+  Alcotest.check findings "an application across lines sets it" []
+    (with_main
+       "let () =\n\
+       \  print_int\n\
+       \    (Widget.used (Widget.lonely\n\
+       \       ~knob:2 ()))\n")
+
 let test_allowlist () =
   let entries, errors =
     parse_allowlist
@@ -116,6 +139,8 @@ let () =
           Alcotest.test_case "declaration is not a caller" `Quick
             test_declaration_is_not_a_caller;
           Alcotest.test_case "test-only option" `Quick test_test_only_option;
+          Alcotest.test_case "setter is per application" `Quick
+            test_setter_is_per_application;
         ] );
       ( "gate",
         [

@@ -1,8 +1,9 @@
 (* Tests for the crash-consistent content-addressed result cache and the
    write-boundary sink it is built on: key sensitivity, store/find round
-   trips, the never-serve-corruption contract at every byte offset,
-   maintenance (stat/verify/gc), and cold-vs-warm byte identity of the
-   harnesses that use it. *)
+   trips, the never-serve-corruption contract at every byte offset of a
+   record inside a pack, stores crashed at their write boundary, several
+   handles over one directory, maintenance (stat/verify/gc), and
+   cold-vs-warm byte identity of the harnesses that use it. *)
 
 open Macs_util
 module Cache = Convex_cache.Cache
@@ -40,6 +41,21 @@ let rec rm_rf path =
       Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
       Unix.rmdir path
   | _ -> Sys.remove path
+
+(* The pack files of a cache directory, in name order. *)
+let packs dir =
+  let d = Filename.concat dir "packs" in
+  Sys.readdir d |> Array.to_list |> List.sort compare
+  |> List.map (Filename.concat d)
+
+let the_pack dir =
+  match packs dir with
+  | [ p ] -> p
+  | ps -> Alcotest.failf "expected one pack, found %d" (List.length ps)
+
+let quarantine_count dir =
+  let q = Filename.concat dir "quarantine" in
+  if Sys.file_exists q then Array.length (Sys.readdir q) else 0
 
 (* ---- the sink ---- *)
 
@@ -131,7 +147,6 @@ let test_store_find_round_trip () =
 
 let test_memo () =
   let dir = fresh_dir "memo" in
-  let t = Cache.open_dir dir in
   let key = Cache.key ~kind:"test" [ ("case", "memo") ] in
   let encode n =
     [
@@ -146,30 +161,34 @@ let test_memo () =
     | _ -> Error "expected n, end"
   in
   let calls = ref 0 in
-  let memo () =
+  let memo t =
     Cache.memo t ~key ~encode ~decode (fun () ->
         incr calls;
         42)
   in
-  Alcotest.(check int) "cold run computes" 42 (memo ());
+  let t = Cache.open_dir dir in
+  Alcotest.(check int) "cold run computes" 42 (memo t);
   Alcotest.(check (option string))
     "payload is the records' journal lines"
     (Some (String.concat "\n" (List.map Journal.encode (encode 42))))
     (Cache.find t ~key);
-  Alcotest.(check int) "warm run replays" 42 (memo ());
+  Alcotest.(check int) "warm run replays" 42 (memo t);
   Alcotest.(check int) "computed once" 1 !calls;
   (* an entry that verifies but does not decode is neither served nor
-     kept: it is quarantined like a corrupt one and recomputed *)
-  Sys.remove (Cache.entry_path t key);
+     kept: its pack is quarantined like a corrupt one and recomputed *)
+  List.iter Sys.remove (packs dir);
+  let t = Cache.open_dir dir in
   Cache.store t ~key "n\tv=oops";
   Cache.reset_counters t;
-  Alcotest.(check int) "undecodable entry recomputed" 42 (memo ());
+  Alcotest.(check int) "undecodable entry recomputed" 42 (memo t);
   Alcotest.(check int) "computed again" 2 !calls;
   let c = Cache.counters t in
   Alcotest.(check (list int)) "hits, misses, quarantined, stores"
     [ 0; 1; 1; 1 ]
     [ c.Cache.hits; c.Cache.misses; c.Cache.quarantined; c.Cache.stores ];
-  Alcotest.(check int) "the re-stored entry is served" 42 (memo ());
+  Alcotest.(check int) "the re-stored entry is served" 42 (memo t);
+  Alcotest.(check int) "a fresh handle serves it too" 42
+    (memo (Cache.open_dir dir));
   Alcotest.(check int) "no third compute" 2 !calls;
   rm_rf dir
 
@@ -338,44 +357,86 @@ let prop_keys_are_identities =
 
 (* ---- corruption is quarantined, never served ---- *)
 
-let quarantine_count dir =
-  let q = Filename.concat dir "quarantine" in
-  if Sys.file_exists q then Array.length (Sys.readdir q) else 0
+(* A pack of three records, [before], [victim], [after]; returns the
+   pack's path, its pristine bytes and the victim's byte range. *)
+let three_record_pack dir ~before ~victim ~after =
+  let t = Cache.open_dir dir in
+  let size () = String.length (read_file (the_pack dir)) in
+  let store (key, payload) = Cache.store t ~key payload in
+  store before;
+  let start = size () in
+  store victim;
+  let stop = size () in
+  store after;
+  let path = the_pack dir in
+  (path, read_file path, start, stop)
+
+(* Probe one corruption of the victim's bytes: through a handle whose
+   index was built on the pristine pack, and through a fresh one.
+   Returns whether the fresh handle served the record before the victim,
+   what each handle served for the victim (it must be nothing), and
+   whether the fresh handle served the record after it byte-exact or
+   not at all. *)
+let probe_corruption dir ~path ~pristine ~before:(kb, pb) ~victim:(kv, _)
+    ~after:(ka, pa) corrupt =
+  write_file path pristine;
+  let stale = Cache.open_dir dir in
+  if Cache.find stale ~key:kb <> Some pb then
+    Alcotest.fail "stale handle did not index the pristine pack";
+  write_file path corrupt;
+  let fresh = Cache.open_dir dir in
+  let fresh_before = Cache.find fresh ~key:kb in
+  let fresh_victim = Cache.find fresh ~key:kv in
+  let stale_victim = Cache.find stale ~key:kv in
+  let fresh_after = Cache.find fresh ~key:ka in
+  (fresh_before = Some pb, fresh_victim, stale_victim,
+   fresh_after = None || fresh_after = Some pa)
 
 let test_corruption_at_every_offset () =
   let dir = fresh_dir "corrupt" in
-  let t = Cache.open_dir dir in
-  let key = Cache.key ~kind:"test" [ ("case", "offsets") ] in
-  let payload = "some cached result\nwith a second line and a digest tail" in
-  Cache.store t ~key payload;
-  let path = Cache.entry_path t key in
-  let pristine = read_file path in
-  let n = String.length pristine in
-  for off = 0 to n - 1 do
-    (* truncation to [off] bytes *)
-    write_file path (String.sub pristine 0 off);
-    (match Cache.find t ~key with
-    | None -> ()
-    | Some got ->
-        Alcotest.failf "truncated at %d/%d served %S" off n got);
-    (* the corrupt file moved aside: put the entry back and flip one bit *)
-    write_file path
-      (String.mapi
-         (fun i c -> if i = off then Char.chr (Char.code c lxor 0x20) else c)
-         pristine);
-    match Cache.find t ~key with
-    | None -> ()
-    | Some got ->
-        (* flipping a bit inside the payload must be caught by the MD5;
-           serving the original bytes would mean the file was never read *)
-        Alcotest.failf "bit-flipped at %d/%d served %S" off n got
+  let key name = Cache.key ~kind:"test" [ ("case", name) ] in
+  let before = (key "before", "the record before the victim")
+  and victim =
+    (key "offsets", "some cached result\nwith a second line and a digest tail")
+  and after = (key "after", "the record after the victim") in
+  let path, pristine, start, stop =
+    three_record_pack dir ~before ~victim ~after
+  in
+  let probe = probe_corruption dir ~path ~pristine ~before ~victim ~after in
+  let n = stop - start in
+  for i = 0 to n - 1 do
+    let off = start + i in
+    let check what (before_ok, fresh_victim, stale_victim, after_ok) =
+      let served label = function
+        | None -> ()
+        | Some got ->
+            Alcotest.failf "%s at %d/%d: %s handle served %S" what i n label got
+      in
+      served "fresh" fresh_victim;
+      served "stale" stale_victim;
+      if not before_ok then
+        Alcotest.failf "%s at %d/%d: the record before was not served" what i n;
+      if not after_ok then
+        Alcotest.failf "%s at %d/%d: the record after was served wrong" what i n
+    in
+    (* truncation inside the victim, and one flipped bit in it *)
+    check "truncated" (probe (String.sub pristine 0 off));
+    check "bit-flipped"
+      (probe
+         (String.mapi
+            (fun j c -> if j = off then Char.chr (Char.code c lxor 0x20) else c)
+            pristine))
   done;
-  Alcotest.(check bool) "every corruption quarantined" true
-    (quarantine_count dir = 2 * n);
+  (* each corruption moves the pack aside exactly once: the fresh handle
+     when its walk indexed the victim, else the stale one on its read *)
+  Alcotest.(check int) "every corruption quarantined once" (2 * n)
+    (quarantine_count dir);
   (* a later store repopulates and serves again *)
-  Cache.store t ~key payload;
+  let t = Cache.open_dir dir in
+  Cache.store t ~key:(fst victim) (snd victim);
   Alcotest.(check (option string))
-    "recomputed entry served" (Some payload) (Cache.find t ~key);
+    "recomputed entry served" (Some (snd victim))
+    (Cache.find (Cache.open_dir dir) ~key:(fst victim));
   rm_rf dir
 
 let prop_random_corruption_never_served =
@@ -387,71 +448,224 @@ let prop_random_corruption_never_served =
         small_nat small_nat)
     (fun (payload, off_seed, flip) ->
       let dir = fresh_dir "qc" in
-      let t = Cache.open_dir dir in
-      let key = Cache.key ~kind:"qc" [ ("p", payload) ] in
-      Cache.store t ~key payload;
-      let path = Cache.entry_path t key in
-      let pristine = read_file path in
-      let off = off_seed mod String.length pristine in
-      write_file path
-        (if flip mod 2 = 0 then String.sub pristine 0 off
-         else
-           String.mapi
-             (fun i c ->
-               if i = off then Char.chr (Char.code c lxor (1 lsl (flip mod 8)))
-               else c)
-             pristine);
-      let served = Cache.find t ~key in
+      let key name = Cache.key ~kind:"qc" [ ("p", payload); ("n", name) ] in
+      let before = (key "before", "before " ^ payload)
+      and victim = (key "victim", payload)
+      and after = (key "after", payload ^ " after") in
+      let path, pristine, start, stop =
+        three_record_pack dir ~before ~victim ~after
+      in
+      let off = start + (off_seed mod (stop - start)) in
+      let q0 = quarantine_count dir in
+      let before_ok, fresh_victim, stale_victim, after_ok =
+        probe_corruption dir ~path ~pristine ~before ~victim ~after
+          (if flip mod 2 = 0 then String.sub pristine 0 off
+           else
+             String.mapi
+               (fun i c ->
+                 if i <> off then c
+                 else Char.chr (Char.code c lxor (1 lsl (flip mod 8))))
+               pristine)
+      in
+      let moved = quarantine_count dir - q0 in
       rm_rf dir;
       (* the truncation is always strict and the flip always changes a
-         byte, so serving anything means a verification hole *)
-      served = None)
+         byte, so serving the victim means a verification hole *)
+      fresh_victim = None && stale_victim = None && before_ok && after_ok
+      && moved = 1)
+
+(* ---- packs: crashes, handles, the index ---- *)
+
+let crash_key i = Cache.key ~kind:"crash" [ ("i", string_of_int i) ]
+let crash_payload i =
+  Printf.sprintf "payload %d\n%s" i (String.make (97 * i) 'x')
+
+(* A store armed to die in each mode: a fresh handle serves the earlier
+   records, never a torn one, and a re-store; the crashed handle gives
+   its pack up, so the torn record stays that pack's last. *)
+let test_store_crash_modes () =
+  List.iter
+    (fun mode ->
+      let what = Sink.mode_name mode in
+      let dir = fresh_dir ("crash-" ^ what) in
+      let served h i = Cache.find h ~key:(crash_key i) in
+      let t = Cache.open_dir dir in
+      Sink.reset ();
+      List.iter
+        (fun i -> Cache.store t ~key:(crash_key i) (crash_payload i))
+        [ 0; 1 ];
+      Sink.arm ~at:(Sink.boundaries () + 1) ~mode;
+      (match Cache.store t ~key:(crash_key 2) (crash_payload 2) with
+      | () -> Alcotest.failf "%s: the armed store must crash" what
+      | exception Sink.Crashed _ -> ());
+      Sink.reset ();
+      let fresh = Cache.open_dir dir in
+      List.iter
+        (fun i ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s: record %d served" what i)
+            (Some (crash_payload i)) (served fresh i))
+        [ 0; 1 ];
+      Alcotest.(check (option string))
+        (what ^ ": the crashed record")
+        (if mode = Sink.After then Some (crash_payload 2) else None)
+        (served fresh 2);
+      Cache.store t ~key:(crash_key 3) (crash_payload 3);
+      Alcotest.(check int) (what ^ ": the crashed handle opened a new pack")
+        2 (List.length (packs dir));
+      Cache.store (Cache.open_dir dir) ~key:(crash_key 2) (crash_payload 2);
+      let last = Cache.open_dir dir in
+      List.iter
+        (fun i ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s: record %d served after the re-store" what i)
+            (Some (crash_payload i)) (served last i))
+        [ 0; 1; 2; 3 ];
+      Alcotest.(check int) (what ^ ": a torn tail is no corruption") 0
+        (quarantine_count dir);
+      rm_rf dir)
+    [ Sink.Before; Sink.Torn; Sink.After ]
+
+(* Stores, finds and re-opens over a few handles on one directory
+   against a model: a handle sees what was stored when it built its
+   index (its first find or store) and what it stored itself, and a
+   found payload is always the one stored under that key. *)
+type op = Store of int * int | Find of int * int | Reopen of int
+
+let op_gen handles =
+  QCheck.Gen.(
+    let h = int_bound (handles - 1) and k = int_bound 5 in
+    frequency
+      [
+        (4, map2 (fun h k -> Store (h, k)) h k);
+        (5, map2 (fun h k -> Find (h, k)) h k);
+        (1, map (fun h -> Reopen h) h);
+      ])
+
+let show_op = function
+  | Store (h, k) -> Printf.sprintf "store h%d k%d" h k
+  | Find (h, k) -> Printf.sprintf "find h%d k%d" h k
+  | Reopen h -> Printf.sprintf "reopen h%d" h
+
+let prop_handles_agree_with_model =
+  QCheck.Test.make ~count:60
+    ~name:"stores, finds and re-opens over 1-3 handles agree with a model"
+    (QCheck.make
+       ~print:(fun (n, ops) ->
+         Printf.sprintf "%d handles: %s" n
+           (String.concat "; " (List.map show_op ops)))
+       QCheck.Gen.(
+         let* n = int_range 1 3 in
+         let* ops = list_size (int_range 1 30) (op_gen n) in
+         return (n, ops)))
+    (fun (n, ops) ->
+      let dir = fresh_dir "model" in
+      let payload k =
+        Printf.sprintf "entry %d\n%s" k (String.make (k * 211) 'p')
+      in
+      let key k = Cache.key ~kind:"model" [ ("k", string_of_int k) ] in
+      (* the model: keys on disk, and per handle its view once built *)
+      let stored = ref [] and appended = ref 0 in
+      let handles = Array.init n (fun _ -> (Cache.open_dir dir, ref None)) in
+      let view i =
+        let _, v = handles.(i) in
+        match !v with
+        | Some seen -> seen
+        | None ->
+            let seen = ref !stored in
+            v := Some seen;
+            seen
+      in
+      let step = function
+        | Store (i, k) ->
+            let seen = view i in
+            Cache.store (fst handles.(i)) ~key:(key k) (payload k);
+            if not (List.mem k !seen) then begin
+              seen := k :: !seen;
+              if not (List.mem k !stored) then stored := k :: !stored;
+              incr appended
+            end;
+            true
+        | Find (i, k) ->
+            let seen = view i in
+            Cache.find (fst handles.(i)) ~key:(key k)
+            = if List.mem k !seen then Some (payload k) else None
+        | Reopen i ->
+            handles.(i) <- (Cache.open_dir dir, ref None);
+            true
+      in
+      let agree = List.for_all step ops in
+      let last = Cache.open_dir dir in
+      let all_served =
+        List.for_all
+          (fun k -> Cache.find last ~key:(key k) = Some (payload k))
+          !stored
+      in
+      let records = (Cache.stat last).Cache.entries in
+      rm_rf dir;
+      agree && all_served && records = !appended)
 
 (* ---- maintenance ---- *)
 
 let test_stat_verify_gc () =
   let dir = fresh_dir "maint" in
-  let t = Cache.open_dir dir in
-  let keys =
+  (* three runs, one entry each, so three packs *)
+  let entries =
     List.map
       (fun i ->
+        let t = Cache.open_dir dir in
+        let old = packs dir in
         let key = Cache.key ~kind:"m" [ ("i", string_of_int i) ] in
         Cache.store t ~key (Printf.sprintf "payload number %d" i);
-        key)
+        Cache.log_run t ~label:(Printf.sprintf "run %d" i);
+        (key, List.find (fun p -> not (List.mem p old)) (packs dir)))
       [ 0; 1; 2 ]
   in
-  Cache.log_run t ~label:"first";
-  (* a second process would open the cache with fresh counters *)
-  Cache.reset_counters t;
-  Cache.log_run t ~label:"second";
+  let t = Cache.open_dir dir in
   let s = Cache.stat t in
   Alcotest.(check int) "three entries" 3 s.Cache.entries;
-  Alcotest.(check int) "two logged runs" 2 s.Cache.runs;
+  Alcotest.(check int) "in three packs" 3 s.Cache.packs;
+  Alcotest.(check int) "three logged runs" 3 s.Cache.runs;
   Alcotest.(check int) "three stores total" 3 s.Cache.total.Cache.stores;
-  (* corrupt one entry behind the cache's back; verify must catch it *)
-  let victim = List.nth keys 1 in
-  write_file (Cache.entry_path t victim) "not an entry at all";
+  (* corrupt one payload byte behind the cache's back; verify must
+     catch it and quarantine that entry's pack *)
+  let victim, victim_pack = List.nth entries 1 in
+  let bytes = read_file victim_pack in
+  write_file victim_pack
+    (String.mapi
+       (fun i c -> if i = String.length bytes - 3 then 'X' else c)
+       bytes);
   let v = Cache.verify t in
   Alcotest.(check int) "checked all three" 3 v.Cache.checked;
   Alcotest.(check int) "two ok" 2 v.Cache.ok;
   (match v.Cache.bad with
   | [ (k, _) ] -> Alcotest.(check string) "the victim" victim k
   | l -> Alcotest.failf "expected one bad entry, got %d" (List.length l));
+  Alcotest.(check int) "one pack moved" 1 v.Cache.quarantined_packs;
   Alcotest.(check int) "victim quarantined" 1 (quarantine_count dir);
-  (* an orphaned tmp file from a crashed store *)
-  let orphan =
-    Filename.concat
-      (Filename.dirname (Cache.entry_path t victim))
-      (victim ^ ".tmp.0")
-  in
-  write_file orphan "half a store";
+  let v = Cache.verify t in
+  Alcotest.(check (list int)) "the healed store verifies" [ 2; 2; 0 ]
+    [ v.Cache.checked; v.Cache.ok; List.length v.Cache.bad ];
   let g = Cache.gc t in
   Alcotest.(check int) "both survivors kept" 2 g.Cache.kept;
   Alcotest.(check int) "quarantine purged" 1 g.Cache.purged_quarantine;
-  Alcotest.(check int) "orphan tmp purged" 1 g.Cache.purged_tmp;
   Alcotest.(check int) "nothing evicted without a budget" 0 g.Cache.evicted;
-  let g2 = Cache.gc ~max_bytes:0 t in
-  Alcotest.(check int) "budget 0 evicts everything" 2 g2.Cache.evicted;
+  (* under a budget the oldest pack goes first *)
+  let (k0, p0), (k2, p2) = (List.nth entries 0, List.nth entries 2) in
+  Unix.utimes p2 1000.0 1000.0;
+  Unix.utimes p0 2000.0 2000.0;
+  let size p = String.length (read_file p) in
+  let s0 = size p0 and s2 = size p2 in
+  let g = Cache.gc ~max_bytes:s0 t in
+  Alcotest.(check (list int)) "the older pack evicted, the newer kept"
+    [ 1; 1; s2 ]
+    [ g.Cache.evicted; g.Cache.kept; g.Cache.freed_bytes ];
+  let fresh = Cache.open_dir dir in
+  Alcotest.(check (list bool)) "the kept entry serves, the evicted misses"
+    [ true; false ]
+    [ Cache.find fresh ~key:k0 <> None; Cache.find fresh ~key:k2 <> None ];
+  let g = Cache.gc ~max_bytes:0 t in
+  Alcotest.(check int) "budget 0 evicts the rest" 1 g.Cache.evicted;
   Alcotest.(check int) "store empty" 0 (Cache.stat t).Cache.entries;
   rm_rf dir
 
@@ -574,6 +788,12 @@ let () =
           Alcotest.test_case
             "truncation and bit-flips at every offset quarantined" `Quick
             test_corruption_at_every_offset;
+        ] );
+      ( "packs",
+        [
+          Alcotest.test_case "a store crashed in each mode" `Quick
+            test_store_crash_modes;
+          QCheck_alcotest.to_alcotest prop_handles_agree_with_model;
         ] );
       ( "maintenance",
         [

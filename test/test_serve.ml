@@ -1626,10 +1626,11 @@ let test_replay_index_grows () =
    the server's replay index in place.  A line is no longer than
    [Max_young_wosize] words, so a copy of it would land in the minor
    heap, where [Gc.minor_words] counts it exactly: 257 words a line.
-   The read itself measures 29.5 words a line: the 3-word [Replay]
-   event, the index lookup's key, option and equality closures, and a
-   quarter of each refill's [select] and [read].  The bound allows 10.5
-   words over that, far short of any copy. *)
+   The read itself measures 13.5 words a line: the 3-word [Replay]
+   event, the index lookup's key and option, and a quarter of each
+   refill's [select] and [read]; the equality test allocates nothing.
+   The bound allows 2.5 words over that, less than one more small block
+   per line and far short of any copy. *)
 let test_replay_allocates_no_line () =
   let dir = tmp_dir "nocopy" in
   let s =
@@ -1645,7 +1646,7 @@ let test_replay_allocates_no_line () =
   let line_words = (bytes / (Sys.word_size / 8)) + 1 in
   Alcotest.(check int) "line length" bytes (String.length line);
   Alcotest.(check bool) "a minor-heap string" true (line_words <= 256);
-  let bound = 40.0 in
+  let bound = 16.0 in
   let first = Server.handle_line s line in
   (* the first replay takes the full path and enters the index *)
   Alcotest.(check string) "session replay" first (Server.handle_line s line);
