@@ -831,7 +831,7 @@ let loop_tail =
     Instr.Sbranch;
   ]
 
-let compile ?(opt = Opt_level.v61) ?(force_scalar = false) (k : Kernel.t) =
+let compile_fresh ~opt ~force_scalar (k : Kernel.t) =
   (match Kernel.validate k with
   | Ok () -> ()
   | Error e ->
@@ -890,6 +890,40 @@ let compile ?(opt = Opt_level.v61) ?(force_scalar = false) (k : Kernel.t) =
     scalar_map = scal.map;
     spilled_scalars = List.map fst scal.spilled;
   }
+
+(* The library kernels compile once per process.  A served item names
+   its kernel by LFK number, so the same few (kernel, opt) pairs recur
+   for every item; a compiled [t] holds no mutable state, so every
+   domain can share the first one built.  Only the records
+   [Lfk.Kernels.find] returns are recognized, by physical identity: a
+   kernel built any other way (a Codec decode, a fuzz case, an edited
+   copy) compiles fresh.  One entry per (LFK number, opt record,
+   force_scalar), at most 12 x 6 x 2, filled on first use and never
+   evicted. *)
+let memo : (int * Opt_level.t * bool, t) Hashtbl.t = Hashtbl.create 64
+let memo_mutex = Mutex.create ()
+
+let is_library (k : Kernel.t) =
+  match Lfk.Kernels.find k.id with
+  | library -> library == k
+  | exception Not_found -> false
+
+let compile ?(opt = Opt_level.v61) ?(force_scalar = false) (k : Kernel.t) =
+  if not (is_library k) then compile_fresh ~opt ~force_scalar k
+  else
+    let key = (k.id, opt, force_scalar) in
+    match Mutex.protect memo_mutex (fun () -> Hashtbl.find_opt memo key) with
+    | Some c -> c
+    | None ->
+        (* compiled outside the lock; a racing twin's equal result may
+           land first, and then every caller shares that one *)
+        let c = compile_fresh ~opt ~force_scalar k in
+        Mutex.protect memo_mutex (fun () ->
+            match Hashtbl.find_opt memo key with
+            | Some first -> first
+            | None ->
+                Hashtbl.replace memo key c;
+                c)
 
 let scalar_pool (c : t) =
   if c.spilled_scalars = [] then None

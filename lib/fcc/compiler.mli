@@ -38,7 +38,17 @@ val compile : ?opt:Opt_level.t -> ?force_scalar:bool -> Lfk.Kernel.t -> t
     loop-carried flow dependence (see {!Vectorizer}) are compiled to
     scalar code; [force_scalar] compiles a vectorizable kernel to scalar
     code anyway (the vectorization-speedup ablation).  Raises
-    [Invalid_argument] if the kernel fails {!Lfk.Kernel.validate}. *)
+    [Invalid_argument] if the kernel fails {!Lfk.Kernel.validate}.
+
+    A library kernel — a record {!Lfk.Kernels.find} returns, recognized
+    by physical identity — compiles once per process for each [opt]
+    record and [force_scalar]: later calls return the same value.  The
+    table holds at most 12 × 6 × 2 entries, fills on first use and never
+    evicts.  Sharing is safe across domains because a [t] holds no
+    mutable state.  Every other kernel (a {!Lfk.Codec} decode, a fuzz
+    case, a copy with one field changed) compiles fresh, to the same
+    result a library kernel with its contents would get.  A compile
+    that raises memoizes nothing. *)
 
 val scalar_pool : t -> (string * int) option
 (** Name and size of the [spilled_scalars] constant pool, one word per

@@ -124,10 +124,29 @@ let finish_line r =
 
 (* The first newline at or after [i], or -1; bounded by [rlen], not the
    buffer's length: bytes past it are stale. *)
-let rec newline r i =
+let rec newline_in_bytes r i =
   if i >= r.rlen then -1
   else if Bytes.unsafe_get r.rbuf i = '\n' then i
-  else newline r (i + 1)
+  else newline_in_bytes r (i + 1)
+
+(* Eight bytes a step: a line's scan takes an eighth of the byte loop's
+   iterations, and so depends less on where the loop lands in the
+   binary (with the byte loop alone, growth in unrelated code moved
+   replay-tcp's server CPU by 12%).  A word xor eight newlines has a
+   zero byte exactly when the word holds a newline, and [(x - 0x01..)
+   land lnot x land 0x80..] is nonzero exactly when [x] has a zero
+   byte. *)
+let rec newline r i =
+  if i + 8 > r.rlen then newline_in_bytes r i
+  else
+    let x = Int64.logxor (Bytes.get_int64_ne r.rbuf i) 0x0a0a0a0a0a0a0a0aL in
+    if
+      Int64.logand
+        (Int64.logand (Int64.sub x 0x0101010101010101L) (Int64.lognot x))
+        0x8080808080808080L
+      <> 0L
+    then newline_in_bytes r i
+    else newline r (i + 8)
 
 let at_eof r =
   if partial r > 0 then begin

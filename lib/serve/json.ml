@@ -9,6 +9,10 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Printer                                                            *)
 
+(* The C formatter [Printf] itself calls for a finite float under
+   %.0f, %.12g and %.17g, without interpreting a format each time. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Same shortest-round-trip discipline as Fault.to_spec: %.12g when it
    survives a round trip, %.17g otherwise.  Integral values within the
    doubles-are-exact range print without a point so ids and counts stay
@@ -19,11 +23,11 @@ let add_num buf f =
        reply parseable rather than emitting a bare "nan" token *)
     Buffer.add_string buf "null"
   else if Float.is_integer f && Float.abs f <= 9.007199254740992e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" f)
+    Buffer.add_string buf (format_float "%.0f" f)
   else
-    let s = Printf.sprintf "%.12g" f in
+    let s = format_float "%.12g" f in
     Buffer.add_string buf
-      (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
+      (if float_of_string s = f then s else format_float "%.17g" f)
 
 let add_str buf s =
   Buffer.add_char buf '"';

@@ -287,28 +287,39 @@ let internal_item ~site msg =
         Protocol.error_json (Protocol.perror ~site ~kind:"internal" msg) );
     ]
 
+(* An item as a reply carries it: its one encoding, and whether it
+   answered at estimate tier (counted as [degraded]). *)
+let encoded j =
+  ( Json.to_string j,
+    Option.bind (Json.mem j "tier") Json.str = Some "estimate" )
+
 (* A journaled item line is our own [Json.to_string] output, so it parses
    back to the value that printed it; one that does not was hand-edited,
-   and is surfaced rather than crashing the batch. *)
+   and is surfaced rather than crashing the batch.  Either way the item
+   is re-encoded, so the reply never splices a journal line unread. *)
 let journaled_item line =
-  match Json.parse line with
-  | Ok j -> j
-  | Error m ->
-      internal_item ~site:"Server.reply" ("unreadable journaled item: " ^ m)
+  encoded
+    (match Json.parse line with
+    | Ok j -> j
+    | Error m ->
+        internal_item ~site:"Server.reply" ("unreadable journaled item: " ^ m))
 
+(* The bytes [Json.to_string] gives the reply's tree, built around the
+   items' own encodings. *)
 let reply_of_results ~id results =
-  let estimate j = Option.bind (Json.mem j "tier") Json.str = Some "estimate" in
-  ( Json.to_string
-      (Json.Obj
-         [
-           ("id", Json.Str id);
-           ("ok", Json.Bool true);
-           ("results", Json.Arr results);
-         ]),
-    List.length (List.filter estimate results) )
+  ( String.concat ""
+      [
+        {|{"id":|};
+        Json.to_string (Json.Str id);
+        {|,"ok":true,"results":[|};
+        String.concat "," (List.map fst results);
+        "]}";
+      ],
+    List.length (List.filter snd results) )
 
-(* Computed items stay [Json.t] from [Engine.eval_item] to the reply;
-   only the items a restarted server takes from its journal are parsed. *)
+(* A computed item is encoded once, and that string is both its session
+   [item] record and its element of the reply; only the items a
+   restarted server takes from its journal are parsed. *)
 let compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~raw_items =
   let items =
     Array.of_list (List.map Protocol.decode_item (Lazy.force raw_items))
@@ -324,11 +335,11 @@ let compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~raw_items =
           (Session.lookup_item s ~key ~index:i)
   in
   let eval i =
-    let j = Engine.eval_item ?watchdog items.(i) in
+    let ((line, _) as item) = encoded (Engine.eval_item ?watchdog items.(i)) in
     (match t.session with
-    | Some s -> Session.record_item s ~key ~index:i (Json.to_string j)
+    | Some s -> Session.record_item s ~key ~index:i line
     | None -> ());
-    j
+    item
   in
   (* [replayed] counts the [already] hits over this batch's own indexes:
      the items a restarted server took from the journal *)
@@ -346,10 +357,11 @@ let compute_batch t ~key ~id ~deadline_ms ~budget_cycles ~raw_items =
     Array.to_list
       (Array.map
          (function
-           | Some (Convex_exec.Executor.Done j) -> j
+           | Some (Convex_exec.Executor.Done item) -> item
            | Some (Convex_exec.Executor.Poisoned p) ->
-               internal_item ~site:"Executor" p.Convex_exec.Executor.error
-           | None -> internal_item ~site:"Executor" "cell never ran")
+               encoded
+                 (internal_item ~site:"Executor" p.Convex_exec.Executor.error)
+           | None -> encoded (internal_item ~site:"Executor" "cell never ran"))
          outcomes)
   in
   let reply, degraded = reply_of_results ~id results in
@@ -380,25 +392,26 @@ let replay_of_span t b ~pos ~len = Index.find t.index b ~pos ~len
    built and decoded only once the session and the cache have both
    missed, so a replayed frame costs the envelope scan, a digest, a
    lookup and the reply write.  A session hit also enters the replay
-   index, which answers the line's next arrival without any of them. *)
+   index, which answers the line's next arrival without any of them.
+   Before the flight is claimed only the session is asked; the cache is
+   asked once, by the flight's owner, so a computed frame counts one
+   cache miss. *)
 let serve_batch t ~raw ~id ~deadline_ms ~budget_cycles ~raw_items =
   let key = Session.frame_key ~id ~payload:raw in
-  let replay () =
+  let session_replay () =
     match
       Option.bind t.session (fun s -> Session.lookup_frame s ~key)
     with
     | Some reply as hit ->
         Index.add t.index ~line:raw reply;
         hit
-    | None ->
-        Option.bind t.cache (fun c ->
-            Convex_cache.Cache.find c ~key:(cache_key key))
+    | None -> None
   in
   let replayed reply =
     note_replay t;
     reply
   in
-  match replay () with
+  match session_replay () with
   | Some reply -> replayed reply
   | None -> (
       (* single flight: exactly one computation (and one journal append,
@@ -431,23 +444,29 @@ let serve_batch t ~raw ~id ~deadline_ms ~budget_cycles ~raw_items =
             Condition.broadcast f.cond;
             Mutex.unlock t.flight_mutex
           in
-          (* double-check now that we own the flight: a twin may have
-             journaled the frame between our miss and our claim *)
-          (match replay () with
-          | Some reply ->
-              publish (Ok reply);
-              replayed reply
-          | None -> (
-              match
+          (* now that we own the flight: a twin may have journaled the
+             frame between our miss and our claim, and the cache has
+             not been asked yet *)
+          let replay () =
+            match session_replay () with
+            | Some _ as hit -> hit
+            | None ->
+                Option.bind t.cache (fun c ->
+                    Convex_cache.Cache.find c ~key:(cache_key key))
+          in
+          match
+            match replay () with
+            | Some reply -> replayed reply
+            | None ->
                 compute_batch t ~key ~id ~deadline_ms ~budget_cycles
                   ~raw_items
-              with
-              | reply ->
-                  publish (Ok reply);
-                  reply
-              | exception exn ->
-                  publish (Error exn);
-                  raise exn)))
+          with
+          | reply ->
+              publish (Ok reply);
+              reply
+          | exception exn ->
+              publish (Error exn);
+              raise exn)
 
 let control_reply t ~id control =
   bump t (fun c -> { c with control = c.control + 1 });

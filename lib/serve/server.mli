@@ -44,7 +44,14 @@
     - {b Crash-safe resume.}  Batch items journal as they complete; a
       server killed mid-batch and restarted on the same session file
       recomputes only the missing items and never re-executes completed
-      work. *)
+      work.
+    - {b Each item encoded once.}  A computed item's one encoding is
+      both its session record and its element of the reply, which is
+      built around those strings with the bytes {!Json.to_string} gives
+      the reply's tree.  An item taken from the journal is parsed and
+      re-encoded; a line that does not parse answers as a typed
+      [internal] item.  A frame asks the cache once, after it claims
+      its single flight, so a computed frame counts one cache miss. *)
 
 type config = {
   jobs : int;  (** worker domains per batch (via {!Convex_exec.Executor}) *)

@@ -308,9 +308,122 @@ let qcheck_tests =
       prop_writes_before_reads;
     ]
 
+(* ---- the compile memo ---- *)
+
+(* Every (LFK, opt record, force_scalar) the memo holds a slot for. *)
+let memo_cases =
+  let opts =
+    List.concat_map
+      (fun reuse ->
+        List.map
+          (fun schedule -> { Fcc.Opt_level.reuse; schedule })
+          Fcc.Opt_level.[ Depth_first; Loads_first; Packed ])
+      Fcc.Opt_level.[ Reload_shifted; Stream_reuse ]
+  in
+  List.concat_map
+    (fun id ->
+      List.concat_map
+        (fun opt -> [ (id, opt, false); (id, opt, true) ])
+        opts)
+    (List.init 12 (fun i -> i + 1))
+
+(* What a compile produced, everything but the kernel record itself, or
+   the exception it raised. *)
+let compiled_view f =
+  match f () with
+  | (c : Fcc.Compiler.t) ->
+      Ok
+        ( Fcc.Compiler.listing c,
+          c.job,
+          c.sregs,
+          c.flops_per_iteration,
+          c.scalar_map,
+          c.spilled_scalars )
+  | exception e -> Error (Printexc.to_string e)
+
+let codec_copy k =
+  match Codec.of_string (Codec.to_string k) with
+  | Ok k' -> k'
+  | Error e -> Alcotest.failf "codec round trip of %s: %s" k.Kernel.name e
+
+let library ((id, opt, force_scalar) : int * Fcc.Opt_level.t * bool) () =
+  Fcc.Compiler.compile ~opt ~force_scalar (Kernels.find id)
+
+let case_label (id, opt, force_scalar) =
+  Printf.sprintf "lfk%d %s%s" id (Fcc.Opt_level.name opt)
+    (if force_scalar then " scalar" else "")
+
+(* The same compile of a Codec copy, which the memo never holds. *)
+let fresh ((id, opt, force_scalar) : int * Fcc.Opt_level.t * bool) () =
+  Fcc.Compiler.compile ~opt ~force_scalar (codec_copy (Kernels.find id))
+
+(* Runs first in this executable, so these are the memo's first
+   compiles: four domains fill every slot at once, in different orders,
+   and must all see the values a fresh compile gives. *)
+let test_memo_first_compiles_race () =
+  let cases = Array.of_list memo_cases in
+  let n = Array.length cases in
+  let views =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            Array.init n (fun i ->
+                let case = cases.((i + (d * n / 4)) mod n) in
+                (case, compiled_view (library case)))))
+    |> List.map Domain.join
+  in
+  let sorted v =
+    let v = Array.copy v in
+    Array.sort compare v;
+    v
+  in
+  match List.map sorted views with
+  | first :: rest ->
+      List.iteri
+        (fun d v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "domain %d sees domain 0's compiles" (d + 1))
+            true (v = first))
+        rest;
+      Array.iter
+        (fun (case, view) ->
+          Alcotest.(check bool)
+            (case_label case ^ " equals a fresh compile")
+            true
+            (view = compiled_view (fresh case)))
+        first
+  | [] -> assert false
+
+(* A library kernel compiles once: a memo hit is the same value.  A
+   Codec copy of it compiles fresh every time, to the same listing, job,
+   scalar registers, flops, scalar map and spills, or to the same
+   exception (LFK8 has too many scalars for forced scalar code). *)
+let test_memo_equals_fresh_compile () =
+  List.iter
+    (fun case ->
+      let label = case_label case in
+      Alcotest.(check bool) (label ^ ": memo = fresh") true
+        (compiled_view (library case) = compiled_view (fresh case));
+      match (library case (), library case (), fresh case (), fresh case ()) with
+      | a, b, x, y ->
+          Alcotest.(check bool) (label ^ ": hit is the same value") true
+            (a == b);
+          Alcotest.(check bool) (label ^ ": a copy compiles fresh") true
+            (x != y && x != a)
+      | exception _ ->
+          (* both raised alike, checked above; nothing was memoized *)
+          ())
+    memo_cases
+
 let () =
   Alcotest.run "fcc"
     [
+      ( "memo",
+        [
+          Alcotest.test_case "first compiles race" `Quick
+            test_memo_first_compiles_race;
+          Alcotest.test_case "memo = fresh compile" `Quick
+            test_memo_equals_fresh_compile;
+        ] );
       ( "counts",
         [
           Alcotest.test_case "Table 2 MAC counts" `Quick

@@ -149,6 +149,35 @@ let test_json_float_rendering () =
       | _ -> Alcotest.failf "float %h did not round-trip" f)
     [ 0.1; 1.0 /. 3.0; 1e-300; 4.2177822177822177; 123456789.125 ]
 
+(* The printer's numbers against the [Printf] formatting they stand
+   for, byte for byte: %.0f for integers within 2^53, else %.12g when it
+   round-trips and %.17g when it does not; [null] for non-finite. *)
+let printf_num f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f <= 9.007199254740992e15 then
+    Printf.sprintf "%.0f" f
+  else
+    let s = Printf.sprintf "%.12g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let num_cases =
+  let p53 = 9007199254740992.0 in
+  [ 0.0; -0.0; 5e-324; -5e-324; 2.2250738585072009e-308; Float.min_float;
+    p53 -. 1.0; p53; p53 +. 2.0; -.(p53 +. 2.0); 1e21; -1e21; 0.1; 1.0 /. 3.0;
+    Float.nan; Float.infinity; Float.neg_infinity; Float.max_float; 1e-7;
+    123456789012.5; 4.2177822177822177 ]
+
+let test_json_num_matches_printf () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) (printf_num f)
+        (Json.to_string (Json.Num f)))
+    num_cases
+
+let num_printf_prop =
+  QCheck.Test.make ~count:1000 ~name:"numbers print as Printf does"
+    QCheck.float (fun f -> Json.to_string (Json.Num f) = printf_num f)
+
 (* Random documents whose strings mix plain spans, escapes, control
    bytes and non-ASCII bytes, including an escape after a long plain
    prefix (the fast path's hand-off point). *)
@@ -843,6 +872,122 @@ let test_unreadable_journaled_item () =
   Alcotest.(check int) "the journaled estimate counts as degraded" 1
     (Server.stats server).Server.degraded
 
+(* ---- the reply around encoded items ---- *)
+
+(* A batch item as the session holds it before the frame arrives. *)
+type held =
+  | Journaled of Json.t  (** a readable item line *)
+  | Unreadable of string  (** a line that does not parse *)
+  | Computed  (** no line: the server computes the item *)
+
+let reply_id_gen =
+  let open QCheck.Gen in
+  let piece =
+    oneof
+      [
+        string_size ~gen:(char_range 'a' 'z') (int_range 1 6);
+        oneofl [ "\""; "\\"; "/"; "\n"; "\t"; "\xc3\xa9"; "\xf0\x9d\x84\x9e"; "\xff" ];
+        map (fun c -> String.make 1 (Char.chr c)) (int_range 0 0x1f);
+      ]
+  in
+  map (String.concat "") (list_size (int_range 1 5) piece)
+
+let reply_case_gen =
+  let open QCheck.Gen in
+  pair reply_id_gen
+    (list_size (int_range 0 4)
+       (frequency
+          [
+            (3, map (fun j -> Journaled j) json_gen);
+            (* a document and one more byte never parses *)
+            (1, map (fun j -> Unreadable (Json.to_string j ^ "}")) json_gen);
+            (1, return Computed);
+          ]))
+
+let print_reply_case (id, held) =
+  Printf.sprintf "id %S: %s" id
+    (String.concat "; "
+       (List.map
+          (function
+            | Journaled j -> Json.to_string j
+            | Unreadable l -> "unreadable " ^ l
+            | Computed -> "computed")
+          held))
+
+(* Whatever the items are — journaled values, unreadable lines (the
+   internal error items), computed items, none at all — and whatever
+   bytes the id holds, the reply built around the items' encodings is
+   [Json.to_string] of the reply's tree. *)
+let reply_encoding_prop =
+  QCheck.Test.make ~count:60 ~name:"reply = to_string of its tree"
+    (QCheck.make ~print:print_reply_case reply_case_gen)
+    (fun (id, held) ->
+      let dir = tmp_dir "encode" in
+      let path = Filename.concat dir "s.journal" in
+      (* an unknown op answers inside the batch without simulating *)
+      let frame =
+        Json.to_string
+          (Json.Obj
+             [
+               ("id", Json.Str id);
+               ( "batch",
+                 Json.Arr
+                   (List.map
+                      (fun _ -> Json.Obj [ ("op", Json.Str "nope") ])
+                      held) );
+             ])
+      in
+      let key = Session.frame_key ~id ~payload:frame in
+      (match Session.open_ path with
+      | Error e -> Alcotest.fail e
+      | Ok s ->
+          List.iteri
+            (fun index -> function
+              | Journaled j ->
+                  Session.record_item s ~key ~index (Json.to_string j)
+              | Unreadable line -> Session.record_item s ~key ~index line
+              | Computed -> ())
+            held);
+      let server =
+        create_ok { Server.default_config with Server.session = Some path }
+      in
+      let reply = Server.handle_line server frame in
+      let computed =
+        match Option.bind (Json.mem (parse_ok reply) "results") Json.arr with
+        | Some rs -> Array.of_list rs
+        | None -> [||]
+      in
+      let internal msg =
+        Json.Obj
+          [
+            ("ok", Json.Bool false);
+            ( "error",
+              Protocol.error_json
+                (Protocol.perror ~site:"Server.reply" ~kind:"internal"
+                   ("unreadable journaled item: " ^ msg)) );
+          ]
+      in
+      let results =
+        List.mapi
+          (fun i -> function
+            | Journaled j -> j
+            | Unreadable line -> (
+                match Json.parse line with
+                | Error m -> internal m
+                | Ok _ -> Json.Null)
+            | Computed -> computed.(i))
+          held
+      in
+      Array.length computed = List.length held
+      && reply
+         = Json.to_string
+             (Json.Obj
+                [
+                  ("id", Json.Str id);
+                  ("ok", Json.Bool true);
+                  ("results", Json.Arr results);
+                ]))
+
 (* A session hit is looked up before the items are decoded; it must
    still never mask a frame-level error, never answer a different
    payload, and replay a journaled item error byte for byte. *)
@@ -1157,6 +1302,34 @@ let stop_at n =
   fun () ->
     incr calls;
     !calls = n
+
+(* Lines of every length near the scan's eight-byte step, at every
+   offset in the read buffer, of bytes next to the newline's (0x09,
+   0x0b, 0x8a, 0x00, 0xff) and plain ones, all in one read: each comes
+   back whole, in order. *)
+let newline_scan_prop =
+  QCheck.Test.make ~count:200 ~name:"newline scan finds every line"
+    QCheck.(
+      make
+        ~print:(fun ls -> String.concat "|" (List.map String.escaped ls))
+        Gen.(
+          list_size (int_range 1 12)
+            (string_size (int_range 0 24)
+               ~gen:(oneofl [ 'a'; '\t'; '\011'; '\138'; '\000'; '\255'; '{' ]))))
+    (fun lines ->
+      let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      send a (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+      Unix.close a;
+      let r = Conn_io.reader ~now:Unix.gettimeofday ~limit:64 b in
+      let got =
+        List.map
+          (fun _ ->
+            match Conn_io.read_line r with Conn_io.Line l -> Some l | _ -> None)
+          lines
+      in
+      let eof = Conn_io.read_line r = Conn_io.Eof in
+      Unix.close b;
+      eof && got = List.map Option.some lines)
 
 let test_conn_io_block_reads () =
   let now = Unix.gettimeofday in
@@ -1511,6 +1684,35 @@ let cache_counters s =
   (n "hits", n "misses", n "stores")
 
 let add3 (a, b, c) (x, y, z) = (a + x, b + y, c + z)
+
+(* A computed frame asks the cache once: the analyze golden's 36 batch
+   frames, on a fresh session and cache, count 36 misses and 36 stores.
+   Served again on the same storage, the session answers every frame
+   and the cache is not asked at all. *)
+let test_one_cache_lookup_per_computed_frame () =
+  let frames =
+    String.split_on_char '\n' (read_file "cli/serve_analyze.frames")
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check int) "batch frames" 36 (List.length frames);
+  let dir = tmp_dir "misses" in
+  let config =
+    {
+      Server.default_config with
+      Server.session = Some (Filename.concat dir "s.journal");
+      cache_dir = Some (Filename.concat dir "cache");
+    }
+  in
+  let serve () =
+    let s = create_ok config in
+    List.iter (fun f -> ignore (Server.handle_line s f : string)) frames;
+    Server.finish s;
+    cache_counters s
+  in
+  Alcotest.(check (triple int int int)) "fresh: hits, misses, stores"
+    (0, 36, 36) (serve ());
+  Alcotest.(check (triple int int int)) "session replays: cache untouched"
+    (0, 0, 0) (serve ())
 
 (* One long-lived server (over a connection, so whole lines meet the
    index in the read buffer) against a server restarted on its storage
@@ -2002,6 +2204,9 @@ let () =
           Alcotest.test_case "accessors" `Quick test_json_accessors;
           Alcotest.test_case "float rendering" `Quick
             test_json_float_rendering;
+          Alcotest.test_case "numbers match Printf" `Quick
+            test_json_num_matches_printf;
+          QCheck_alcotest.to_alcotest num_printf_prop;
           QCheck_alcotest.to_alcotest json_roundtrip_prop;
           Alcotest.test_case "scan cases" `Quick test_scan_cases;
           QCheck_alcotest.to_alcotest scan_agrees_prop;
@@ -2038,11 +2243,14 @@ let () =
             test_replayed_items_count_own_indexes;
           Alcotest.test_case "unreadable journaled item" `Quick
             test_unreadable_journaled_item;
+          QCheck_alcotest.to_alcotest reply_encoding_prop;
           Alcotest.test_case "replay builds no item tree" `Quick
             test_replay_builds_no_item_tree;
           Alcotest.test_case "session hit keeps frame checks" `Quick
             test_session_hit_keeps_frame_checks;
           QCheck_alcotest.to_alcotest index_invisible_prop;
+          Alcotest.test_case "one cache lookup per computed frame" `Quick
+            test_one_cache_lookup_per_computed_frame;
           Alcotest.test_case "replay allocates no line" `Quick
             test_replay_allocates_no_line;
           Alcotest.test_case "restart idempotent" `Quick
@@ -2063,6 +2271,7 @@ let () =
           Alcotest.test_case "conn_io events" `Quick test_conn_io_events;
           Alcotest.test_case "conn_io block reads" `Quick
             test_conn_io_block_reads;
+          QCheck_alcotest.to_alcotest newline_scan_prop;
           Alcotest.test_case "conn_io lookup" `Quick test_conn_io_lookup;
           Alcotest.test_case "supervised connection" `Quick
             test_supervised_connection_basic;
